@@ -16,6 +16,8 @@ operations to the precision actually needed downstream.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from .coeffring import CoeffPoly
 from .errors import DegreeValidityError, DivisionError, RingMismatchError
@@ -321,87 +323,89 @@ class TruncatedSeries:
         """Exact quotient self / den for den with zero constant term.
 
         ``den`` must have a nonzero linear part with constant (rational)
-        coefficients; the quotient is computed degree by degree, solving
-        multiplication by the linear form on each graded piece.  Raises
-        DivisionError when some degree has no solution.  The result is valid
+        coefficients; its lowest term c_j*y_j, for the smallest j with
+        c_j != 0, is the one cancelled (see ``_divide``).  Raises
+        DivisionError when self is not divisible by den.  The result is valid
         to min(self.valid_degree, den.valid_degree) - 1.
         """
         self._shape_check(den)
         if not den.coefficient((0,) * self.n_vars).is_zero():
             raise DivisionError("divisor has a nonzero constant term")
-        n = self.n_vars
-        linear = {}
-        higher = []
+        pivots = []
         for e, p in den.coeffs.items():
-            d = sum(e)
-            if d == 1:
+            if sum(e) == 1:
                 if not p.is_constant():
                     raise DivisionError("divisor linear part must have constant coefficients")
-                i = max(range(n), key=lambda j: e[j])
-                linear[i] = p.constant_term()
-            elif d >= 2:
-                higher.append((e, p))
-        if not linear:
+                pivots.append(e.index(1))
+        if not pivots:
             raise DivisionError("divisor has zero linear part")
-
         v = min(self.valid_degree, den.valid_degree) - 1
         if v < 0:
             raise DivisionError("not enough valid degrees to divide")
-        num_by_deg = self.by_degree()
-        q_by_deg = {}
-        zero = self.ring.zero()
-        for k in range(1, v + 2):
-            # rhs_k = num_k - (higher * q)_k determines q_{k-1}
-            rhs = {e: p for e, p in num_by_deg.get(k, [])}
-            for eh, ph in higher:
-                dh = sum(eh)
-                if dh > k:
-                    continue
-                for eq, pq in q_by_deg.get(k - dh, {}).items():
-                    e = _vec_add(eh, eq)
-                    s = rhs.get(e, zero) - ph * pq
-                    if s.is_zero():
-                        rhs.pop(e, None)
-                    else:
-                        rhs[e] = s
-            q_by_deg[k - 1] = _solve_linear_form(self.ring, n, linear, k, rhs)
-        coeffs = {}
-        for d, layer in q_by_deg.items():
-            if d <= v:
-                coeffs.update(layer)
-        return TruncatedSeries(self.ring, n, self.trunc, v, coeffs, _clean=False)
+        j = min(pivots)
+        return self._divide(den, tuple(int(i == j) for i in range(self.n_vars)), v)
 
     def invert_unit(self):
         """Multiplicative inverse of a series with invertible constant term."""
         c = self.constant_term()
         if not c.is_constant() or c.is_zero():
             raise DivisionError("constant term is not an invertible scalar")
-        c0 = c.constant_term()
-        if not self.ring.rational_mode and c0 not in (1, -1):
+        if not self.ring.rational_mode and c.constant_term() not in (1, -1):
             raise DivisionError("constant term must be a unit of the integral ring")
-        inv0 = self.ring.const(Fraction(1, 1) / Fraction(c0))
-        v = self.valid_degree
-        s_by_deg = self.by_degree()
-        q_by_deg = {0: {(0,) * self.n_vars: inv0}}
-        zero = self.ring.zero()
-        for k in range(1, v + 1):
-            layer = {}
-            for d in range(1, k + 1):
-                for e1, p1 in s_by_deg.get(d, []):
-                    for e2, p2 in q_by_deg.get(k - d, {}).items():
-                        e = _vec_add(e1, e2)
-                        s = layer.get(e, zero) + p1 * p2
-                        if s.is_zero():
-                            layer.pop(e, None)
-                        else:
-                            layer[e] = s
-            q_by_deg[k] = {
-                e: -(p * inv0) for e, p in layer.items() if not p.is_zero()
-            }
-        coeffs = {}
-        for layer in q_by_deg.values():
-            coeffs.update(layer)
-        return TruncatedSeries(self.ring, self.n_vars, self.trunc, v, coeffs)
+        one = TruncatedSeries.const(self.ring, self.n_vars, self.trunc, 1)
+        return one._divide(self, (0,) * self.n_vars, self.valid_degree)
+
+    def _divide(self, den, lead, valid):
+        """Sparse quotient self / den, valid to degree ``valid``.
+
+        ``lead`` is the exponent of den's lowest term, y_j or 1, whose
+        coefficient is a nonzero scalar c.  The remainder self - q*den is kept
+        in buckets keyed by (total degree, -exponent of y_j), with second part
+        0 when ``lead`` = 1.  The lowest bucket is cancelled next: a term
+        r*y^e adds t = (r/c)*y^(e - lead) to q and pushes the other terms of
+        t*den into later buckets, since every other term of den has higher
+        degree or, in degree 1, no y_j.  Every remainder term up to degree
+        valid + |lead| must cancel; one that y^lead does not divide raises
+        DivisionError.
+        """
+        pivot = itemgetter(lead.index(1)) if any(lead) else (lambda e: 0)
+        inv = Fraction(1) / Fraction(den.coeffs[lead].constant_term())
+        dl = sum(lead)
+        bound = valid + dl
+        rest = sorted((sum(f), f, p) for f, p in den.coeffs.items() if f != lead)
+        rem = {}
+        for e, p in self.coeffs.items():
+            d = sum(e)
+            if d <= bound:
+                rem.setdefault((d, -pivot(e)), {})[e] = p
+        keys = list(rem)
+        heapify(keys)
+        q = {}
+        while keys:
+            key = heappop(keys)
+            d = key[0]
+            for e, r in rem.pop(key).items():
+                if r.is_zero():
+                    continue
+                if pivot(e) < pivot(lead):
+                    raise DivisionError(f"series not divisible at degree {d}")
+                eq = tuple(a - b for a, b in zip(e, lead))
+                t = r.scale(inv)
+                q[eq] = t
+                neg = -t
+                for df, f, p in rest:
+                    d2 = d - dl + df
+                    if d2 > bound:
+                        break
+                    e2 = _vec_add(eq, f)
+                    key2 = (d2, -pivot(e2))
+                    bucket = rem.get(key2)
+                    if bucket is None:
+                        bucket = rem[key2] = {}
+                        heappush(keys, key2)
+                    s = bucket.get(e2)
+                    bucket[e2] = neg * p if s is None else s + neg * p
+        return TruncatedSeries(self.ring, self.n_vars, self.trunc, valid, q, _clean=False)
 
     # -- printing ------------------------------------------------------------
 
@@ -439,50 +443,3 @@ def _degree_monomials(n, d):
         out.extend(e + (k,) for e in _degree_monomials(n - 1, d - k))
     return out
 
-
-def _solve_linear_form(ring, n, linear, k, rhs):
-    """Solve linear_form * q = rhs on the degree-k graded piece.
-
-    ``rhs`` maps degree-k exponents to CoeffPoly; returns the degree-(k-1)
-    layer of q as a dict.  Raises DivisionError when inconsistent.
-
-    Multiplication by a nonzero linear form is injective on each graded
-    piece over the rationals, so after picking a pivot variable j the
-    relation rhs_e = sum_j c_j q_{e - delta_j} can be swept in decreasing
-    pivot exponent: every unknown is hit exactly once and targets with
-    pivot exponent 0 become consistency checks.
-    """
-    j = min(linear)
-    cj = Fraction(linear[j])
-    others = [(i, Fraction(c)) for i, c in linear.items() if i != j]
-    zero = ring.zero()
-    q = {}
-    targets = sorted(rhs.keys() | _full_targets(n, k, linear), key=lambda e: -e[j])
-    seen = set()
-    for e in targets:
-        if e in seen:
-            continue
-        seen.add(e)
-        acc = rhs.get(e, zero)
-        for i, c in others:
-            if e[i] >= 1:
-                e2 = list(e)
-                e2[i] -= 1
-                p = q.get(tuple(e2))
-                if p is not None:
-                    acc = acc - p.scale(c)
-        if e[j] >= 1:
-            e2 = list(e)
-            e2[j] -= 1
-            if not acc.is_zero():
-                q[tuple(e2)] = acc.scale(Fraction(1) / cj)
-        elif not acc.is_zero():
-            raise DivisionError(f"series not divisible at degree {k}")
-    return q
-
-
-def _full_targets(n, k, linear):
-    # Every target that can receive a contribution from some unknown must be
-    # visited, even when rhs is zero there, or the sweep would miss checks
-    # and unknown assignments.
-    return set(_degree_monomials(n, k))

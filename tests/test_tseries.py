@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcohom.coeffring import CoeffRing
 from flagcohom.errors import DegreeValidityError, DivisionError, RingMismatchError
@@ -90,25 +91,10 @@ def test_exact_divide_multiplicative_remainder():
 
 def test_exact_divide_failure():
     x, y = xy()
-    with pytest.raises(DivisionError):
-        y.exact_divide(x)
-
-
-def test_exact_divide_roundtrip_random():
-    rng = random.Random(7)
-    for _ in range(25):
-        terms_a = {}
-        for _ in range(4):
-            e = (rng.randint(0, 2), rng.randint(0, 2))
-            terms_a[e] = rng.randint(-3, 3)
-        a = TruncatedSeries.from_terms(R, 2, 8, terms_a)
-        terms_b = {(1, 0): rng.choice((1, 2, -1))}
-        for _ in range(3):
-            e = (rng.randint(0, 2), rng.randint(1, 2))
-            terms_b.setdefault(e, rng.randint(-2, 2))
-        b = TruncatedSeries.from_terms(R, 2, 8, terms_b)
-        q = (a * b).exact_divide(b)
-        assert q == a
+    one = TruncatedSeries.const(R, 2, 8, 1)
+    for num in (y, one + x):
+        with pytest.raises(DivisionError):
+            num.exact_divide(x)
 
 
 def test_invert_unit():
@@ -125,6 +111,88 @@ def test_invert_unit_requires_unit():
     x, _ = xy()
     with pytest.raises(DivisionError):
         x.invert_unit()
+
+
+# -- properties of the kernel on drawn sparse series ---------------------------
+
+TRUNC = 6
+PROPERTY = settings(max_examples=30, deadline=None)
+SHAPES = st.tuples(st.sampled_from((R, RB)), st.integers(1, 3))
+NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+def coefficients(ring):
+    """Small integers over R; a + b*beta over RB."""
+    if not ring.ngens:
+        return st.integers(-3, 3).map(ring.const)
+    beta = ring.gen("beta")
+    return st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda c: beta.scale(c[1]) + c[0]
+    )
+
+
+@st.composite
+def series(draw, ring, n, low=0, linear=False):
+    """At most five terms of degree >= low, valid to a drawn degree >= 1.
+
+    With ``linear``, a linear part with nonzero constant coefficients is added.
+    """
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    drawn = draw(st.dictionaries(exps, coefficients(ring), max_size=5))
+    terms = {e: c for e, c in drawn.items() if sum(e) >= low}
+    if linear:
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            terms[tuple(int(k == i) for k in range(n))] = draw(NONZERO)
+    return TruncatedSeries.from_terms(ring, n, TRUNC, terms, draw(st.integers(1, TRUNC)))
+
+
+@PROPERTY
+@given(st.data())
+def test_valid_degree_min_rule_property(data):
+    ring, n = data.draw(SHAPES)
+    a = data.draw(series(ring, n))
+    b = data.draw(series(ring, n))
+    ar = a.restrict(data.draw(st.integers(0, TRUNC)))
+    br = b.restrict(data.draw(st.integers(0, TRUNC)))
+    v = min(ar.valid_degree, br.valid_degree)
+    for op in (lambda u, w: u + w, lambda u, w: u * w):
+        r = op(ar, br)
+        assert r.valid_degree == v
+        assert r == op(a, b)
+
+
+@PROPERTY
+@given(st.data())
+def test_exact_divide_roundtrip_property(data):
+    ring, n = data.draw(SHAPES)
+    a = data.draw(series(ring, n))
+    b = data.draw(series(ring, n, low=2, linear=True))
+    q = (a * b).exact_divide(b)
+    assert q.valid_degree == min(a.valid_degree, b.valid_degree) - 1
+    assert q == a
+
+
+@PROPERTY
+@given(st.data())
+def test_exact_divide_rejects_scalar_remainder(data):
+    ring, n = data.draw(SHAPES)
+    a = data.draw(series(ring, n))
+    b = data.draw(series(ring, n, low=2, linear=True))
+    c = TruncatedSeries.const(ring, n, TRUNC, data.draw(NONZERO))
+    with pytest.raises(DivisionError):
+        (a * b + c).exact_divide(b)
+
+
+@PROPERTY
+@given(st.data())
+def test_invert_unit_property(data):
+    ring, n = data.draw(SHAPES)
+    s = data.draw(series(ring, n, low=1)) + TruncatedSeries.const(
+        ring, n, TRUNC, data.draw(NONZERO)
+    )
+    inv = s.invert_unit()
+    assert inv.valid_degree == s.valid_degree
+    assert inv * s == TruncatedSeries.const(ring, n, TRUNC, 1)
 
 
 def test_substitute_functoriality():
