@@ -14,27 +14,13 @@ expresses the characteristic map of the tower: c_I(u) = sum eps Theta_K(u) xi_K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InsufficientPrecisionError, RingMismatchError
 
 
-def subsets(positions):
-    for r in range(len(positions) + 1):
-        yield from combinations(positions, r)
-
-
 def theta_coefficients(fgr, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    out = {}
-    for K in subsets(tuple(range(1, len(word) + 1))):
-        out[K] = fgr.augmentation(fgr.theta(word, K, u))
-    return out
-
-
-def cc_in_xi(fgr, word, u):
-    """Coordinates of the tower characteristic map of u in the xi basis."""
-    return theta_coefficients(fgr, word, u)
+    return {K: fgr.augmentation(v) for K, v in fgr.theta(word, u)}
 
 
 def bs_pushforward(fgr, word, u):
@@ -43,12 +29,7 @@ def bs_pushforward(fgr, word, u):
     The composite uses the geometric operator C at the positive simple
     roots, in the order C_{i_1} o ... o C_{i_l}.
     """
-    if u.valid_degree < len(word):
-        raise InsufficientPrecisionError(
-            f"push-forward along a length-{len(word)} word needs valid degree "
-            f"{len(word)}",
-            deficit=len(word) - u.valid_degree,
-        )
+    fgr.require_valid(u, len(word), f"push-forward along a length-{len(word)} word")
     for i in reversed(word):
         u = fgr.cc(i, u)
     return fgr.augmentation(u)
@@ -67,11 +48,11 @@ class BSPresentation:
 
 def bs_presentation(fgr, word):
     word = tuple(word)
-    rels = []
-    for j in range(1, len(word) + 1):
-        prefix = word[: j - 1]
-        x = fgr.x_lambda(tuple(-c for c in fgr.datum.simple_roots[word[j - 1] - 1]))
-        rels.append(theta_coefficients(fgr, prefix, x))
+    xs = [fgr.x_lambda(tuple(-c for c in fgr.datum.simple_roots[i - 1])) for i in word]
+    # Checked up front so the error names the deficit of the longest prefix.
+    if xs:
+        fgr.require_valid(xs[-1], len(word) - 1, f"a length-{len(word)} presentation")
+    rels = [theta_coefficients(fgr, word[:j], x) for j, x in enumerate(xs)]
     return BSPresentation(word, tuple(rels))
 
 

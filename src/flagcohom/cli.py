@@ -146,16 +146,16 @@ def cmd_torsion(args):
     return 0
 
 
-def _parse_word(text):
+def _parse_word(text, datum):
     word = tuple(int(p) for p in text.split(",") if p.strip())
-    if not all(i >= 1 for i in word):
-        raise ValueError("word letters must be positive indices")
+    if not all(1 <= i <= datum.rank for i in word):
+        raise ValueError(f"word letters must be indices in 1..{datum.rank}")
     return word
 
 
 def cmd_bs(args):
     datum = load_datum(args)
-    word = _parse_word(args.word)
+    word = _parse_word(args.word, datum)
     trunc = args.trunc if args.trunc is not None else max(len(word) + 2, datum.N + 1)
     with _trunc_context(trunc):
         law, theory = make_theory(args.theory, trunc)
@@ -228,12 +228,16 @@ def cmd_ln(args):
     if args.theory != "universal":
         raise ValueError("operations are defined over the universal theory")
     trunc = effective_trunc(args, datum)
+    if args.word:
+        word = _parse_word(args.word, datum)
+        if datum.element_of_word(word).canonical_word != word:
+            raise ValueError(f"{args.word} is not the canonical word of a Weyl element")
     with _trunc_context(trunc):
         table = MultiplicationTable(datum, "universal", trunc)
     fb = table.basis
     laz = table.lazard
     words = (
-        [_parse_word(args.word)]
+        [word]
         if args.word
         else [
             w.canonical_word

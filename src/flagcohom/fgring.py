@@ -8,9 +8,12 @@ first-order operators are
     delta_i(u) = (u - s_i(u)) / x_{alpha_i}
     cc_i(u)    = u * kappa_i - delta_i(u),   kappa_i = g(x_alpha, x_{-alpha})
 
-where g is the law's kappa series.  Apart from x_lambda values and kappa
-elements (cached, immutable after fill) every operation is pure, so shared
-instances are safe under concurrent reads; cache insertions are idempotent.
+where g is the law's kappa series.  kappa is computed by the quotient
+identity kappa_alpha = (x_alpha + x_{-alpha}) / (x_alpha x_{-alpha}), which
+x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.  Apart from
+x_lambda values and kappa elements (cached, immutable after fill) every
+operation is pure, so shared instances are safe under concurrent reads;
+cache insertions are idempotent.
 
 The torsion index and its witness u0 are computed in the additive model:
 the operators induce the classical divided differences on the associated
@@ -214,7 +217,7 @@ class FormalGroupRing:
 
     # -- operators ------------------------------------------------------------
 
-    def _require_valid(self, u, need, what):
+    def require_valid(self, u, need, what):
         if u.valid_degree < need:
             raise InsufficientPrecisionError(
                 f"{what} needs valid degree {need}, element has {u.valid_degree}",
@@ -223,14 +226,14 @@ class FormalGroupRing:
 
     def delta(self, i, u):
         """delta_i(u) = (u - s_i(u)) / x_{alpha_i}; drops one valid degree."""
-        self._require_valid(u, 1, "delta")
+        self.require_valid(u, 1, "delta")
         num = u.series - self.s_act(i, u).series
         den = self.x_lambda_series(self.datum.simple_roots[i - 1])
         return self.element(num.exact_divide(den))
 
     def delta_neg(self, i, u):
         """delta at the negative simple root: (u - s_i(u)) / x_{-alpha_i}."""
-        self._require_valid(u, 1, "delta")
+        self.require_valid(u, 1, "delta")
         num = u.series - self.s_act(i, u).series
         root = self.datum.simple_roots[i - 1]
         den = self.x_lambda_series(tuple(-c for c in root))
@@ -238,7 +241,7 @@ class FormalGroupRing:
 
     def delta_root(self, root, coroot, u):
         """delta at an arbitrary root given with its coroot pairing row."""
-        self._require_valid(u, 1, "delta")
+        self.require_valid(u, 1, "delta")
         num = u.series - self.reflection_act(root, coroot, u).series
         return self.element(num.exact_divide(self.x_lambda_series(root)))
 
@@ -254,11 +257,11 @@ class FormalGroupRing:
     def _kappa_for_root(self, root):
         xp = self.x_lambda_series(root)
         xm = self.x_lambda_series(tuple(-c for c in root))
-        return self.law.kappa().substitute([xp, xm])
+        return (xp + xm).exact_divide(xp).exact_divide(xm)
 
     def cc(self, i, u):
         """cc_i(u) = u * kappa_i - delta_i(u)."""
-        self._require_valid(u, 1, "cc")
+        self.require_valid(u, 1, "cc")
         return u * self.kappa_element(i) - self.delta(i, u)
 
     def cc_neg(self, i, u):
@@ -267,42 +270,52 @@ class FormalGroupRing:
         kappa is symmetric in its two slots, so only the difference-operator
         part changes: cc_{-alpha}(u) = u * kappa_i - delta_{-alpha}(u).
         """
-        self._require_valid(u, 1, "cc")
+        self.require_valid(u, 1, "cc")
         return u * self.kappa_element(i) - self.delta_neg(i, u)
 
     def cc_root(self, root, coroot, u):
-        self._require_valid(u, 1, "cc")
+        self.require_valid(u, 1, "cc")
         kap = self.element(self._kappa_for_root(root))
         return u * kap - self.delta_root(root, coroot, u)
 
     def delta_word(self, word, u):
         """Composite delta along a word, leftmost operator applied last."""
-        self._require_valid(u, len(word), "delta_word")
+        self.require_valid(u, len(word), "delta_word")
         for i in reversed(word):
             u = self.delta(i, u)
         return u
 
     def c_word(self, word, u):
-        self._require_valid(u, len(word), "c_word")
+        self.require_valid(u, len(word), "c_word")
         for i in reversed(word):
             u = self.cc(i, u)
         return u
 
-    def theta(self, word, subset, u):
-        """Theta_K for K a set of positions (1-based) in ``word``.
+    def theta(self, word, u):
+        """Yield (K, Theta_K(u)) for every set K of positions (1-based) in ``word``.
 
         Position j contributes delta at -alpha_{i_j} when j is in K and the
         plain reflection s_{i_j} otherwise; factors compose like delta_word.
+        Splitting on the last letter i, the sets without position l continue
+        on su = s_i(u) and those with it on (u - su) / x_{-alpha_i}, so a
+        length-l word costs 2^l - 1 reflections and 2^l - 1 divisions.
         """
-        subset = set(subset)
-        self._require_valid(u, len(subset), "theta")
-        for j in range(len(word), 0, -1):
-            i = word[j - 1]
-            if j in subset:
-                u = self.delta_neg(i, u)
-            else:
-                u = self.s_act(i, u)
-        return u
+        self.require_valid(u, len(word), "theta")
+
+        def split(l, v):
+            if not l:
+                yield (), v
+                return
+            i = word[l - 1]
+            sv = self.s_act(i, v)
+            yield from split(l - 1, sv)
+            root = self.datum.simple_roots[i - 1]
+            den = self.x_lambda_series(tuple(-c for c in root))
+            dv = self.element((v.series - sv.series).exact_divide(den))
+            for K, t in split(l - 1, dv):
+                yield K + (l,), t
+
+        return split(len(word), u)
 
     def augmentation(self, u):
         return u.series.constant_term()

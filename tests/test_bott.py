@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from flagcohom.bott import BSRing, bs_presentation, bs_pushforward, cc_in_xi
+from flagcohom.bott import BSRing, bs_presentation, bs_pushforward, theta_coefficients
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
 from flagcohom.rootdata import RootDatum
@@ -67,7 +67,7 @@ def test_presentation_multiplicative_matches_specialized_universal(a2_univ):
 
 
 def test_cc_in_xi_of_unit(a2_univ):
-    coords = cc_in_xi(a2_univ, (1, 2), a2_univ.one())
+    coords = theta_coefficients(a2_univ, (1, 2), a2_univ.one())
     for K, c in coords.items():
         want = a2_univ.ring.one() if K == () else a2_univ.ring.zero()
         assert c == want
@@ -76,7 +76,7 @@ def test_cc_in_xi_of_unit(a2_univ):
 def test_cc_in_xi_empty_word(a2_univ):
     rng = random.Random(0)
     u = rand_elt(a2_univ, rng)
-    coords = cc_in_xi(a2_univ, (), u)
+    coords = theta_coefficients(a2_univ, (), u)
     assert coords == {(): a2_univ.augmentation(u)}
 
 

@@ -84,12 +84,22 @@ def test_bad_input_exit_code():
     assert rc == 1
     rc, _, _ = run_cli(["table", "--type", "A2", "--trunc", "2"])
     assert rc == 1
+    for args in (["bs", "--type", "A2", "--word", "1,2,3"],
+                 ["ln", "--type", "A2", "--word", "3"],
+                 ["ln", "--type", "A2", "--word", "2,1,2"]):
+        rc, _, err = run_cli(args)
+        assert rc == 1
+        assert err.startswith("error: ")
 
 
 def test_insufficient_precision_exit_code():
     rc, _, err = run_cli(["table", "--type", "B2", "--trunc", "6"])
     assert rc == 3
     assert "--trunc 9" in err
+    rc, _, err = run_cli(["bs", "--type", "A2", "--word", "1,2,1,2,1,2",
+                          "--trunc", "3"])
+    assert rc == 3
+    assert "--trunc 5" in err
 
 
 def test_bs_command():

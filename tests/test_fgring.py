@@ -1,5 +1,6 @@
 """The formal group ring: x_lambda, Weyl action, difference operators, torsion."""
 
+import itertools
 import random
 
 import pytest
@@ -169,7 +170,7 @@ def test_theta_empty_subset_is_weyl_action(a2_small):
     rng = random.Random(10)
     u = rand_elt(a2_small, rng)
     word = (1, 2)
-    got = a2_small.theta(word, (), u)
+    got = dict(a2_small.theta(word, u))[()]
     want = a2_small.weyl_act(a2_small.datum.element_of_word(word), u)
     assert got == want
 
@@ -178,7 +179,7 @@ def test_theta_full_subset_is_delta_neg_chain(a2_small):
     rng = random.Random(11)
     u = rand_elt(a2_small, rng)
     word = (1, 2)
-    got = a2_small.theta(word, (1, 2), u)
+    got = dict(a2_small.theta(word, u))[(1, 2)]
     want = a2_small.delta_neg(1, a2_small.delta_neg(2, u))
     assert got == want
 
@@ -188,7 +189,7 @@ def test_theta_additive_example():
     # eps delta_{-alpha_1}(x_{-alpha_2}) = -1 classically at A2.
     fgr = FormalGroupRing(RootDatum.build("A2"), FormalGroupLaw.additive(5))
     x = fgr.x_lambda(tuple(-c for c in fgr.datum.simple_roots[1]))
-    val = fgr.augmentation(fgr.theta((1,), (1,), x))
+    val = fgr.augmentation(dict(fgr.theta((1,), x))[(1,)])
     # independent route: (u - s_1 u)/x_{-alpha_1} on the linear form -alpha_2
     num = x - fgr.s_act(1, x)
     den = fgr.x_lambda_series(tuple(-c for c in fgr.datum.simple_roots[0]))
@@ -196,8 +197,50 @@ def test_theta_additive_example():
     assert val == want
     assert val == -1
     # over the full word (1, 2) with K = {1} the extra reflection flips it
-    val2 = fgr.augmentation(fgr.theta((1, 2), (1,), x))
+    val2 = fgr.augmentation(dict(fgr.theta((1, 2), x))[(1,)])
     assert val2 == 1
+
+
+@pytest.mark.parametrize("fgr_name", ["a2_small", "b2_small"])
+def test_theta_family_matches_definition(fgr_name, request, monkeypatch):
+    fgr = request.getfixturevalue(fgr_name)
+    u = rand_elt(fgr, random.Random(12))
+    word = (1, 2, 1)
+    l = len(word)
+    calls = []
+    s_act = fgr.s_act
+    monkeypatch.setattr(fgr, "s_act", lambda i, v: calls.append(i) or s_act(i, v))
+    family = dict(fgr.theta(word, u))
+    assert len(calls) == 2 ** l - 1
+    assert sorted(family) == sorted(
+        K for r in range(l + 1) for K in itertools.combinations(range(1, l + 1), r)
+    )
+    for K, got in family.items():
+        want = u
+        for j in range(l, 0, -1):
+            op = fgr.delta_neg if j in K else fgr.s_act
+            want = op(word[j - 1], want)
+        assert got == want
+        assert got.valid_degree == want.valid_degree
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal"])
+def test_kappa_quotient_identity_matches_substitution(typ, law):
+    datum = RootDatum.build(typ)
+    fgr = FormalGroupRing(datum, getattr(FormalGroupLaw, law)(7))
+
+    def substituted(root):
+        xs = [fgr.x_lambda_series(r) for r in (root, tuple(-c for c in root))]
+        return fgr.element(fgr.law.kappa().substitute(xs))
+
+    for i, root in enumerate(datum.simple_roots, start=1):
+        got, want = fgr.kappa_element(i), substituted(root)
+        assert got == want and got.valid_degree == want.valid_degree
+    root = next(r for r in datum.positive_roots() if r not in datum.simple_roots)
+    coroot = dict(datum.all_roots())[root]
+    got, want = fgr.cc_root(root, coroot, fgr.one()), substituted(root)
+    assert got == want and got.valid_degree == want.valid_degree
 
 
 def test_torsion_values():
