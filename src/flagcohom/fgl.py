@@ -20,14 +20,8 @@ from .tseries import TruncatedSeries
 
 def embed(series, n_out, var_map):
     """Re-index a series into more variables: old var i -> new var var_map[i]."""
-    coeffs = {}
-    for e, p in series.coeffs.items():
-        out = [0] * n_out
-        for i, k in enumerate(e):
-            out[var_map[i]] = k
-        coeffs[tuple(out)] = p
-    return TruncatedSeries(
-        series.ring, n_out, series.trunc, series.valid_degree, coeffs, _clean=False
+    return series.substitute(
+        [TruncatedSeries.variable(series.ring, n_out, series.trunc, j) for j in var_map]
     )
 
 
@@ -101,8 +95,7 @@ class FormalGroupLaw:
         logy = embed(log, 2, [1])
         F = exp.substitute([logx + logy])
         inverse = exp.substitute([-log])
-        a_table = {e: p for e, p in F.coeffs.items()}
-        return FormalGroupLaw(ring, trunc, F, inverse, tag, log=log, a_table=a_table)
+        return FormalGroupLaw(ring, trunc, F, inverse, tag, log=log, a_table=F.coeffs)
 
     @staticmethod
     def additive(trunc, ring=None):
@@ -171,19 +164,11 @@ class FormalGroupLaw:
             if i == 0 and not (j == 1 and p == ring.one()):
                 raise ValueError("law fails F(0, y) = y")
         # commutativity
-        swapped = TruncatedSeries(
-            ring, 2, D, F.valid_degree, {(j, i): p for (i, j), p in F.coeffs.items()},
-            _clean=False,
-        )
-        if not (F == swapped):
+        if not (F == embed(F, 2, [1, 0])):
             raise ValueError("law is not commutative")
         # associativity F(F(x,y),z) = F(x,F(y,z))
-        x3 = TruncatedSeries.variable(ring, 3, D, 0)
-        z3 = TruncatedSeries.variable(ring, 3, D, 2)
-        fxy = F.substitute([embed_var(ring, 3, D, 0), embed_var(ring, 3, D, 1)])
-        fyz = F.substitute([embed_var(ring, 3, D, 1), embed_var(ring, 3, D, 2)])
-        left = F.substitute([fxy, z3])
-        right = F.substitute([x3, fyz])
+        left = F.substitute([embed(F, 3, [0, 1]), TruncatedSeries.variable(ring, 3, D, 2)])
+        right = F.substitute([TruncatedSeries.variable(ring, 3, D, 0), embed(F, 3, [1, 2])])
         diff = left - right
         if not diff.is_zero():
             bad = min(diff.coeffs, key=lambda e: (sum(e), e))
@@ -239,14 +224,14 @@ class FormalGroupLaw:
             return cached
         ring, D = self.ring, self.trunc
         if n == 0:
-            s = TruncatedSeries.zero(ring, 0 or 1, D)
+            s = TruncatedSeries.zero(ring, 1, D)
         elif n == 1:
             s = TruncatedSeries.variable(ring, 1, D, 0)
         elif n == 2:
             s = self.F
         else:
             rest = embed(self.nary_sum(n - 1), n, list(range(1, n)))
-            s = self.F.substitute([embed_var(ring, n, D, 0), rest])
+            s = self.F.substitute([TruncatedSeries.variable(ring, n, D, 0), rest])
         self._nary[n] = s
         return s
 
@@ -299,10 +284,6 @@ class FormalGroupLaw:
 
     def __repr__(self):
         return f"FormalGroupLaw({self.tag}, trunc={self.trunc})"
-
-
-def embed_var(ring, n, trunc, index):
-    return TruncatedSeries.variable(ring, n, trunc, index)
 
 
 def ring_inclusion(src, dst):

@@ -178,25 +178,14 @@ class FormalGroupRing:
     def s_act(self, i, u):
         """Action of the simple reflection s_i (1-based index).
 
-        The substitution touches a single variable, so the element is
-        regrouped by the exponent of y_i and recombined against cached
-        powers of x_{s_i(omega_i)}.
+        The substitution touches a single variable, so the element is split
+        by the exponent of y_i and recombined against cached powers of
+        x_{s_i(omega_i)}.
         """
         s = u.series
-        v = s.valid_degree
-        groups = {}
-        for e, p in s.coeffs.items():
-            k = e[i - 1]
-            e0 = e[: i - 1] + (0,) + e[i:]
-            groups.setdefault(k, {})[e0] = p
-        acc = TruncatedSeries.zero(self.ring, self.n, self.trunc, v)
-        for k in sorted(groups):
-            part = TruncatedSeries(self.ring, self.n, self.trunc, v, groups[k], _clean=False)
-            if k:
-                if k > v:
-                    continue
-                part = part * self._s_power(i, k)
-            acc = acc + part
+        acc = TruncatedSeries.zero(self.ring, self.n, self.trunc, s.valid_degree)
+        for k, part in sorted(s.split(i - 1).items()):
+            acc = acc + (part * self._s_power(i, k) if k else part)
         return self.element(acc)
 
     def weyl_act(self, w, u):

@@ -180,7 +180,7 @@ class FlagBasis:
 
     def eps_c_one(self):
         if self._eps_c_one is None:
-            self._eps_c_one = self.eps_vector(self.fgr.one())
+            self._eps_c_one = self.eps_vector(self.fgr.one().restrict(self.N))
         return self._eps_c_one
 
     def unit_class(self):
@@ -368,26 +368,17 @@ class FlagBasis:
         pieces = {}
         for e, p in img.coeffs.items():
             for exps, c in p.terms.items():
-                mexp, texp = exps[:nm], exps[nm:]
-                tw = sum(k * v for k, v in zip(range(1, weight_bound + 1), texp))
-                if tw > weight_bound:
-                    continue
-                layer = pieces.setdefault(texp, {})
-                layer.setdefault(e, {})[mexp] = c
+                texp = exps[nm:]
+                if sum(k * v for k, v in enumerate(texp, 1)) <= weight_bound:
+                    pieces.setdefault(texp, {}).setdefault(e, {})[exps[:nm]] = c
         out = {}
         for texp in sorted(pieces):
             terms = {e: CoeffPoly(mring, d) for e, d in pieces[texp].items()}
-            series = TruncatedSeries(
-                mring, self.datum.rank, D, u.valid_degree,
-                {e: p for e, p in terms.items() if not p.is_zero()},
-            )
+            series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, u.valid_degree)
             q = self.eps_vector(self.fgr.element(series).restrict(self.N))
-            coords = self.convert_a_to_b(q)
-            coords = {
-                w: c.scale(Fraction(1, self.t)) for w, c in coords.items()
-            }
             cleaned = {}
-            for w, c in coords.items():
+            for w, c in self.convert_a_to_b(q).items():
+                c = c.scale(Fraction(1, self.t))
                 if not c.is_zero():
                     assert_integer(c, f"operation coefficient at {w}")
                     cleaned[w] = c

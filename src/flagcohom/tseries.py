@@ -1,118 +1,189 @@
 """Truncated multivariate power series with tracked valid degree.
 
 A :class:`TruncatedSeries` lives in R[[y_1..y_n]] modulo total degree >
-``trunc``.  On top of the hard truncation every series carries a
-``valid_degree`` d <= trunc: the element is certified only modulo total
-degree > d, and the kernel traps any read above that bound.  Operations
-propagate validity exactly: add/mul take the min of the operand validities
-(knowing u, v mod degree > d determines u+v and u*v mod degree > d), while
-exact division by a series with linear lowest term loses exactly one degree.
+``trunc``, where R = QQ[m_1..m_k] is a :class:`CoeffRing`.  On top of the
+hard truncation every series carries a ``valid_degree`` d <= trunc: the
+element is certified only modulo total degree > d, and the kernel traps any
+read above that bound.  Operations propagate validity exactly: add/mul take
+the min of the operand validities (knowing u, v mod degree > d determines
+u+v and u*v mod degree > d), while exact division by a series with linear
+lowest term loses exactly one degree.
 
 Coefficients of degree > valid_degree are never stored, so shrinking the
 valid degree (``restrict``) is also how callers cap the cost of a chain of
 operations to the precision actually needed downstream.
+
+A series is one flat sparse map from monomials y^e m^a to exact scalars
+(int, or Fraction when not integral).  A monomial is packed into one int of
+fixed-width fields: m-exponents lowest, then y-exponents, and the total
+y-degree |e| on top, so a monomial product is one integer addition and a
+degree is one shift.  Exponents above ``_CAP`` are refused when packed, and
+a field that overflows into its guard bit raises OverflowError rather than
+wrap.  Only this module knows the layout; :class:`CoeffPoly` stays the
+coefficient algebra, reached through ``from_terms``, ``const``, ``scale``,
+``coefficient``, ``map_coefficients`` and the ``coeffs`` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from operator import or_
 
 from .coeffring import CoeffPoly
-from .errors import DegreeValidityError, DivisionError, RingMismatchError
+from .errors import (
+    DegreeValidityError,
+    DivisionError,
+    IntegralityError,
+    RingMismatchError,
+)
+
+_BITS = 16  # per field: 15 exponent bits under one guard bit
+_CAP = (1 << (_BITS - 1)) - 1
+_MASK = (1 << _BITS) - 1
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class _Layout:
+    """Field offsets of the keys of series in ``n_vars`` y's over ``ngens`` generators."""
+
+    def __init__(self, ngens, n_vars):
+        self.ngens = ngens
+        self.n_vars = n_vars
+        self.m_bits = _BITS * ngens  # keys below 1 << m_bits have y-part 1
+        self.y_shift = [_BITS * (ngens + i) for i in range(n_vars)]
+        self.deg_shift = _BITS * (ngens + n_vars)
+        self.guard = sum(1 << (_BITS * f - 1) for f in range(1, ngens + n_vars + 1))
+        self.y_unit = [1 << s | 1 << self.deg_shift for s in self.y_shift]  # key of y_i
+
+    def pack(self, exps, y):
+        """Key of a y-monomial (with its degree) if ``y``, else of an m-monomial."""
+        exps = tuple(exps)
+        if len(exps) != (self.n_vars if y else self.ngens):
+            raise RingMismatchError(f"exponent {exps} has the wrong number of entries")
+        key = sum(exps) << self.deg_shift if y else 0
+        for i, k in enumerate(exps, self.ngens if y else 0):
+            if k < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            if k > _CAP:
+                raise OverflowError(f"exponent {k} exceeds the packing cap {_CAP}")
+            key |= k << (_BITS * i)
+        return key
+
+    def unpack(self, key, y):
+        first, count = (self.ngens, self.n_vars) if y else (0, self.ngens)
+        return tuple((key >> (_BITS * i)) & _MASK for i in range(first, first + count))
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+def _fold(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "n_vars", "trunc", "valid_degree", "coeffs")
+    __slots__ = ("ring", "n_vars", "trunc", "valid_degree", "_terms", "_lay")
 
-    def __init__(self, ring, n_vars, trunc, valid_degree, coeffs, _clean=True):
+    def __init__(self, ring, n_vars, trunc, valid_degree, terms):
+        """Wrap packed ``terms`` (nonzero, of degree <= valid_degree); kernel use only."""
         if valid_degree < 0:
             raise ValueError("valid_degree must be >= 0")
-        if valid_degree > trunc:
-            valid_degree = trunc
         self.ring = ring
         self.n_vars = n_vars
         self.trunc = trunc
-        self.valid_degree = valid_degree
-        if _clean:
-            coeffs = {
-                e: p
-                for e, p in coeffs.items()
-                if sum(e) <= valid_degree and not p.is_zero()
-            }
-        self.coeffs = coeffs
+        self.valid_degree = min(valid_degree, trunc)
+        self._terms = terms
+        self._lay = _layout(ring.ngens, n_vars)
+
+    def _like(self, terms, valid):
+        return TruncatedSeries(self.ring, self.n_vars, self.trunc, valid, terms)
+
+    def _graded(self, valid):
+        """Terms (key, scalar) of degree <= valid, in lists indexed by degree."""
+        ds = self._lay.deg_shift
+        graded = [[] for _ in range(valid + 1)]
+        for k, c in self._terms.items():
+            d = k >> ds
+            if d <= valid:
+                graded[d].append((k, c))
+        return graded
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ring, n_vars, trunc, valid_degree=None):
         v = trunc if valid_degree is None else valid_degree
-        return TruncatedSeries(ring, n_vars, trunc, v, {}, _clean=False)
+        return TruncatedSeries(ring, n_vars, trunc, v, {})
 
     @staticmethod
     def const(ring, n_vars, trunc, value, valid_degree=None):
-        v = trunc if valid_degree is None else valid_degree
-        p = value if isinstance(value, CoeffPoly) else ring.const(value)
-        coeffs = {} if p.is_zero() else {(0,) * n_vars: p}
-        return TruncatedSeries(ring, n_vars, trunc, v, coeffs, _clean=False)
+        return TruncatedSeries.from_terms(
+            ring, n_vars, trunc, {(0,) * n_vars: value}, valid_degree
+        )
 
     @staticmethod
     def variable(ring, n_vars, trunc, index, valid_degree=None):
-        v = trunc if valid_degree is None else valid_degree
-        e = [0] * n_vars
-        e[index] = 1
-        return TruncatedSeries(ring, n_vars, trunc, v, {tuple(e): ring.one()}, _clean=False)
+        e = tuple(int(i == index) for i in range(n_vars))
+        return TruncatedSeries.from_terms(ring, n_vars, trunc, {e: 1}, valid_degree)
 
     @staticmethod
     def from_terms(ring, n_vars, trunc, terms, valid_degree=None):
-        """Build from {exponent tuple: CoeffPoly | scalar}."""
-        v = trunc if valid_degree is None else valid_degree
-        coeffs = {}
+        """Build from {exponent tuple: CoeffPoly | scalar}.
+
+        Exponent tuples must have ``n_vars`` non-negative entries
+        (RingMismatchError, ValueError otherwise); terms above the valid
+        degree are dropped.
+        """
+        s = TruncatedSeries.zero(ring, n_vars, trunc, valid_degree)
+        lay = s._lay
         for e, p in terms.items():
+            y = lay.pack(e, True)
             if not isinstance(p, CoeffPoly):
                 p = ring.const(p)
-            if not p.is_zero():
-                coeffs[tuple(e)] = p
-        return TruncatedSeries(ring, n_vars, trunc, v, coeffs)
+            elif p.ring != ring:
+                raise RingMismatchError("coefficient from a different ring")
+            if y >> lay.deg_shift <= s.valid_degree:
+                for a, c in p.terms.items():
+                    if c:
+                        s._terms[y | lay.pack(a, False)] = _fold(c)
+        return s
 
     # -- queries -----------------------------------------------------------
 
+    def _part(self, y):
+        """{m-part key: scalar} of the terms whose y-part key is ``y``."""
+        top = y + (1 << self._lay.m_bits)
+        return {k - y: c for k, c in self._terms.items() if y <= k < top}
+
+    def _poly(self, part):
+        return CoeffPoly(
+            self.ring, {self._lay.unpack(k, False): c for k, c in part.items()}, _clean=False
+        )
+
     def coefficient(self, exps):
-        exps = tuple(exps)
-        if sum(exps) > self.valid_degree:
+        y = self._lay.pack(exps, True)
+        d = y >> self._lay.deg_shift
+        if d > self.valid_degree:
             raise DegreeValidityError(
-                f"read of degree {sum(exps)} above valid degree {self.valid_degree}"
+                f"read of degree {d} above valid degree {self.valid_degree}"
             )
-        return self.coeffs.get(exps, self.ring.zero())
+        return self._poly(self._part(y))
 
     def constant_term(self):
-        return self.coefficient((0,) * self.n_vars)
+        return self._poly(self._part(0))
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._terms
 
-    def lowest_degree(self):
-        return min((sum(e) for e in self.coeffs), default=None)
-
-    def by_degree(self):
-        buckets = {}
-        for e, p in self.coeffs.items():
-            buckets.setdefault(sum(e), []).append((e, p))
-        return buckets
-
-    def graded_weight(self):
-        """Total grading |e| - weight(coefficient) when homogeneous."""
-        weights = set()
-        for e, p in self.coeffs.items():
-            weights.add(sum(e) - p.weight())
-        if len(weights) > 1:
-            raise ValueError(f"not graded-homogeneous: {sorted(weights)}")
-        return weights.pop() if weights else None
+    @property
+    def coeffs(self):
+        """Read-only view {y-exponent tuple: CoeffPoly}: a new dict on each access."""
+        low = (1 << self._lay.m_bits) - 1
+        groups = {}
+        for k, c in self._terms.items():
+            groups.setdefault(k & ~low, {})[k & low] = c
+        return {self._lay.unpack(y, True): self._poly(t) for y, t in groups.items()}
 
     def _shape_check(self, other):
         if self.ring != other.ring or self.n_vars != other.n_vars or self.trunc != other.trunc:
@@ -124,13 +195,7 @@ class TruncatedSeries:
             return NotImplemented
         self._shape_check(other)
         d = min(self.valid_degree, other.valid_degree)
-        for e, p in self.coeffs.items():
-            if sum(e) <= d and other.coeffs.get(e) != p:
-                return False
-        for e, p in other.coeffs.items():
-            if sum(e) <= d and e not in self.coeffs:
-                return False
-        return True
+        return self.restrict(d)._terms == other.restrict(d)._terms
 
     __hash__ = None
 
@@ -140,102 +205,97 @@ class TruncatedSeries:
         """Forget precision above ``valid_degree`` (a no-op if already lower)."""
         if valid_degree >= self.valid_degree:
             return self
-        return TruncatedSeries(self.ring, self.n_vars, self.trunc, valid_degree, self.coeffs)
+        ds = self._lay.deg_shift
+        return self._like(
+            {k: c for k, c in self._terms.items() if k >> ds <= valid_degree}, valid_degree
+        )
 
     def map_coefficients(self, func, ring=None):
         """Apply a coefficient-ring morphism to every coefficient."""
-        ring = ring or self.ring
-        coeffs = {}
-        for e, p in self.coeffs.items():
-            q = func(p)
-            if not q.is_zero():
-                coeffs[e] = q
-        return TruncatedSeries(ring, self.n_vars, self.trunc, self.valid_degree, coeffs, _clean=False)
+        terms = {e: func(p) for e, p in self.coeffs.items()}
+        return TruncatedSeries.from_terms(
+            ring or self.ring, self.n_vars, self.trunc, terms, self.valid_degree
+        )
+
+    def split(self, index):
+        """{k: p_k} with self = sum_k y_index^k * p_k and no y_index in any p_k."""
+        lay = self._lay
+        shift = lay.y_shift[index]
+        unit = lay.y_unit[index]
+        parts = {}
+        for key, c in self._terms.items():
+            k = (key >> shift) & _MASK
+            parts.setdefault(k, {})[key - k * unit] = c
+        return {k: self._like(t, self.valid_degree) for k, t in parts.items()}
 
     # -- linear arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         self._shape_check(other)
         v = min(self.valid_degree, other.valid_degree)
-        coeffs = {e: p for e, p in self.coeffs.items() if sum(e) <= v}
-        for e, p in other.coeffs.items():
-            if sum(e) > v:
-                continue
-            s = coeffs.get(e)
+        out = dict(self.restrict(v)._terms)
+        for k, c in other.restrict(v)._terms.items():
+            s = out.get(k)
             if s is None:
-                coeffs[e] = p
+                out[k] = c
             else:
-                s = s + p
-                if s.is_zero():
-                    del coeffs[e]
+                s += c
+                if s:
+                    out[k] = _fold(s)
                 else:
-                    coeffs[e] = s
-        return TruncatedSeries(self.ring, self.n_vars, self.trunc, v, coeffs, _clean=False)
+                    del out[k]
+        return self._like(out, v)
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.ring, self.n_vars, self.trunc, self.valid_degree,
-            {e: -p for e, p in self.coeffs.items()}, _clean=False,
-        )
+        return self._like({k: -c for k, c in self._terms.items()}, self.valid_degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        """Multiply by a scalar or CoeffPoly of weight 0 cost; validity kept."""
+        """Multiply by a scalar or a CoeffPoly; validity kept."""
         if not isinstance(c, CoeffPoly):
             c = self.ring.const(c)
-        if c.is_zero():
-            return TruncatedSeries.zero(self.ring, self.n_vars, self.trunc, self.valid_degree)
-        coeffs = {}
-        for e, p in self.coeffs.items():
-            q = p * c
-            if not q.is_zero():
-                coeffs[e] = q
-        return TruncatedSeries(self.ring, self.n_vars, self.trunc, self.valid_degree, coeffs, _clean=False)
+        elif c.ring != self.ring:
+            raise RingMismatchError("scalar from a different ring")
+        if not c.is_constant():
+            return self * TruncatedSeries.const(
+                self.ring, self.n_vars, self.trunc, c, self.valid_degree
+            )
+        c = c.constant_term()
+        if not c:
+            return self._like({}, self.valid_degree)
+        return self._like({k: _fold(v * c) for k, v in self._terms.items()}, self.valid_degree)
 
     # -- multiplication --------------------------------------------------------
 
     def __mul__(self, other):
+        """The convolution: terms of degree d meet the other factor's of degree <= v - d."""
         if isinstance(other, (int, Fraction, CoeffPoly)):
             return self.scale(other)
         self._shape_check(other)
         v = min(self.valid_degree, other.valid_degree)
-        raw = {}
-        sb = self.by_degree()
-        ob = other.by_degree()
-        sdegs = sorted(sb)
-        odegs = sorted(ob)
-        for ds in sdegs:
-            for do in odegs:
-                if ds + do > v:
-                    break
-                for e1, p1 in sb[ds]:
-                    t1 = p1.terms
-                    for e2, p2 in ob[do]:
-                        e = _vec_add(e1, e2)
-                        dst = raw.get(e)
-                        if dst is None:
-                            dst = raw[e] = {}
-                        for m1, c1 in t1.items():
-                            for m2, c2 in p2.terms.items():
-                                m = _vec_add(m1, m2)
-                                s = dst.get(m, 0) + c1 * c2
-                                if s == 0:
-                                    dst.pop(m, None)
-                                else:
-                                    dst[m] = s
-        return self._wrap_raw(raw, v)
+        a, b = self._graded(v), other._graded(v)
+        if sum(map(len, a)) > sum(map(len, b)):
+            a, b = b, a
+        flat, ends = [], []
+        for terms in b:
+            flat += terms
+            ends.append(len(flat))
+        out = {}
+        get = out.get
+        for d, terms in enumerate(a):
+            upto = flat[: ends[v - d]]
+            for k1, c1 in terms:
+                for k2, c2 in upto:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        out = {k: _fold(c) for k, c in out.items() if c}
+        if reduce(or_, out, 0) & self._lay.guard:
+            raise OverflowError(f"a product exponent exceeds the packing cap {_CAP}")
+        return self._like(out, v)
 
     __rmul__ = __mul__
-
-    def _wrap_raw(self, raw, valid):
-        coeffs = {}
-        for e, d in raw.items():
-            p = CoeffPoly(self.ring, d)
-            if not p.is_zero():
-                coeffs[e] = p
-        return TruncatedSeries(self.ring, self.n_vars, self.trunc, valid, coeffs, _clean=False)
 
     def __pow__(self, n):
         if n < 0:
@@ -260,62 +320,38 @@ class TruncatedSeries:
             raise RingMismatchError("wrong number of substitution images")
         if self.n_vars == 0:
             raise RingMismatchError("cannot substitute into a 0-variable series")
-        ring = self.ring
-        out_vars = images[0].n_vars
-        trunc = images[0].trunc
+        out = images[0]
         for img in images:
-            if img.ring != ring or img.n_vars != out_vars or img.trunc != trunc:
+            if img.ring != self.ring or img.n_vars != out.n_vars or img.trunc != out.trunc:
                 raise RingMismatchError("substitution images have mismatched shapes")
-            if not img.coefficient((0,) * out_vars).is_zero():
+            if img._part(0):
                 raise ValueError("substitution image has a nonzero constant term")
-
-        used = [False] * self.n_vars
-        for e in self.coeffs:
-            for i, k in enumerate(e):
-                if k:
-                    used[i] = True
+        used = reduce(or_, self._terms, 0)
         bound = self.valid_degree
-        for i, u in enumerate(used):
-            if u:
-                bound = min(bound, images[i].valid_degree)
+        for i, img in enumerate(images):
+            if (used >> self._lay.y_shift[i]) & _MASK:
+                bound = min(bound, img.valid_degree)
+        powers = [[img.restrict(bound)] for img in images]
+        acc = TruncatedSeries.zero(self.ring, out.n_vars, out.trunc, bound)
+        return self.restrict(bound)._compose(powers, 0, acc)
 
-        pow_cache = {}
+    def _compose(self, powers, i, acc):
+        """acc + self(images) for a series free of y_1..y_i.
 
-        def power(i, k):
-            key = (i, k)
-            s = pow_cache.get(key)
-            if s is None:
-                if k == 1:
-                    s = images[i].restrict(bound)
-                else:
-                    s = power(i, k - 1) * images[i]
-                pow_cache[key] = s
-            return s
-
-        zero_e = (0,) * out_vars
-
-        def eval_group(items, var):
-            # items: [(exps, poly)] sharing exps[:var]; returns result series
-            if var == self.n_vars:
-                total = ring.zero()
-                for _, p in items:
-                    total = total + p
-                return TruncatedSeries.const(ring, out_vars, trunc, total, bound)
-            groups = {}
-            for e, p in items:
-                groups.setdefault(e[var], []).append((e, p))
-            acc = TruncatedSeries.zero(ring, out_vars, trunc, bound)
-            for k in sorted(groups):
-                sub = eval_group(groups[k], var + 1)
-                if k:
-                    if k > bound:
-                        continue
-                    sub = sub * power(var, k)
-                acc = acc + sub
-            return acc
-
-        items = [(e, p) for e, p in self.coeffs.items() if sum(e) <= bound]
-        return eval_group(items, 0)
+        ``powers[j]`` lists the powers of the j-th image computed so far.
+        """
+        if i == self.n_vars:  # only m-parts are left, and they pack alike in every shape
+            return acc + acc._like(self._terms, acc.valid_degree)
+        zero = acc._like({}, acc.valid_degree)
+        for k, part in sorted(self.split(i).items()):
+            if k:
+                p = powers[i]
+                while len(p) < k:
+                    p.append(p[-1] * p[0])
+                acc = acc + part._compose(powers, i + 1, zero) * p[k - 1]
+            else:
+                acc = part._compose(powers, i + 1, acc)
+        return acc
 
     # -- division and inversion ------------------------------------------------
 
@@ -329,21 +365,18 @@ class TruncatedSeries:
         to min(self.valid_degree, den.valid_degree) - 1.
         """
         self._shape_check(den)
-        if not den.coefficient((0,) * self.n_vars).is_zero():
+        graded = den._graded(den.valid_degree)
+        if graded[0]:
             raise DivisionError("divisor has a nonzero constant term")
-        pivots = []
-        for e, p in den.coeffs.items():
-            if sum(e) == 1:
-                if not p.is_constant():
-                    raise DivisionError("divisor linear part must have constant coefficients")
-                pivots.append(e.index(1))
-        if not pivots:
+        linear = graded[1] if len(graded) > 1 else []
+        if not linear:
             raise DivisionError("divisor has zero linear part")
+        if any(k & ((1 << self._lay.m_bits) - 1) for k, _ in linear):
+            raise DivisionError("divisor linear part must have constant coefficients")
         v = min(self.valid_degree, den.valid_degree) - 1
         if v < 0:
             raise DivisionError("not enough valid degrees to divide")
-        j = min(pivots)
-        return self._divide(den, tuple(int(i == j) for i in range(self.n_vars)), v)
+        return self._divide(graded, min(linear)[0], v)
 
     def invert_unit(self):
         """Multiplicative inverse of a series with invertible constant term."""
@@ -353,72 +386,77 @@ class TruncatedSeries:
         if not self.ring.rational_mode and c.constant_term() not in (1, -1):
             raise DivisionError("constant term must be a unit of the integral ring")
         one = TruncatedSeries.const(self.ring, self.n_vars, self.trunc, 1)
-        return one._divide(self, (0,) * self.n_vars, self.valid_degree)
+        return one._divide(self._graded(self.valid_degree), 0, self.valid_degree)
 
     def _divide(self, den, lead, valid):
         """Sparse quotient self / den, valid to degree ``valid``.
 
-        ``lead`` is the exponent of den's lowest term, y_j or 1, whose
-        coefficient is a nonzero scalar c.  The remainder self - q*den is kept
-        in buckets keyed by (total degree, -exponent of y_j), with second part
-        0 when ``lead`` = 1.  The lowest bucket is cancelled next: a term
-        r*y^e adds t = (r/c)*y^(e - lead) to q and pushes the other terms of
-        t*den into later buckets, since every other term of den has higher
-        degree or, in degree 1, no y_j.  Every remainder term up to degree
+        ``den`` is the divisor's ``_graded`` term lists and ``lead`` the key
+        of its lowest term, y_j or 1, whose coefficient is a nonzero scalar
+        c.  The remainder self - q*den is kept in buckets keyed by (total
+        degree, -exponent of y_j), with second part 0 when ``lead`` = 1.  The
+        lowest bucket is cancelled next: a term r*y^e m^a adds
+        t = (r/c)*y^(e - lead) m^a to q and pushes the other terms of t*den
+        into later buckets, since every other term of den has higher degree
+        or, in degree 1, no y_j.  Every remainder term up to degree
         valid + |lead| must cancel; one that y^lead does not divide raises
         DivisionError.
         """
-        pivot = itemgetter(lead.index(1)) if any(lead) else (lambda e: 0)
-        inv = Fraction(1) / Fraction(den.coeffs[lead].constant_term())
-        dl = sum(lead)
+        lay = self._lay
+        ds = lay.deg_shift
+        # e & pivot orders keys by their exponent of y_j (all alike if lead = 1)
+        pivot = _MASK << lay.y_shift[lay.y_unit.index(lead)] if lead else 0
+        dl = lead >> ds
+        inv = Fraction(1) / dict(den[dl])[lead]
+        den[dl] = [(f, p) for f, p in den[dl] if f != lead]
         bound = valid + dl
-        rest = sorted((sum(f), f, p) for f, p in den.coeffs.items() if f != lead)
         rem = {}
-        for e, p in self.coeffs.items():
-            d = sum(e)
-            if d <= bound:
-                rem.setdefault((d, -pivot(e)), {})[e] = p
+        for k, c in self._terms.items():
+            if k >> ds <= bound:
+                rem.setdefault((k >> ds, -(k & pivot)), {})[k] = c
         keys = list(rem)
         heapify(keys)
+        integral = not self.ring.rational_mode
         q = {}
         while keys:
             key = heappop(keys)
             d = key[0]
             for e, r in rem.pop(key).items():
-                if r.is_zero():
+                if not r:
                     continue
-                if pivot(e) < pivot(lead):
+                if e & pivot < lead & pivot:
                     raise DivisionError(f"series not divisible at degree {d}")
-                eq = tuple(a - b for a, b in zip(e, lead))
-                t = r.scale(inv)
+                eq = e - lead
+                if eq & lay.guard:
+                    raise OverflowError(f"a quotient exponent exceeds the packing cap {_CAP}")
+                t = _fold(r * inv)
+                if integral and type(t) is Fraction:
+                    raise IntegralityError(f"non-integer coefficient {t} in integral ring")
                 q[eq] = t
-                neg = -t
-                for df, f, p in rest:
-                    d2 = d - dl + df
-                    if d2 > bound:
-                        break
-                    e2 = _vec_add(eq, f)
-                    key2 = (d2, -pivot(e2))
-                    bucket = rem.get(key2)
-                    if bucket is None:
-                        bucket = rem[key2] = {}
-                        heappush(keys, key2)
-                    s = bucket.get(e2)
-                    bucket[e2] = neg * p if s is None else s + neg * p
-        return TruncatedSeries(self.ring, self.n_vars, self.trunc, valid, q, _clean=False)
+                for d2, terms in enumerate(den[dl : bound - d + dl + 1], d):
+                    for f, p in terms:
+                        e2 = eq + f
+                        key2 = (d2, -(e2 & pivot))
+                        bucket = rem.get(key2)
+                        if bucket is None:
+                            bucket = rem[key2] = {}
+                            heappush(keys, key2)
+                        bucket[e2] = bucket.get(e2, 0) - t * p
+        return self._like(q, valid)
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         names = [f"y{i + 1}" for i in range(self.n_vars)]
         parts = []
-        for e in sorted(self.coeffs, key=lambda t: (sum(t), t)):
+        for e in sorted(coeffs, key=lambda t: (sum(t), t)):
             mono = "*".join(
                 nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, e) if k
             )
-            c = self.coeffs[e]
+            c = coeffs[e]
             if mono and c == self.ring.one():
                 parts.append(mono)
                 continue
@@ -442,4 +480,3 @@ def _degree_monomials(n, d):
     for k in range(d + 1):
         out.extend(e + (k,) for e in _degree_monomials(n - 1, d - k))
     return out
-

@@ -1,13 +1,18 @@
 """The truncated series kernel: arithmetic, substitution, exact division."""
 
-import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagcohom.coeffring import CoeffRing
-from flagcohom.errors import DegreeValidityError, DivisionError, RingMismatchError
-from flagcohom.tseries import TruncatedSeries
+from flagcohom.errors import (
+    DegreeValidityError,
+    DivisionError,
+    IntegralityError,
+    RingMismatchError,
+)
+from flagcohom.tseries import _CAP, TruncatedSeries
 
 R = CoeffRing((), rational_mode=True)
 RB = CoeffRing((("beta", 1),), rational_mode=True)
@@ -195,18 +200,62 @@ def test_invert_unit_property(data):
     assert inv * s == TruncatedSeries.const(ring, n, TRUNC, 1)
 
 
-def test_substitute_functoriality():
-    rng = random.Random(3)
-    x, y = xy(7)
-    f = [x + y * y, y + x * y]
-    g = [y, x + y]
-    fg = [i.substitute(g) for i in f]
-    for _ in range(8):
-        terms = {}
-        for _ in range(4):
-            terms[(rng.randint(0, 2), rng.randint(0, 2))] = rng.randint(-3, 3)
-        s = TruncatedSeries.from_terms(R, 2, 7, terms)
-        assert s.substitute(f).substitute(g) == s.substitute(fg)
+def naive_product(a, b):
+    """{exponent: CoeffPoly} of a*b by direct convolution of the coeffs views."""
+    v = min(a.valid_degree, b.valid_degree)
+    out = {}
+    for e1, p1 in a.coeffs.items():
+        for e2, p2 in b.coeffs.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            if sum(e) <= v:
+                out[e] = out.get(e, a.ring.zero()) + p1 * p2
+    return {e: p for e, p in out.items() if not p.is_zero()}
+
+
+@PROPERTY
+@given(st.data())
+def test_ring_axioms_property(data):
+    ring, n = data.draw(SHAPES)
+    a, b, c = (data.draw(series(ring, n)) for _ in range(3))
+    for u, w in ((a, b), (b, c), (a, c)):
+        p = u * w
+        assert p.valid_degree == min(u.valid_degree, w.valid_degree)
+        assert p.coeffs == naive_product(u, w)
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    diff = a - a
+    assert diff.is_zero() and diff.valid_degree == a.valid_degree
+
+
+@st.composite
+def compositions(draw):
+    """(s, f, g): s in n variables, images f in m variables, images g in p."""
+    ring, n = draw(SHAPES)
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    s = draw(series(ring, n))
+    f = [draw(series(ring, m, low=1)) for _ in range(n)]
+    g = [draw(series(ring, p, low=1)) for _ in range(m)]
+    return s, f, g
+
+
+_x7, _y7 = xy(7)
+
+
+@PROPERTY
+@given(compositions())
+@example(
+    (
+        TruncatedSeries.from_terms(R, 2, 7, {(0, 1): 2, (2, 1): -3, (1, 2): 1, (2, 2): 3}),
+        [_x7 + _y7 * _y7, _y7 + _x7 * _y7],
+        [_y7, _x7 + _y7],
+    )
+)
+def test_substitute_functoriality(case):
+    s, f, g = case
+    assert s.substitute(f).substitute(g) == s.substitute([fi.substitute(g) for fi in f])
 
 
 def test_degree_trap():
@@ -216,6 +265,46 @@ def test_degree_trap():
         s.coefficient((2, 0))
     # reads at or below the valid degree are fine
     assert s.coefficient((1, 0)).is_zero()
+
+
+def test_malformed_exponents_rejected():
+    x, _ = xy()
+    for bad in ((1, 2, 3), (1,)):
+        with pytest.raises(RingMismatchError):
+            TruncatedSeries.from_terms(R, 2, 8, {bad: 1})
+        with pytest.raises(RingMismatchError):
+            x.coefficient(bad)
+    with pytest.raises(ValueError):
+        TruncatedSeries.from_terms(R, 2, 8, {(-1, 2): 1})
+    with pytest.raises(ValueError):
+        x.coefficient((-1, 2))
+    with pytest.raises(RingMismatchError):
+        TruncatedSeries.from_terms(R, 2, 8, {(1, 0): RB.gen("beta")})
+
+
+def test_exponent_cap():
+    assert not TruncatedSeries.const(RB, 1, 4, RB.monomial((_CAP,))).is_zero()
+    with pytest.raises(OverflowError):
+        TruncatedSeries.const(RB, 1, 4, RB.monomial((2**20,)))
+    half = TruncatedSeries.const(RB, 1, 4, RB.monomial((_CAP // 2 + 1,)))
+    with pytest.raises(OverflowError):
+        half * half
+    # A quotient term beta^(CAP - 1) * y pushes beta^CAP * y^2, then beta^(CAP + 1) * y^3.
+    y = TruncatedSeries.variable(RB, 1, 4, 0)
+    den = y + (y * y).scale(RB.gen("beta"))
+    num = y.scale(RB.monomial((_CAP - 1,)))
+    with pytest.raises(OverflowError):
+        num.exact_divide(den)
+
+
+def test_integral_ring_rejects_fractions():
+    ZZ = CoeffRing((), rational_mode=False)
+    x = TruncatedSeries.variable(ZZ, 1, 4, 0)
+    with pytest.raises(IntegralityError):
+        x.scale(Fraction(1, 2))
+    with pytest.raises(IntegralityError):
+        x.exact_divide(x.scale(2))
+    assert x.scale(2).exact_divide(x.scale(2)) == TruncatedSeries.const(ZZ, 1, 4, 1)
 
 
 def test_mul_computes_only_valid_part():
