@@ -17,7 +17,7 @@ from .errors import (
     SpecializationError,
 )
 from .fgl import FormalGroupLaw
-from .fgring import FGRingElement, FormalGroupRing, TorsionData, torsion_bezout
+from .fgring import FormalGroupRing, TorsionData, torsion_bezout
 from .flagring import FlagBasis, FlagClass, default_truncation
 from .lazard import LazardBasis
 from .rootdata import RootDatum, WeylElement
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoeffPoly",
     "CoeffRing",
-    "FGRingElement",
     "FlagBasis",
     "FlagClass",
     "FormalGroupLaw",

@@ -20,7 +20,7 @@ from .errors import InsufficientPrecisionError, RingMismatchError
 
 def theta_coefficients(fgr, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    return {K: fgr.augmentation(v) for K, v in fgr.theta(word, u)}
+    return {K: v.constant_term() for K, v in fgr.theta(word, u)}
 
 
 def bs_pushforward(fgr, word, u):
@@ -32,7 +32,7 @@ def bs_pushforward(fgr, word, u):
     fgr.require_valid(u, len(word), f"push-forward along a length-{len(word)} word")
     for i in reversed(word):
         u = fgr.cc(i, u)
-    return fgr.augmentation(u)
+    return u.constant_term()
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class BSPresentation:
 
 def bs_presentation(fgr, word):
     word = tuple(word)
-    xs = [fgr.x_lambda(tuple(-c for c in fgr.datum.simple_roots[i - 1])) for i in word]
+    xs = [fgr.x_lambda_series(tuple(-c for c in fgr.datum.simple_roots[i - 1])) for i in word]
     # Checked up front so the error names the deficit of the longest prefix.
     if xs:
         fgr.require_valid(xs[-1], len(word) - 1, f"a length-{len(word)} presentation")

@@ -4,9 +4,15 @@ The universal law is built over QQ[m1, m2, ...] from its logarithm
 log(x) = x + sum m_i x^(i+1): the exponential is the compositional reverse
 of the logarithm and F(x, y) = exp(log x + log y).  Reversion keeps all
 coefficients in ZZ[m], so the whole universal apparatus stays exact and
-denominator free.  Standard specializations (additive, multiplicative,
-connective) and laws given by explicit coefficients or logarithms are
-validated against commutativity, unit and associativity on construction.
+denominator free.
+
+A law built from a logarithm (``universal``, ``from_log``), the additive
+law, and the laws that ``twist`` and ``specialize`` derive from a law
+satisfy the axioms by construction and are not checked again.  Only a law
+given by explicit coefficients (``from_coefficients``, which also builds
+the multiplicative and connective laws) can fail them, so only it is
+validated against unit, commutativity, associativity and its inverse on
+construction.  ``selfcheck.check_fgl_axioms`` validates every constructor.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ class FormalGroupLaw:
     backend has one, and ``tag`` naming the backend.
     """
 
-    def __init__(self, ring, trunc, F, inverse, tag, log=None, a_table=None, validate=True):
+    def __init__(self, ring, trunc, F, inverse, tag, log=None, a_table=None):
         self.ring = ring
         self.trunc = trunc
         self.F = F
@@ -62,8 +68,6 @@ class FormalGroupLaw:
         self._mult = {}
         self._nary = {}
         self._kappa = None
-        if validate:
-            self._validate()
 
     # -- constructors -------------------------------------------------------
 
@@ -148,8 +152,9 @@ class FormalGroupLaw:
             if i + j <= trunc:
                 terms[(i, j)] = p
         F = TruncatedSeries.from_terms(ring, 2, trunc, terms)
-        inverse = _solve_inverse(F)
-        return FormalGroupLaw(ring, trunc, F, inverse, tag)
+        law = FormalGroupLaw(ring, trunc, F, _solve_inverse(F), tag)
+        law._validate()
+        return law
 
     # -- validation -----------------------------------------------------------
 
@@ -207,14 +212,7 @@ class FormalGroupLaw:
         return s
 
     def multiple(self, k, s):
-        if (
-            s.n_vars == 1
-            and s.trunc == self.trunc
-            and s == TruncatedSeries.variable(self.ring, 1, self.trunc, 0)
-        ):
-            return self.multiple_series(k)
-        if k == 0:
-            return TruncatedSeries.zero(s.ring, s.n_vars, s.trunc, s.valid_degree)
+        """k .F s for a series s with zero constant term."""
         return self.multiple_series(k).substitute([s])
 
     def nary_sum(self, n):

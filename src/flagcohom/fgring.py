@@ -1,9 +1,10 @@
 """The formal group ring of a weight lattice, with its difference operators.
 
-Elements live in R[[y_1..y_n]] where y_i is the class of the i-th
-fundamental weight; x_lambda for an arbitrary weight is assembled with the
-formal group law, the Weyl group acts by substitution, and the two
-first-order operators are
+Elements are plain TruncatedSeries in R[[y_1..y_n]], with the law's ring
+and truncation, where y_i is the class of the i-th fundamental weight;
+every method takes and returns them.  x_lambda for an arbitrary weight is
+assembled with the formal group law, the Weyl group acts by substitution,
+and the two first-order operators are
 
     delta_i(u) = (u - s_i(u)) / x_{alpha_i}
     cc_i(u)    = u * kappa_i - delta_i(u),   kappa_i = g(x_alpha, x_{-alpha})
@@ -32,69 +33,11 @@ from .tseries import TruncatedSeries, _degree_monomials
 
 
 @dataclass(frozen=True)
-class FGRingElement:
-    """An element of the formal group ring, tied to its parent ring."""
-
-    parent: "FormalGroupRing"
-    series: TruncatedSeries
-
-    @property
-    def valid_degree(self):
-        return self.series.valid_degree
-
-    def augmentation(self):
-        return self.series.constant_term()
-
-    def restrict(self, d):
-        return FGRingElement(self.parent, self.series.restrict(d))
-
-    def _lift(self, other):
-        if isinstance(other, FGRingElement):
-            if other.parent is not self.parent:
-                raise RingMismatchError("elements of different formal group rings")
-            return other.series
-        return TruncatedSeries.const(
-            self.series.ring, self.series.n_vars, self.series.trunc, other
-        )
-
-    def __add__(self, other):
-        return FGRingElement(self.parent, self.series + self._lift(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FGRingElement(self.parent, -self.series)
-
-    def __sub__(self, other):
-        return FGRingElement(self.parent, self.series - self._lift(other))
-
-    def __rsub__(self, other):
-        return FGRingElement(self.parent, self._lift(other) - self.series)
-
-    def __mul__(self, other):
-        if isinstance(other, FGRingElement):
-            return FGRingElement(self.parent, self.series * other.series)
-        return FGRingElement(self.parent, self.series * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, FGRingElement):
-            return NotImplemented
-        return self.parent is other.parent and self.series == other.series
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"FGRingElement({self.series})"
-
-
-@dataclass(frozen=True)
 class TorsionData:
     """Torsion index t with a degree-N witness u0 (eps delta_{I0}(u0) = t)."""
 
     t: int
-    u0: FGRingElement
+    u0: TruncatedSeries
     monomials: tuple  # ((exponent tuple, integer coefficient), ...)
 
 
@@ -113,53 +56,37 @@ class FormalGroupRing:
 
     # -- element constructors ---------------------------------------------
 
-    def element(self, series):
-        return FGRingElement(self, series)
-
     def zero(self):
-        return self.element(TruncatedSeries.zero(self.ring, self.n, self.trunc))
+        return TruncatedSeries.zero(self.ring, self.n, self.trunc)
 
     def one(self):
-        return self.element(TruncatedSeries.const(self.ring, self.n, self.trunc, 1))
+        return self.const(1)
 
     def const(self, c):
-        return self.element(TruncatedSeries.const(self.ring, self.n, self.trunc, c))
+        return TruncatedSeries.const(self.ring, self.n, self.trunc, c)
 
     def variable(self, i):
-        return self.element(TruncatedSeries.variable(self.ring, self.n, self.trunc, i))
+        return TruncatedSeries.variable(self.ring, self.n, self.trunc, i)
 
     def from_monomials(self, monomials):
         """Element from {y-exponent tuple: coefficient}, exact to truncation."""
-        return self.element(
-            TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
-        )
+        return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
 
     # -- x_lambda and the Weyl action ----------------------------------------
 
     def x_lambda_series(self, lam):
+        """x_lambda for a weight lam in fundamental-weight coordinates, cached."""
         lam = tuple(int(c) for c in lam)
         cached = self._x_lambda.get(lam)
         if cached is not None:
             return cached
-        law = self.law
-        images = []
-        for i, c in enumerate(lam):
-            var = TruncatedSeries.variable(self.ring, self.n, self.trunc, i)
-            if c == 0:
-                images.append(TruncatedSeries.zero(self.ring, self.n, self.trunc))
-            elif c == 1:
-                images.append(var)
-            else:
-                images.append(law.multiple_series(c).substitute([var]))
+        images = [self.law.multiple(c, self.variable(i)) for i, c in enumerate(lam)]
         if self.n == 1:
             series = images[0]
         else:
-            series = law.nary_sum(self.n).substitute(images)
+            series = self.law.nary_sum(self.n).substitute(images)
         self._x_lambda[lam] = series
         return series
-
-    def x_lambda(self, lam):
-        return self.element(self.x_lambda_series(lam))
 
     def _s_power(self, i, k):
         """k-th power of x_{s_i(omega_i)}, cached at full truncation."""
@@ -182,11 +109,10 @@ class FormalGroupRing:
         by the exponent of y_i and recombined against cached powers of
         x_{s_i(omega_i)}.
         """
-        s = u.series
-        acc = TruncatedSeries.zero(self.ring, self.n, self.trunc, s.valid_degree)
-        for k, part in sorted(s.split(i - 1).items()):
+        acc = TruncatedSeries.zero(self.ring, self.n, self.trunc, u.valid_degree)
+        for k, part in sorted(u.split(i - 1).items()):
             acc = acc + (part * self._s_power(i, k) if k else part)
-        return self.element(acc)
+        return acc
 
     def weyl_act(self, w, u):
         """Action of a Weyl element (or an explicit word) on u."""
@@ -202,7 +128,7 @@ class FormalGroupRing:
             om = self.datum.fundamental_weight(j)
             lam = tuple(om[k] - coroot[j] * root[k] for k in range(self.n))
             images.append(self.x_lambda_series(lam))
-        return self.element(u.series.substitute(images))
+        return u.substitute(images)
 
     # -- operators ------------------------------------------------------------
 
@@ -216,23 +142,21 @@ class FormalGroupRing:
     def delta(self, i, u):
         """delta_i(u) = (u - s_i(u)) / x_{alpha_i}; drops one valid degree."""
         self.require_valid(u, 1, "delta")
-        num = u.series - self.s_act(i, u).series
         den = self.x_lambda_series(self.datum.simple_roots[i - 1])
-        return self.element(num.exact_divide(den))
+        return (u - self.s_act(i, u)).exact_divide(den)
 
     def delta_neg(self, i, u):
         """delta at the negative simple root: (u - s_i(u)) / x_{-alpha_i}."""
         self.require_valid(u, 1, "delta")
-        num = u.series - self.s_act(i, u).series
         root = self.datum.simple_roots[i - 1]
         den = self.x_lambda_series(tuple(-c for c in root))
-        return self.element(num.exact_divide(den))
+        return (u - self.s_act(i, u)).exact_divide(den)
 
     def delta_root(self, root, coroot, u):
         """delta at an arbitrary root given with its coroot pairing row."""
         self.require_valid(u, 1, "delta")
-        num = u.series - self.reflection_act(root, coroot, u).series
-        return self.element(num.exact_divide(self.x_lambda_series(root)))
+        num = u - self.reflection_act(root, coroot, u)
+        return num.exact_divide(self.x_lambda_series(root))
 
     def kappa_element(self, i):
         """kappa_alpha = g(x_alpha, x_{-alpha}) for the i-th simple root."""
@@ -241,7 +165,7 @@ class FormalGroupRing:
             root = self.datum.simple_roots[i - 1]
             cached = self._kappa_for_root(root)
             self._kappa[i] = cached
-        return self.element(cached)
+        return cached
 
     def _kappa_for_root(self, root):
         xp = self.x_lambda_series(root)
@@ -264,8 +188,7 @@ class FormalGroupRing:
 
     def cc_root(self, root, coroot, u):
         self.require_valid(u, 1, "cc")
-        kap = self.element(self._kappa_for_root(root))
-        return u * kap - self.delta_root(root, coroot, u)
+        return u * self._kappa_for_root(root) - self.delta_root(root, coroot, u)
 
     def delta_word(self, word, u):
         """Composite delta along a word, leftmost operator applied last."""
@@ -300,14 +223,10 @@ class FormalGroupRing:
             yield from split(l - 1, sv)
             root = self.datum.simple_roots[i - 1]
             den = self.x_lambda_series(tuple(-c for c in root))
-            dv = self.element((v.series - sv.series).exact_divide(den))
-            for K, t in split(l - 1, dv):
+            for K, t in split(l - 1, (v - sv).exact_divide(den)):
                 yield K + (l,), t
 
         return split(len(word), u)
-
-    def augmentation(self, u):
-        return u.series.constant_term()
 
     # -- torsion index ---------------------------------------------------------
 
@@ -323,7 +242,7 @@ class FormalGroupRing:
         """Coefficients r_w with delta_{I_v}(x) = sum_w r_w delta_{I_v}delta_{I_w}(u0).
 
         Requires a rationalized coefficient ring (the torsion index is
-        inverted during elimination).  Returns {canonical word: FGRingElement}.
+        inverted during elimination).  Returns {canonical word: TruncatedSeries}.
         """
         if not self.ring.rational_mode:
             raise RingMismatchError("decomposition needs a rationalized ring")
@@ -351,9 +270,9 @@ class FormalGroupRing:
             row = []
             for w in cols:
                 inner = chain(w.canonical_word, u0, du0) if w.length else u0
-                row.append(self.delta_word(v.canonical_word, inner).series)
+                row.append(self.delta_word(v.canonical_word, inner))
             mat.append(row)
-        rhs = [dx[v.canonical_word].series for v in rows]
+        rhs = [dx[v.canonical_word] for v in rows]
         size = len(rows)
         # Gaussian elimination with unit pivots: diagonal entries have
         # constant term t, off-diagonal entries below are in the augmentation
@@ -372,8 +291,7 @@ class FormalGroupRing:
                 rhs[r] = rhs[r] - factor * rhs[k]
         out = {}
         for k, w in enumerate(cols):
-            sol = rhs[k] * mat[k][k].invert_unit()
-            out[w.canonical_word] = self.element(sol)
+            out[w.canonical_word] = rhs[k] * mat[k][k].invert_unit()
         return out
 
 
@@ -410,8 +328,7 @@ def torsion_bezout(datum):
     values = []
     for mono in basis:
         elt = fgr.from_monomials({mono: 1})
-        val = fgr.augmentation(fgr.delta_word(word, elt))
-        c = val.constant_term()
+        c = fgr.delta_word(word, elt).constant_term().constant_term()
         assert c == int(c), "additive divided difference must be integral"
         values.append(int(c))
     g = 0

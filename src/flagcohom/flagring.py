@@ -102,7 +102,7 @@ class FlagBasis:
 
         out = {}
         for w in self.elements:
-            out[w.canonical_word] = self.fgr.augmentation(chain(w.canonical_word))
+            out[w.canonical_word] = chain(w.canonical_word).constant_term()
         return out
 
     # -- transition matrix --------------------------------------------------
@@ -357,7 +357,7 @@ class FlagBasis:
                 "operation source needs valid degree N",
                 deficit=self.N - u.valid_degree,
             )
-        u_ext = u.series.map_coefficients(lambda p: p.specialize(m_images, ext), ext)
+        u_ext = u.map_coefficients(lambda p: p.specialize(m_images, ext), ext)
         images = [
             lam.substitute([TruncatedSeries.variable(ext, self.datum.rank, D, i)])
             for i in range(self.datum.rank)
@@ -375,7 +375,7 @@ class FlagBasis:
         for texp in sorted(pieces):
             terms = {e: CoeffPoly(mring, d) for e, d in pieces[texp].items()}
             series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, u.valid_degree)
-            q = self.eps_vector(self.fgr.element(series).restrict(self.N))
+            q = self.eps_vector(series.restrict(self.N))
             cleaned = {}
             for w, c in self.convert_a_to_b(q).items():
                 c = c.scale(Fraction(1, self.t))

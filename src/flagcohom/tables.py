@@ -30,6 +30,8 @@ def make_theory(spec, trunc):
     """Build the law for a theory spec: universal | chow | ktheory[:g] |
     connective[:g] | custom:FILE."""
     name, _, arg = spec.partition(":")
+    if name in ("ktheory", "connective") and arg and not arg.isidentifier():
+        raise ValueError(f"generator name {arg!r} in {spec!r} is not an identifier")
     if name == "universal":
         return FormalGroupLaw.universal(trunc), "universal"
     if name == "chow":
@@ -51,8 +53,9 @@ def custom_law(data, trunc):
     """Law from a JSON object with either a "log" or a "coefficients" key.
 
     "log" lists the rational coefficients of x^2, x^3, ... of the logarithm;
-    "coefficients" maps "i,j" strings to rational a_ij values.  Associativity
-    is always verified on load.
+    "coefficients" maps "i,j" strings to rational a_ij values.  A
+    "coefficients" law is checked for unit, commutativity, associativity and
+    its inverse on load; a "log" law satisfies them by construction.
     """
     ring = CoeffRing((), rational_mode=True)
     if "log" in data:

@@ -4,19 +4,22 @@ Quantitative criteria compare exactly (integer/rational identity, zero
 tolerance); timed criteria assert their stated wall-clock budgets.
 """
 
-import itertools
 import time
 
 import pytest
 
-from flagcohom.bggoracle import oracle_table
 from flagcohom.fgring import torsion_bezout
 from flagcohom.flagring import default_truncation
 from flagcohom.reference import REFERENCE_TABLES, REFERENCE_TORSION
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import (
     CheckContext,
+    check_chow_oracle,
     check_dependence_witness,
+    check_duality_pairing,
+    check_eps_c_reversal,
+    check_eps_c_vs_delta,
+    check_ln_operations,
     check_operator_identities_cc,
     check_operator_identities_delta,
     check_word_independence,
@@ -24,6 +27,12 @@ from flagcohom.selfcheck import (
 from flagcohom.tables import build_table
 
 RANK2 = ("A2", "B2", "G2")
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    """One seeded check context shared by the criteria that run selfcheck probes."""
+    return CheckContext(seed=20240, types=RANK2)
 
 
 @pytest.fixture(scope="module")
@@ -79,32 +88,13 @@ def test_criterion_3_a6_absence(golden_tables):
     report(3, "no a6 in rank-2 universal tables")
 
 
-def test_criterion_4_chow_oracle():
-    for typ in RANK2:
-        datum = RootDatum.build(typ)
-        products, longest = oracle_table(datum)
-        table = build_table(datum, "chow")
-        by_word = {w.canonical_word: w for w in table.basis.elements}
-        for (a, b), want in products.items():
-            cls = table.basis.basis_product(by_word[a], by_word[b])
-            disp, topc = cls.display_coords()
-            got = {
-                w: int(c.constant_term()) for w, c in disp.items() if not c.is_zero()
-            }
-            if not topc.is_zero():
-                got["unit"] = int(topc.constant_term())
-            assert got == want, f"{typ}: {a} * {b}"
-        cls = table.basis.basis_class(table.basis.w0)
-        disp, topc = cls.display_coords()
-        got = {w: int(c.constant_term()) for w, c in disp.items() if not c.is_zero()}
-        if not topc.is_zero():
-            got["unit"] = int(topc.constant_term())
-        assert got == longest
+def test_criterion_4_chow_oracle(ctx):
+    ok, detail = check_chow_oracle(ctx)
+    assert ok, detail
     report(4, "additive tables equal the brute-force divided-difference oracle")
 
 
-def test_criterion_5_operator_identity_suites():
-    ctx = CheckContext(seed=20240, types=RANK2, fast=False)
+def test_criterion_5_operator_identity_suites(ctx):
     assert ctx.samples >= 50
     ok, detail = check_operator_identities_delta(ctx)
     assert ok, detail
@@ -117,61 +107,19 @@ def test_criterion_5_operator_identity_suites():
     report(5, "operator identities on >=50 random elements; (in)dependence")
 
 
-def test_criterion_6_duality_and_pushforward(a2_universal, b2_universal):
-    # pairing matrix pr(b * a) is the identity
-    for fb in (a2_universal, b2_universal):
-        for v in fb.elements:
-            a = fb.dual_class(v)
-            for w in fb.elements:
-                val = (fb.basis_class(w) * a).pr()
-                want = fb.ring.const(1 if v.matrix == w.matrix else 0)
-                assert val == want
-    # eps C_I(u0) = eps C_{I^rev}(u0) and eps delta_I(u0) in {t, 0} at B2
-    fb = b2_universal
-    fgr, u0, N, t = fb.fgr, fb.torsion.u0, fb.N, fb.t
-    words = [()]
-    for _ in range(N):
-        words = [w + (i,) for w in words for i in (1, 2)]
-        for word in words:
-            c_val = fgr.augmentation(fgr.c_word(word, u0))
-            assert c_val == fgr.augmentation(
-                fgr.c_word(tuple(reversed(word)), u0)
-            ), f"reversal fails at {word}"
-            d_val = fgr.augmentation(fgr.delta_word(word, u0))
-            reduced_full = (
-                len(word) == N and fb.datum.element_of_word(word).length == N
-            )
-            want = fgr.ring.const(t) if reduced_full else fgr.ring.zero()
-            assert d_val == want, f"eps delta at {word}: {d_val}"
+def test_criterion_6_duality_and_pushforward(ctx):
+    # pr(b_w a_v) = delta_{vw} at A2 and B2; at B2 eps C_I(u0) is invariant
+    # under word reversal, and eps delta_I(u0) is t on reduced words of
+    # length N and 0 on all other words of length <= N.
+    for check in (check_duality_pairing, check_eps_c_reversal, check_eps_c_vs_delta):
+        ok, detail = check(ctx)
+        assert ok, detail
     report(6, "duality pairing identity; push-forward symmetries at B2")
 
 
-def test_criterion_7_operations(a2_universal):
-    fb = a2_universal
-
-    def tweight(texp):
-        return sum((k + 1) * v for k, v in enumerate(texp))
-
-    for w in fb.elements:
-        cls = fb.basis_class(w)
-        ops = fb.ln_operation(2, cls)
-        empty = next(t for t in ops if tweight(t) == 0)
-        assert (ops[empty] - cls).is_zero()
-        codim = fb.N - w.length
-        for texp, out in ops.items():
-            assert out.codim_weights_ok(codim + tweight(texp))
-    for wa, wb in itertools.combinations_with_replacement(fb.elements, 2):
-        ca, cb = fb.basis_class(wa), fb.basis_class(wb)
-        lhs = fb.ln_operation(2, ca * cb)
-        Sa = fb.ln_operation(2, ca)
-        Sb = fb.ln_operation(2, cb)
-        for I in lhs:
-            rhs = fb.zero_class()
-            for J in Sa:
-                for K in Sb:
-                    if tuple(x + y for x, y in zip(J, K)) == I:
-                        rhs = rhs + Sa[J] * Sb[K]
-            assert (lhs[I] - rhs).is_zero(), f"multiplicativity at {I}"
+def test_criterion_7_operations(ctx):
+    ok, detail = check_ln_operations(ctx)
+    assert ok, detail
     report(7, "operations: identity at the empty index, grading, multiplicativity")
 
 

@@ -77,7 +77,7 @@ def test_cc_in_xi_empty_word(a2_univ):
     rng = random.Random(0)
     u = rand_elt(a2_univ, rng)
     coords = theta_coefficients(a2_univ, (), u)
-    assert coords == {(): a2_univ.augmentation(u)}
+    assert coords == {(): u.constant_term()}
 
 
 def test_characteristic_map_is_ring_morphism(a2_univ):
@@ -93,7 +93,7 @@ def test_characteristic_map_is_ring_morphism(a2_univ):
 def test_pushforward_empty_word(a2_univ):
     rng = random.Random(2)
     u = rand_elt(a2_univ, rng)
-    assert bs_pushforward(a2_univ, (), u) == a2_univ.augmentation(u)
+    assert bs_pushforward(a2_univ, (), u) == u.constant_term()
 
 
 def test_pushforward_u0_reduced_words(a2_universal):

@@ -86,7 +86,9 @@ def test_bad_input_exit_code():
     assert rc == 1
     for args in (["bs", "--type", "A2", "--word", "1,2,3"],
                  ["ln", "--type", "A2", "--word", "3"],
-                 ["ln", "--type", "A2", "--word", "2,1,2"]):
+                 ["ln", "--type", "A2", "--word", "2,1,2"],
+                 ["table", "--type", "A2", "--theory", "ktheory:1x"],
+                 ["table", "--type", "A2", "--theory", "connective:v-1"]):
         rc, _, err = run_cli(args)
         assert rc == 1
         assert err.startswith("error: ")

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from flagcohom.coeffring import CoeffRing
-from flagcohom.errors import AssociativityError
+from flagcohom.errors import AssociativityError, DegreeValidityError
 from flagcohom.fgl import FormalGroupLaw, revert
+from flagcohom.selfcheck import CheckContext, check_fgl_axioms
 from flagcohom.tseries import TruncatedSeries
 
 
@@ -51,6 +52,10 @@ def test_from_coefficients_additive():
     assert law.inverse == -x
 
 
+def test_fgl_axioms_hold_by_construction():
+    assert check_fgl_axioms(CheckContext()) == (True, "")
+
+
 def test_from_coefficients_associativity_error():
     ring = CoeffRing((), True)
     with pytest.raises(AssociativityError):
@@ -67,6 +72,12 @@ def test_multiples():
     beta = mult.ring.gen("beta")
     want = xm.scale(2) - (xm * xm).scale(beta)
     assert mult.multiple(2, xm) == want
+    # s known only to degree 2: 2 .F s is known only to degree 2 as well
+    s = (xm + xm * xm * xm).restrict(2)
+    got = mult.multiple(2, s)
+    assert got.valid_degree == 2
+    with pytest.raises(DegreeValidityError):
+        got.coefficient((3,))
 
 
 def test_formal_sum_inverse_cancel(universal8):

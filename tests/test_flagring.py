@@ -34,12 +34,12 @@ def test_char_map_c_variant_on_unit(a2_universal):
     vec = a2_universal.char_map(a2_universal.fgr.one(), variant="C")
     fgr = a2_universal.fgr
     for w in a2_universal.elements:
-        direct = fgr.augmentation(fgr.c_word(w.canonical_word, fgr.one()))
+        direct = fgr.c_word(w.canonical_word, fgr.one()).constant_term()
         assert vec[w.canonical_word] == direct
 
 
 def test_char_map_augmentation_zero(a2_universal):
-    u = a2_universal.fgr.x_lambda((1, 1))
+    u = a2_universal.fgr.x_lambda_series((1, 1))
     vec = a2_universal.char_map(u, variant="D")
     assert vec[()].is_zero()
 
