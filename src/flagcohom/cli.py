@@ -245,14 +245,13 @@ def cmd_ln(args):
             if w.canonical_word != fb.w0.canonical_word
         ]
     )
-    by_word = {w.canonical_word: w for w in fb.elements}
     lines = [
         f"# operations: type {datum.label}, weight bound {args.bound}, "
         f"truncation {trunc}"
     ]
     records = []
     for word in words:
-        ops = fb.ln_operation(args.bound, fb.basis_class(by_word[word]))
+        ops = fb.ln_operation(args.bound, fb.basis_class(fb.by_word[word]))
         for texp in sorted(ops):
             cls = ops[texp]
             parts = []

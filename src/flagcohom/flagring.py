@@ -6,8 +6,9 @@ Cs_{I_w^rev}(u0), where Cs is the push-pull operator taken at the negative
 simple roots.  Classes are coordinate vectors over the geometric basis
 b_{I_w} (push-forwards of desingularized Schubert classes).  Products and
 arbitrary-word classes are computed through the characteristic map: the
-coordinates of c(u) in the dual a-basis are eps Cs_{I_w}(u), and the
-transition matrix P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)) with
+coordinates of c(u) in the dual a-basis are eps Cs_{I_w}(u), each a fixed
+R-linear functional of the terms of u of degree <= N that is built once per
+basis, and the transition matrix P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)) with
 t * b_w = sum_v P[v][w] a_v converts back to the b-basis.  P is block
 triangular with the torsion index t on the pairing diagonal v = w0 w, so it
 is inverted exactly by back substitution, dividing only by t.
@@ -22,7 +23,7 @@ from .coeffring import CoeffPoly, CoeffRing, assert_integer
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import revert
 from .fgring import FormalGroupRing
-from .tseries import TruncatedSeries
+from .tseries import TruncatedSeries, _degree_monomials
 
 
 def default_truncation(datum):
@@ -41,6 +42,7 @@ class FlagBasis:
         if law.trunc < self.N + 1:
             raise ValueError(f"truncation must be at least N+1 = {self.N + 1}")
         self.elements = datum.weyl_elements()
+        self.by_word = {w.canonical_word: w for w in self.elements}
         self.w0 = datum.longest_element()
         self.torsion = self.fgr.torsion_and_u0()
         self.t = self.torsion.t
@@ -49,8 +51,8 @@ class FlagBasis:
         self._P = None
         self._Pinv = None
         self._unit = None
-        self._eps_c_one = None
         self._products = {}
+        self._eps_tables = {}
 
     # -- cached operator chains ------------------------------------------
 
@@ -85,25 +87,69 @@ class FlagBasis:
 
         Variants: "Cs" the negative-root push-pull operator (the basis
         pipeline), "C" the positive-root one, "D" the difference operator.
+        Each coordinate is a fixed R-linear functional of the terms of u of
+        degree <= N (see ``_functionals``); u must be valid to degree N.
         """
-        op = {
-            "Cs": self.cs,
-            "C": self.fgr.cc,
-            "D": self.fgr.delta,
-        }[variant]
-        cache = {(): u}
+        if u.valid_degree < self.N:
+            raise InsufficientPrecisionError(
+                f"characteristic map needs valid degree {self.N}",
+                deficit=self.N - u.valid_degree,
+            )
+        table = self._eps_tables.get(variant)
+        if table is None:
+            table = self._eps_tables[variant] = self._functionals(variant)
+        coeffs = u.restrict(self.N).coeffs
+        out = {}
+        for word, f in table.items():
+            small, big = (f, coeffs) if len(f) < len(coeffs) else (coeffs, f)
+            acc = self.ring.zero()
+            for e, c in small.items():
+                d = big.get(e)
+                if d is not None:
+                    acc = acc + c * d
+            out[word] = acc
+        return out
 
-        def chain(word):
-            got = cache.get(word)
+    def _functionals(self, variant):
+        """{canonical word w: {y-exponent e: eps Op_{I_w}(y^e)}}.
+
+        Op_i is R-linear and takes I^d into I^{d-1} (I the augmentation
+        ideal), so eps Op_{I_w} vanishes on the monomials of degree > |w|
+        and Op_i(y^e) is needed only modulo degree > N - 1.  Each column
+        Op_i(y^e) is computed once, and f_word = f_{word[:-1]} o Op_{word[-1]}
+        is memoized by prefix; a prefix of a canonical word is canonical.
+        """
+        op = {"Cs": self.cs, "C": self.fgr.cc, "D": self.fgr.delta}[variant]
+        columns = {}
+
+        def column(i, e):
+            got = columns.get((i, e))
             if got is None:
-                got = op(word[0], chain(word[1:]))
-                cache[word] = got
+                mono = self.fgr.from_monomials({e: 1}).restrict(self.N)
+                got = columns[i, e] = op(i, mono).coeffs
             return got
 
-        out = {}
-        for w in self.elements:
-            out[w.canonical_word] = chain(w.canonical_word).constant_term()
-        return out
+        monomials = [_degree_monomials(self.datum.rank, d) for d in range(self.N + 1)]
+        memo = {(): {(0,) * self.datum.rank: self.ring.one()}}
+
+        def functional(word):
+            got = memo.get(word)
+            if got is None:
+                prev = functional(word[:-1])
+                got = {}
+                for d in range(len(word) + 1):
+                    for e in monomials[d]:
+                        acc = self.ring.zero()
+                        for e2, c in column(word[-1], e).items():
+                            f = prev.get(e2)
+                            if f is not None:
+                                acc = acc + f * c
+                        if not acc.is_zero():
+                            got[e] = acc
+                memo[word] = got
+            return got
+
+        return {w.canonical_word: functional(w.canonical_word) for w in self.elements}
 
     # -- transition matrix --------------------------------------------------
 
@@ -114,7 +160,7 @@ class FlagBasis:
         words = [w.canonical_word for w in self.elements]
         P = {}
         for w in self.elements:
-            column = self.eps_vector(self.c_of_u0(w).restrict(self.N))
+            column = self.eps_vector(self.c_of_u0(w))
             for v in self.elements:
                 P[(v.canonical_word, w.canonical_word)] = column[v.canonical_word]
         # Row permutation pairing v_r = w0 * w_r makes P upper triangular
@@ -150,14 +196,13 @@ class FlagBasis:
     def convert_a_to_b(self, avec, integral=True):
         """b-coordinates t * P^{-1} q of the class with a-coordinates q."""
         _, inv = self.transition_matrix()
-        words = [w.canonical_word for w in self.elements]
+        nonzero = [(v, q) for v, q in avec.items() if not q.is_zero()]
         coords = {}
-        for w in words:
+        for w in self.by_word:
             acc = self.ring.zero()
-            for v in words:
+            for v, q in nonzero:
                 f = inv[(w, v)]
-                q = avec[v]
-                if not f.is_zero() and not q.is_zero():
+                if not f.is_zero():
                     acc = acc + f * q
             acc = acc.scale(self.t)
             if not acc.is_zero():
@@ -179,9 +224,7 @@ class FlagBasis:
         return FlagClass(self, {})
 
     def eps_c_one(self):
-        if self._eps_c_one is None:
-            self._eps_c_one = self.eps_vector(self.fgr.one().restrict(self.N))
-        return self._eps_c_one
+        return self.eps_vector(self.fgr.one())
 
     def unit_class(self):
         """The ring unit, decomposed over the b-basis; unit coefficient at w0 is 1."""
@@ -207,11 +250,6 @@ class FlagBasis:
 
     def char_map(self, u, variant="C"):
         """Coordinates of c(u) over the z-basis: (eps Op_{I_w}(u))_w."""
-        if u.valid_degree < self.N:
-            raise InsufficientPrecisionError(
-                f"characteristic map needs valid degree {self.N}",
-                deficit=self.N - u.valid_degree,
-            )
         return self.eps_vector(u, variant)
 
     def bclass(self, word):
@@ -226,7 +264,7 @@ class FlagBasis:
         u = self.torsion.u0
         for i in word:
             u = self.cs(i, u)
-        q = self.eps_vector(u.restrict(self.N))
+        q = self.eps_vector(u)
         coords = self.convert_a_to_b(q)
         coords = {w: c.scale(Fraction(1, self.t)) for w, c in coords.items()}
         out = {}
@@ -296,13 +334,7 @@ class FlagBasis:
     def b_operator(self, i, cls):
         """The delta-variant operator through the u-representative route."""
         u = self._u_representative(cls)
-        du = self.fgr.delta(i, u)
-        if du.valid_degree < self.N:
-            raise InsufficientPrecisionError(
-                "b_operator needs one more valid degree",
-                deficit=self.N - du.valid_degree,
-            )
-        q = self.eps_vector(du.restrict(self.N))
+        q = self.eps_vector(self.fgr.delta(i, u))
         coords = self.convert_a_to_b(q, integral=False)
         coords = {w: c.scale(Fraction(1, self.t)) for w, c in coords.items()}
         return FlagClass(self, {w: c for w, c in coords.items() if not c.is_zero()})
@@ -375,7 +407,7 @@ class FlagBasis:
         for texp in sorted(pieces):
             terms = {e: CoeffPoly(mring, d) for e, d in pieces[texp].items()}
             series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, u.valid_degree)
-            q = self.eps_vector(series.restrict(self.N))
+            q = self.eps_vector(series)
             cleaned = {}
             for w, c in self.convert_a_to_b(q).items():
                 c = c.scale(Fraction(1, self.t))
@@ -428,7 +460,7 @@ class FlagClass:
     def __mul__(self, other):
         """Ring product through the characteristic-map algorithm."""
         self._check(other)
-        by_word = {w.canonical_word: w for w in self.basis.elements}
+        by_word = self.basis.by_word
         acc = self.basis.zero_class()
         for w1, c1 in self.coords.items():
             for w2, c2 in other.coords.items():
@@ -452,9 +484,8 @@ class FlagClass:
     def codim_weights_ok(self, codim):
         """Each coordinate homogeneous of weight codim(w) - codim (or absent)."""
         N = self.basis.N
-        by_word = {w.canonical_word: w for w in self.basis.elements}
         for word, c in self.coords.items():
-            want = (N - by_word[word].length) - codim
+            want = (N - self.basis.by_word[word].length) - codim
             if want < 0 or not c.is_homogeneous(want):
                 return False
         return True

@@ -467,6 +467,43 @@ def check_eps_c_vs_delta(ctx):
     return True, ""
 
 
+def check_eps_functionals(ctx):
+    # eps_vector reads eps Op_{I_w}(u) off functionals built once per basis;
+    # the operator chain along each canonical word is the reference.  The
+    # random probes have a linear part and terms above degree N.
+    g2 = ctx.datum("G2")
+    bases = [
+        ctx.universal_basis("A2"),
+        ctx.universal_basis("B2"),
+        FlagBasis(g2, FormalGroupLaw.multiplicative(default_truncation(g2))),
+    ]
+    for fb in bases:
+        fgr, label = fb.fgr, fb.datum.label
+        probes = [fb.torsion.u0, fgr.one()]
+        for _ in range(2):
+            terms = {}
+            for _ in range(6):
+                e = [0] * fgr.n
+                for _ in range(ctx.rng.randint(2, fb.N + 2)):
+                    e[ctx.rng.randrange(fgr.n)] += 1
+                terms[tuple(e)] = ctx.random_poly(fb.ring, max_weight=2)
+            linear = fgr.variable(ctx.rng.randrange(fgr.n)).scale(ctx.rng.choice((1, -1, 2, -3)))
+            probes.append((fgr.from_monomials(terms) + linear).restrict(fb.N + 2))
+        ops = {"Cs": fb.cs, "C": fgr.cc, "D": fgr.delta}
+        for variant, op in ops.items():
+            for u in probes:
+                got = fb.eps_vector(u, variant)
+                if list(got) != list(fb.by_word):
+                    return False, f"{label}: eps_vector({variant}) misses canonical words"
+                for word, value in got.items():
+                    v = u
+                    for i in reversed(word):
+                        v = op(i, v)
+                    if v.constant_term() != value:
+                        return False, f"{label}: eps_vector({variant}) != chain at {word}"
+    return True, ""
+
+
 def check_operator_specialization(ctx):
     # Specializing coefficients commutes with delta and C.
     datum = RootDatum.build("A2")
@@ -548,7 +585,6 @@ def check_homogeneity_and_a6(ctx):
             continue
         table = ctx.universal_table(typ)
         N = table.datum.N
-        by_word = {w.canonical_word: w for w in table.basis.elements}
         for entry in table.lines:
             lengths = len(entry.left) + (len(entry.right) if entry.right else N)
             codim = 2 * N - lengths
@@ -577,7 +613,7 @@ def check_chow_oracle(ctx):
         datum = ctx.datum(typ)
         products, longest = oracle_table(datum)
         table = ctx.chow_table(typ)
-        by_word = {w.canonical_word: w for w in table.basis.elements}
+        by_word = table.basis.by_word
         for (a, b), want in products.items():
             cls = table.basis.basis_product(by_word[a], by_word[b])
             disp, top = cls.display_coords()
@@ -815,6 +851,7 @@ CHECKS = [
     ("word independence for x+y-vxy", check_word_independence),
     ("decomposition dependence witness", check_dependence_witness),
     ("eps C vs eps delta on u0", check_eps_c_vs_delta),
+    ("characteristic-map functionals", check_eps_functionals),
     ("operator specialization functoriality", check_operator_specialization),
     ("torsion indices", check_torsion_reference),
     ("rank-2 reference tables", check_golden_tables),

@@ -160,7 +160,7 @@ class MultiplicationTable:
     # -- entries ----------------------------------------------------------------
 
     def _entry(self, left, right):
-        by_word = {w.canonical_word: w for w in self.basis.elements}
+        by_word = self.basis.by_word
         if right is None:
             cls = self.basis.basis_class(by_word[left])
         else:
@@ -181,7 +181,6 @@ class MultiplicationTable:
         return coords
 
     def _convert(self, poly):
-        key = id(poly)
         if self.lazard is not None:
             out = self.lazard.to_a_basis(poly, self.datum.N)
         else:
@@ -263,7 +262,7 @@ class MultiplicationTable:
                 "name": word_name(self.longest.left),
                 "result": self._result_json(self.longest),
             }
-        by_word = {w.canonical_word: w for w in self.basis.elements}
+        by_word = self.basis.by_word
         for left, right in self.every_pair():
             cls = self.basis.basis_product(by_word[left], by_word[right])
             coords = self._class_coords(cls)

@@ -26,7 +26,7 @@ def test_oracle_matches_pipeline_b2():
     datum = RootDatum.build("B2")
     products, longest = oracle_table(datum)
     fb = FlagBasis(datum, FormalGroupLaw.additive(9))
-    by_word = {w.canonical_word: w for w in fb.elements}
+    by_word = fb.by_word
     for (a, b), want in products.items():
         cls = fb.basis_product(by_word[a], by_word[b])
         disp, top = cls.display_coords()

@@ -154,3 +154,40 @@ def test_connective_normalization():
     law = FormalGroupLaw.connective(6)
     v = law.ring.gen("v")
     assert law.F.coefficient((1, 1)) == v
+
+
+def test_universal_law_against_sympy_reversion():
+    # Independent oracle: sympy's series reversion of x + sum m_i x^(i+1)
+    # gives the exponential, and F(x, y) = exp(log x + log y).
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_series_reversion
+    from sympy.polys.rings import ring
+
+    D = 6
+    law = FormalGroupLaw.universal(D + 1)
+    R, x, y, *m = ring(("x", "y") + law.ring.names, QQ)
+    log_x = x + sum(mi * x ** (i + 2) for i, mi in enumerate(m))
+    log_y = y + sum(mi * y ** (i + 2) for i, mi in enumerate(m))
+    exp = rs_series_reversion(log_x, x, D + 1, x)
+
+    def low(p):
+        return R({e: c for e, c in p.items() if e[0] + e[1] <= D})
+
+    F, power, s = R(0), R(1), log_x + log_y
+    for k in range(1, D + 1):
+        power = low(power * s)
+        exp_k = R({(0, 0) + e[2:]: c for e, c in exp.items() if e[0] == k})
+        F += low(exp_k * power)
+
+    def from_sympy(p, n_vars):
+        out = {}
+        for e, c in p.items():
+            out.setdefault(e[:n_vars], {})[e[2:]] = Fraction(int(c.numerator), int(c.denominator))
+        return out
+
+    def from_series(series):
+        return {e: p.terms for e, p in series.coeffs.items() if sum(e) <= D}
+
+    assert from_series(revert(law.log)) == from_sympy(exp, 1)
+    assert from_series(law.F) == from_sympy(F, 2)

@@ -8,10 +8,7 @@ from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.flagring import FlagBasis
 from flagcohom.rootdata import RootDatum
-
-
-def by_word(fb):
-    return {w.canonical_word: w for w in fb.elements}
+from flagcohom.selfcheck import CheckContext, check_eps_functionals
 
 
 def test_char_map_delta_variant_on_unit(a2_universal):
@@ -47,6 +44,15 @@ def test_char_map_augmentation_zero(a2_universal):
 def test_char_map_precision(a2_universal):
     with pytest.raises(InsufficientPrecisionError):
         a2_universal.char_map(a2_universal.fgr.one().restrict(1))
+    short = a2_universal.fgr.one().restrict(a2_universal.N - 1)
+    for variant in ("Cs", "C", "D"):
+        with pytest.raises(InsufficientPrecisionError):
+            a2_universal.eps_vector(short, variant)
+
+
+def test_eps_functionals_match_operator_chains():
+    ok, detail = check_eps_functionals(CheckContext(seed=7))
+    assert ok, detail
 
 
 def test_bclass_empty_is_point(a2_universal):
@@ -112,7 +118,7 @@ def test_transition_additive_matches_oracle():
 
 
 def test_products_a2(a2_universal, a2_lazard):
-    W = by_word(a2_universal)
+    W = a2_universal.by_word
     prod = a2_universal.basis_product(W[(1, 2)], W[(1, 2)])
     assert prod.coords == {(2,): a2_universal.ring.one()}
     prod = a2_universal.basis_product(W[(2, 1)], W[(2, 1)])
@@ -124,7 +130,7 @@ def test_products_a2(a2_universal, a2_lazard):
 
 
 def test_product_shortcuts(a2_universal):
-    W = by_word(a2_universal)
+    W = a2_universal.by_word
     # lengths summing below N vanish
     assert a2_universal.basis_product(W[(1,)], W[(2,)]).is_zero()
     # lengths summing to N give the duality rule
@@ -159,7 +165,7 @@ def test_duality_shortcut_matches_algorithm(b2_universal):
 
 
 def test_product_commutes_and_associates(a2_universal):
-    W = by_word(a2_universal)
+    W = a2_universal.by_word
     a = a2_universal.basis_class(W[(1, 2)])
     b = a2_universal.basis_class(W[(2, 1)])
     c = a2_universal.basis_class(W[(1,)])
@@ -192,7 +198,7 @@ def test_pairing_matrix_identity(a2_universal):
 
 
 def test_a_operator_concatenation(a2_universal):
-    W = by_word(a2_universal)
+    W = a2_universal.by_word
     pt = a2_universal.point_class()
     b1 = a2_universal.a_operator(1, pt)
     assert b1.coords == {(1,): a2_universal.ring.one()}
@@ -218,7 +224,7 @@ def test_a_chain_unit_coefficient(b2_universal):
 
 
 def test_b_operator_on_generators(a2_universal):
-    W = by_word(a2_universal)
+    W = a2_universal.by_word
     # B_i lowers the filtration like delta; on the additive model it is the
     # signed version of A_i.  Here just check linearity against the u-route.
     cls = a2_universal.basis_class(W[(1, 2)])
@@ -233,12 +239,12 @@ def test_display_coords_roundtrip(a2_universal):
     # reconstruct: top * unit + sum disp_w b_w must equal cls
     back = a2_universal.unit_class().scale(top)
     for w, c in disp.items():
-        back = back + a2_universal.basis_class(by_word(a2_universal)[w]).scale(c)
+        back = back + a2_universal.basis_class(a2_universal.by_word[w]).scale(c)
     assert (back - cls).is_zero()
 
 
 def test_homogeneity_of_products(b2_universal):
-    W = by_word(b2_universal)
+    W = b2_universal.by_word
     N = b2_universal.N
     prod = b2_universal.basis_product(W[(1, 2, 1)], W[(2, 1, 2)])
     assert prod.codim_weights_ok((N - 3) + (N - 3))

@@ -48,8 +48,7 @@ def test_multiplicativity_weight_two(a2_universal):
 
 
 def test_weight_one_on_divisor_class(a2_universal):
-    by_word = {w.canonical_word: w for w in a2_universal.elements}
-    ops = a2_universal.ln_operation(1, a2_universal.basis_class(by_word[(1, 2)]))
+    ops = a2_universal.ln_operation(1, a2_universal.basis_class(a2_universal.by_word[(1, 2)]))
     nontrivial = {t: c for t, c in ops.items() if tweight(t) == 1}
     ((texp, out),) = nontrivial.items()
     assert out.coords == {(2,): a2_universal.ring.one()}
