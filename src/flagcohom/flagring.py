@@ -8,10 +8,10 @@ b_{I_w} (push-forwards of desingularized Schubert classes).  Products and
 arbitrary-word classes are computed through the characteristic map: the
 coordinates of c(u) in the dual a-basis are eps Cs_{I_w}(u), each a fixed
 R-linear functional of the terms of u of degree <= N that is built once per
-basis, and the transition matrix P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)) with
-t * b_w = sum_v P[v][w] a_v converts back to the b-basis.  P is block
-triangular with the torsion index t on the pairing diagonal v = w0 w, so it
-is inverted exactly by back substitution, dividing only by t.
+basis.  The transition matrix P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)) with
+t * b_w = sum_v P[v][w] a_v leads back to the b-basis.  Its rows paired by
+w -> w0 w make it triangular with the torsion index t on the diagonal, so P
+is never inverted: each class is one back substitution, dividing only by t.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class FlagBasis:
         self.ring = law.ring
         self._cu0 = {(): self.torsion.u0}
         self._P = None
-        self._Pinv = None
+        self._rows = None
         self._unit = None
         self._products = {}
         self._eps_tables = {}
@@ -154,63 +154,55 @@ class FlagBasis:
     # -- transition matrix --------------------------------------------------
 
     def transition_matrix(self):
-        """(P, P_inverse) with P[v][w] = eps C_{I_v}(C_{I_w^rev}(u0))."""
+        """P with P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)), checked triangular."""
         if self._P is not None:
-            return self._P, self._Pinv
+            return self._P
         words = [w.canonical_word for w in self.elements]
         P = {}
         for w in self.elements:
             column = self.eps_vector(self.c_of_u0(w))
-            for v in self.elements:
-                P[(v.canonical_word, w.canonical_word)] = column[v.canonical_word]
+            for v in words:
+                P[(v, w.canonical_word)] = column[v]
         # Row permutation pairing v_r = w0 * w_r makes P upper triangular
-        # (in the column order of self.elements) with constant diagonal.
-        diag = Fraction(self.t)
-        perm = [
-            self.datum.multiply(self.w0, w).canonical_word for w in self.elements
-        ]
-        for r, vr in enumerate(perm):
+        # (in the column order of self.elements) with t on the diagonal.
+        rows = []
+        for r, w in enumerate(self.elements):
+            vr = self.datum.multiply(self.w0, w).canonical_word
             d = P[(vr, words[r])]
-            if not (d.is_constant() and d.constant_term() == diag):
+            if not (d.is_constant() and d.constant_term() == self.t):
                 raise AssertionError("transition matrix diagonal is not t")
-            for c in range(r):
-                if not P[(vr, words[c])].is_zero():
-                    raise AssertionError("transition matrix is not triangular")
-        size = len(words)
-        inv = {}
-        for u in range(size):
-            # solve P x = e_{words[u]} by back substitution over rows perm[r]
-            x = [None] * size
-            for r in range(size - 1, -1, -1):
-                acc = self.ring.const(1 if perm[r] == words[u] else 0)
-                for c in range(r + 1, size):
-                    pc = P[(perm[r], words[c])]
-                    if not pc.is_zero() and not x[c].is_zero():
-                        acc = acc - pc * x[c]
-                x[r] = acc.scale(Fraction(1) / diag)
-            for w_idx in range(size):
-                inv[(words[w_idx], words[u])] = x[w_idx]
-        self._P, self._Pinv = P, inv
-        return P, inv
+            if any(not P[(vr, words[c])].is_zero() for c in range(r)):
+                raise AssertionError("transition matrix is not triangular")
+            upper = [(c, P[(vr, words[c])]) for c in range(r + 1, len(words))]
+            rows.append((vr, [(c, p) for c, p in upper if not p.is_zero()]))
+        self._P, self._rows = P, rows
+        return P
 
-    def convert_a_to_b(self, avec, integral=True):
-        """b-coordinates t * P^{-1} q of the class with a-coordinates q."""
-        _, inv = self.transition_matrix()
-        nonzero = [(v, q) for v, q in avec.items() if not q.is_zero()]
+    def class_of(self, avec, k):
+        """The class with c(u) = t^k * class, from avec = eps_vector(u).
+
+        Solves P x = avec by back substitution over the paired rows,
+        dividing only by t; c(u) = t * sum_w x_w b_w, so the class is
+        t^(1-k) x.  Its coordinates must be integral in a rational ring.
+        """
+        self.transition_matrix()
+        x = [None] * len(self.elements)
+        for r in range(len(x) - 1, -1, -1):
+            vr, upper = self._rows[r]
+            acc = avec.get(vr, self.ring.zero())
+            for c, p in upper:
+                if not x[c].is_zero():
+                    acc = acc - p * x[c]
+            x[r] = acc.scale(Fraction(1, self.t))
+        factor = Fraction(self.t) ** (1 - k)
         coords = {}
-        for w in self.by_word:
-            acc = self.ring.zero()
-            for v, q in nonzero:
-                f = inv[(w, v)]
-                if not f.is_zero():
-                    acc = acc + f * q
-            acc = acc.scale(self.t)
-            if not acc.is_zero():
-                coords[w] = acc
-        if integral and self.ring.rational_mode:
-            for w, c in coords.items():
-                assert_integer(c, f"b-coordinate at {w}")
-        return coords
+        for w, c in zip(self.elements, x):
+            c = c.scale(factor)
+            if not c.is_zero():
+                if self.ring.rational_mode:
+                    assert_integer(c, f"b-coordinate at {w.canonical_word}")
+                coords[w.canonical_word] = c
+        return FlagClass(self, coords)
 
     # -- distinguished classes -----------------------------------------------
 
@@ -223,34 +215,20 @@ class FlagBasis:
     def zero_class(self):
         return FlagClass(self, {})
 
-    def eps_c_one(self):
-        return self.eps_vector(self.fgr.one())
-
     def unit_class(self):
         """The ring unit, decomposed over the b-basis; unit coefficient at w0 is 1."""
         if self._unit is None:
-            coords = self.convert_a_to_b(self.eps_c_one())
-            top = coords.get(self.w0.canonical_word)
-            if top != self.ring.one():
+            unit = self.class_of(self.eps_vector(self.fgr.one()), 0)
+            if unit.coords.get(self.w0.canonical_word) != self.ring.one():
                 raise AssertionError("unit class has non-unit top coefficient")
-            self._unit = FlagClass(self, coords)
+            self._unit = unit
         return self._unit
 
     def dual_class(self, v):
         """The a-basis element dual to b_v under the push-forward pairing."""
-        _, inv = self.transition_matrix()
-        coords = {}
-        for w in self.elements:
-            f = inv[(w.canonical_word, v.canonical_word)].scale(self.t)
-            if not f.is_zero():
-                coords[w.canonical_word] = f
-        return FlagClass(self, coords)
+        return self.class_of({v.canonical_word: self.ring.one()}, 0)
 
-    # -- characteristic map and word classes -------------------------------------
-
-    def char_map(self, u, variant="C"):
-        """Coordinates of c(u) over the z-basis: (eps Op_{I_w}(u))_w."""
-        return self.eps_vector(u, variant)
+    # -- word classes ------------------------------------------------------------
 
     def bclass(self, word):
         """Class of the desingularized Schubert cycle attached to any word."""
@@ -264,16 +242,7 @@ class FlagBasis:
         u = self.torsion.u0
         for i in word:
             u = self.cs(i, u)
-        q = self.eps_vector(u)
-        coords = self.convert_a_to_b(q)
-        coords = {w: c.scale(Fraction(1, self.t)) for w, c in coords.items()}
-        out = {}
-        for w, c in coords.items():
-            if not c.is_zero():
-                if self.ring.rational_mode:
-                    assert_integer(c, f"bclass({word}) at {w}")
-                out[w] = c
-        return FlagClass(self, out)
+        return self.class_of(self.eps_vector(u), 1)
 
     # -- products -------------------------------------------------------------
 
@@ -294,19 +263,9 @@ class FlagBasis:
             w0w2 = self.datum.multiply(self.w0, w2)
             result = self.point_class() if w1.matrix == w0w2.matrix else self.zero_class()
         else:
+            # c(Cs_{I_w1^rev}(u0) Cs_{I_w2^rev}(u0)) = t^2 b_w1 b_w2
             u = self.c_of_u0(w1).restrict(self.N) * self.c_of_u0(w2).restrict(self.N)
-            q = self.eps_vector(u)
-            coords = self.convert_a_to_b(q, integral=False)
-            out = {}
-            for w, c in coords.items():
-                # t^2 (b_w1 b_w2) = c(C..(u0) C..(u0)) and convert_a_to_b
-                # already multiplied by t, so divide by t^2 here.
-                c = c.scale(Fraction(1, self.t * self.t))
-                if not c.is_zero():
-                    if self.ring.rational_mode:
-                        assert_integer(c, f"product {k1} * {k2} at {w}")
-                    out[w] = c
-            result = FlagClass(self, out)
+            result = self.class_of(self.eps_vector(u), 2)
         self._products[key] = result
         return result
 
@@ -314,7 +273,7 @@ class FlagBasis:
 
     def pushforward_point(self, cls):
         """pr: linear extension of pr(b_{I_w}) = eps Cs_{I_w}(1)."""
-        vec = self.eps_c_one()
+        vec = self.eps_vector(self.fgr.one())
         acc = self.ring.zero()
         for w, c in cls.coords.items():
             f = vec[w]
@@ -325,19 +284,18 @@ class FlagBasis:
     # -- push-pull operators ----------------------------------------------------
 
     def a_operator(self, i, cls):
-        """Algebraic p_i^* p_{i*}: sends b_J to the class of the word J + (i)."""
-        out = self.zero_class()
-        for w, c in cls.coords.items():
-            out = out + self.bclass(w + (i,)).scale(c)
-        return out
+        """Algebraic p_i^* p_{i*}: sends b_J to the class of the word J + (i).
+
+        By linearity, one Cs_i on the u-representative of cls gives
+        sum_J c_J bclass(J + (i,)).
+        """
+        u = self.cs(i, self._u_representative(cls))
+        return self.class_of(self.eps_vector(u), 1)
 
     def b_operator(self, i, cls):
         """The delta-variant operator through the u-representative route."""
-        u = self._u_representative(cls)
-        q = self.eps_vector(self.fgr.delta(i, u))
-        coords = self.convert_a_to_b(q, integral=False)
-        coords = {w: c.scale(Fraction(1, self.t)) for w, c in coords.items()}
-        return FlagClass(self, {w: c for w, c in coords.items() if not c.is_zero()})
+        u = self.fgr.delta(i, self._u_representative(cls))
+        return self.class_of(self.eps_vector(u), 1)
 
     def _u_representative(self, cls):
         """u with c(u) = t * cls, namely sum coords_w Cs_{I_w^rev}(u0)."""
@@ -407,14 +365,7 @@ class FlagBasis:
         for texp in sorted(pieces):
             terms = {e: CoeffPoly(mring, d) for e, d in pieces[texp].items()}
             series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, u.valid_degree)
-            q = self.eps_vector(series)
-            cleaned = {}
-            for w, c in self.convert_a_to_b(q).items():
-                c = c.scale(Fraction(1, self.t))
-                if not c.is_zero():
-                    assert_integer(c, f"operation coefficient at {w}")
-                    cleaned[w] = c
-            out[texp] = FlagClass(self, cleaned)
+            out[texp] = self.class_of(self.eps_vector(series), 1)
         return out
 
 

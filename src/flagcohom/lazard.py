@@ -188,28 +188,20 @@ class LazardBasis:
                 for _ in range(e):
                     p = p * self.expansions[name]
             mat.append(self._m_coordinates(p, d)[0])
-        # Solve x . mat = target via RREF of mat^T once.
-        inverse, pivot_rows, checks = _solve_structure(mat, len(monos))
-        cached = (cols, monos, inverse, pivot_rows, checks, mat)
+        cached = (cols, monos) + _solve_structure(mat, len(monos))
         self._solvers[d] = cached
         return cached
 
     def _solve_weight(self, part, d):
-        cols, monos, inverse, pivot_rows, checks, mat = self._solver(d)
+        cols, monos, left_inverse, checks = self._solver(d)
         index = {e: k for k, e in enumerate(monos)}
-        target = [Fraction(0)] * len(monos)
-        for e, c in part.terms.items():
-            target[index[e]] = Fraction(c)
-        sol = [
-            sum(inverse[r][k] * target[pivot_rows[k]] for k in range(len(cols)))
-            for r in range(len(cols))
-        ]
-        for r in checks:
-            acc = sum(mat[c][r] * sol[c] for c in range(len(cols)))
-            if acc != target[r]:
+        target = [(index[e], c) for e, c in part.terms.items()]
+        for row in checks:
+            if sum(row[k] * v for k, v in target) != 0:
                 raise NotInImageError(f"no a-basis expression at weight {d}")
         terms = {}
-        for exps, c in zip(cols, sol):
+        for exps, row in zip(cols, left_inverse):
+            c = sum(row[k] * v for k, v in target)
             if c != 0:
                 if c.denominator != 1:
                     raise IntegralityError(
@@ -245,48 +237,33 @@ def _integer_coordinates(vec, basis):
     return out
 
 
-def _invert_fractions(m):
-    size = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(m)]
-    for c in range(size):
-        pr = next(r for r in range(c, size) if aug[r][c] != 0)
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(size):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[size:] for row in aug]
-
-
 def _solve_structure(columns, nrows):
     """Prepare exact solving of sum_c x_c columns[c] = target.
 
-    Returns (inverse of the pivot-row square submatrix, pivot row indices,
-    leftover rows to verify).  The columns must be linearly independent.
+    One Gauss-Jordan pass over [A | I], where A has the given columns:
+    the transform rows that end beside the pivots form a left inverse of
+    A, and those beside zero rows are functionals that vanish exactly on
+    the span of the columns.  Returns (left inverse, span checks).  The
+    columns must be linearly independent.
     """
     ncols = len(columns)
-    A = [[Fraction(columns[c][r]) for c in range(ncols)] for r in range(nrows)]
-    work = [row[:] for row in A]
-    pivot_rows = []
-    used = set()
+    aug = [
+        [Fraction(columns[c][r]) for c in range(ncols)]
+        + [Fraction(int(r == k)) for k in range(nrows)]
+        for r in range(nrows)
+    ]
     for c in range(ncols):
-        pr = next((r for r in range(nrows) if r not in used and work[r][c] != 0), None)
+        pr = next((r for r in range(c, nrows) if aug[r][c] != 0), None)
         if pr is None:
             raise NotInImageError("generator expansions are linearly dependent")
-        used.add(pr)
-        pivot_rows.append(pr)
-        inv = Fraction(1) / work[pr][c]
-        work[pr] = [x * inv for x in work[pr]]
+        aug[c], aug[pr] = aug[pr], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
         for r in range(nrows):
-            if r != pr and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [a - f * b for a, b in zip(work[r], work[pr])]
-    square = [[A[r][c] for c in range(ncols)] for r in pivot_rows]
-    inverse = _invert_fractions(square)
-    checks = [r for r in range(nrows) if r not in used]
-    return inverse, pivot_rows, checks
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [row[ncols:] for row in aug[:ncols]], [row[ncols:] for row in aug[ncols:]]
 
 
 def _hnf(rows):

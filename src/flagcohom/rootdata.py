@@ -79,11 +79,24 @@ def cartan_matrix(kind, rank):
     return tuple(tuple(row) for row in m)
 
 
+def _integer_matrix(cartan):
+    """The matrix as a tuple of int rows; anything else is a ValueError."""
+    if not isinstance(cartan, (list, tuple)) or not cartan:
+        raise ValueError("Cartan matrix must be a nonempty list of rows")
+    rows = []
+    for row in cartan:
+        if not isinstance(row, (list, tuple)) or len(row) != len(cartan):
+            raise ValueError("Cartan matrix must be square")
+        for v in row:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"Cartan entry {v!r} is not an integer")
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def _validate_cartan(cartan):
     n = len(cartan)
     for i, row in enumerate(cartan):
-        if len(row) != n:
-            raise ValueError("Cartan matrix must be square")
         if row[i] != 2:
             raise ValueError("Cartan matrix must have 2 on the diagonal")
         for j, v in enumerate(row):
@@ -148,7 +161,7 @@ class RootDatum:
     """Simply connected root datum of finite type."""
 
     def __init__(self, cartan, label=None):
-        cartan = tuple(tuple(int(v) for v in row) for row in cartan)
+        cartan = _integer_matrix(cartan)
         _validate_cartan(cartan)
         self.cartan = cartan
         self.rank = len(cartan)

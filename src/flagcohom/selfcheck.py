@@ -31,7 +31,7 @@ from .tseries import TruncatedSeries
 
 POINCARE_EXPONENTS = {
     "A1": (1,), "A2": (1, 2), "A3": (1, 2, 3), "B2": (1, 3), "C2": (1, 3),
-    "B3": (1, 3, 5), "C3": (1, 3, 5), "G2": (1, 5),
+    "B3": (1, 3, 5), "C3": (1, 3, 5), "G2": (1, 5), "D4": (1, 3, 3, 5),
 }
 
 
@@ -743,13 +743,13 @@ def check_decomposition_system(ctx):
         want = fgr.one() if word == () else fgr.zero()
         if not (val == want):
             return False, f"decomposition of u0 has r[{word}] = {val}"
-    w = fb.datum.element_of_word((1, 2))
-    x = fgr.delta_word((1, 2), td.u0)
-    r = fgr.decompose_over_invariants(x, td)
-    for word, val in r.items():
-        want = fgr.one() if word == (1, 2) else fgr.zero()
-        if not (val == want):
-            return False, "decomposition of delta_{12}(u0) is not the unit vector"
+    for w in ((1, 2), (2, 1)):
+        x = fgr.delta_word(w, td.u0)
+        r = fgr.decompose_over_invariants(x, td)
+        for word, val in r.items():
+            want = fgr.one() if word == w else fgr.zero()
+            if not (val == want):
+                return False, f"decomposition of delta_{w}(u0) is not the unit vector"
     return True, ""
 
 

@@ -26,6 +26,12 @@ def word_name(word):
     return "Z_" + "".join(str(i) for i in word) if word else "pt"
 
 
+def _pair_order(pair):
+    """Table order: longer total first, then longer factor, squares first."""
+    a, b = pair
+    return (-(len(a) + len(b)), -max(len(a), len(b)), a != b, a, b)
+
+
 def make_theory(spec, trunc):
     """Build the law for a theory spec: universal | chow | ktheory[:g] |
     connective[:g] | custom:FILE."""
@@ -134,16 +140,7 @@ class MultiplicationTable:
                 if len(a) + len(b) > N:
                     left, right = (b, a) if len(b) > len(a) else (a, b)
                     pairs.append((left, right))
-        def key(pair):
-            a, b = pair
-            return (
-                -(len(a) + len(b)),
-                -max(len(a), len(b)),
-                a != b,
-                a,
-                b,
-            )
-        return sorted(pairs, key=key)
+        return sorted(pairs, key=_pair_order)
 
     def every_pair(self):
         words = self._display_words()
@@ -152,10 +149,7 @@ class MultiplicationTable:
             for b in words[i:]:
                 left, right = (b, a) if (len(b), b) > (len(a), a) else (a, b)
                 out.append((left, right))
-        def key(pair):
-            a, b = pair
-            return (-(len(a) + len(b)), -max(len(a), len(b)), a != b, a, b)
-        return sorted(out, key=key)
+        return sorted(out, key=_pair_order)
 
     # -- entries ----------------------------------------------------------------
 

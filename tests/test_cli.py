@@ -76,7 +76,7 @@ def test_raw_basis_flag():
     assert " 1 + " not in out
 
 
-def test_bad_input_exit_code():
+def test_bad_input_exit_code(tmp_path):
     rc, _, err = run_cli(["table", "--type", "Q7"])
     assert rc == 1
     assert "error" in err
@@ -92,6 +92,14 @@ def test_bad_input_exit_code():
         rc, _, err = run_cli(args)
         assert rc == 1
         assert err.startswith("error: ")
+    for name, matrix in (("float", [[2, -1.5], [-1, 2]]), ("empty", [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(matrix))
+        for command in ("table", "torsion"):
+            rc, out, err = run_cli([command, "--cartan", str(path)])
+            assert rc == 1
+            assert out == ""
+            assert err.startswith("error: ")
 
 
 def test_insufficient_precision_exit_code():

@@ -9,6 +9,7 @@ from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing, torsion_bezout
 from flagcohom.rootdata import RootDatum
+from flagcohom.selfcheck import CheckContext, check_decomposition_system
 
 
 @pytest.fixture(scope="module")
@@ -137,32 +138,6 @@ def test_word_precision_guard(a2_small):
         a2_small.delta_word((1, 2), u)
 
 
-def test_independence_for_multiplicative_b2():
-    datum = RootDatum.build("B2")
-    law = FormalGroupLaw.multiplicative(7, "v")
-    fgr = FormalGroupRing(datum, law)
-    rng = random.Random(9)
-    for _ in range(8):
-        u = rand_elt(fgr, rng)
-        assert fgr.delta_word((1, 2, 1, 2), u) == fgr.delta_word((2, 1, 2, 1), u)
-
-
-def test_dependence_witness_universal_b2(b2_small):
-    x1 = b2_small.x_lambda_series((1, 0))
-    x2 = b2_small.x_lambda_series((0, 1))
-    probes = [
-        x1 * x2 * b2_small.x_lambda_series((1, 1)) * x1,
-        x1 * x1 * x2 * x2,
-    ]
-    assert any(
-        not (
-            b2_small.delta_word((1, 2, 1, 2), u)
-            == b2_small.delta_word((2, 1, 2, 1), u)
-        )
-        for u in probes
-    )
-
-
 def test_theta_empty_subset_is_weyl_action(a2_small):
     rng = random.Random(10)
     u = rand_elt(a2_small, rng)
@@ -257,17 +232,9 @@ def test_torsion_witness_evaluates_to_t(b2_small):
         assert val == td.t
 
 
-def test_decompose_over_invariants(a2_small):
-    td = a2_small.torsion_and_u0()
-    r = a2_small.decompose_over_invariants(td.u0, td)
-    for word, val in r.items():
-        want = a2_small.one() if word == () else a2_small.zero()
-        assert val == want
-    x = a2_small.delta_word((2, 1), td.u0)
-    r = a2_small.decompose_over_invariants(x, td)
-    for word, val in r.items():
-        want = a2_small.one() if word == (2, 1) else a2_small.zero()
-        assert val == want
+def test_decompose_over_invariants():
+    ok, detail = check_decomposition_system(CheckContext())
+    assert ok, detail
 
 
 def test_decompose_unit_additive_satisfies_system():

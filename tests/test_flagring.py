@@ -1,25 +1,27 @@
 """Basis classes, transition matrix, products, push-forward, operators."""
 
-from fractions import Fraction
-
 import pytest
 
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.flagring import FlagBasis
 from flagcohom.rootdata import RootDatum
-from flagcohom.selfcheck import CheckContext, check_eps_functionals
+from flagcohom.selfcheck import (
+    CheckContext,
+    check_eps_functionals,
+    check_table_ring_axioms,
+)
 
 
 def test_char_map_delta_variant_on_unit(a2_universal):
-    vec = a2_universal.char_map(a2_universal.fgr.one(), variant="D")
+    vec = a2_universal.eps_vector(a2_universal.fgr.one(), "D")
     for word, val in vec.items():
         want = a2_universal.ring.one() if word == () else a2_universal.ring.zero()
         assert val == want
 
 
 def test_char_map_delta_on_u0(a2_universal):
-    vec = a2_universal.char_map(a2_universal.torsion.u0, variant="D")
+    vec = a2_universal.eps_vector(a2_universal.torsion.u0, "D")
     w0 = a2_universal.w0.canonical_word
     for word, val in vec.items():
         want = a2_universal.ring.const(a2_universal.t) if word == w0 else a2_universal.ring.zero()
@@ -28,7 +30,7 @@ def test_char_map_delta_on_u0(a2_universal):
 
 def test_char_map_c_variant_on_unit(a2_universal):
     # coordinate at w is eps C_{I_w}(1), the kappa-product augmentation
-    vec = a2_universal.char_map(a2_universal.fgr.one(), variant="C")
+    vec = a2_universal.eps_vector(a2_universal.fgr.one(), "C")
     fgr = a2_universal.fgr
     for w in a2_universal.elements:
         direct = fgr.c_word(w.canonical_word, fgr.one()).constant_term()
@@ -37,13 +39,13 @@ def test_char_map_c_variant_on_unit(a2_universal):
 
 def test_char_map_augmentation_zero(a2_universal):
     u = a2_universal.fgr.x_lambda_series((1, 1))
-    vec = a2_universal.char_map(u, variant="D")
+    vec = a2_universal.eps_vector(u, "D")
     assert vec[()].is_zero()
 
 
 def test_char_map_precision(a2_universal):
     with pytest.raises(InsufficientPrecisionError):
-        a2_universal.char_map(a2_universal.fgr.one().restrict(1))
+        a2_universal.eps_vector(a2_universal.fgr.one().restrict(1), "C")
     short = a2_universal.fgr.one().restrict(a2_universal.N - 1)
     for variant in ("Cs", "C", "D"):
         with pytest.raises(InsufficientPrecisionError):
@@ -80,7 +82,7 @@ def test_bclass_other_reduced_word_unit_coefficient(b2_universal):
 
 
 def test_transition_diagonal_and_vanishing(b2_universal):
-    P, Pinv = b2_universal.transition_matrix()
+    P = b2_universal.transition_matrix()
     datum = b2_universal.datum
     N = b2_universal.N
     for v in b2_universal.elements:
@@ -94,14 +96,11 @@ def test_transition_diagonal_and_vanishing(b2_universal):
                     assert entry == b2_universal.ring.const(b2_universal.t)
                 else:
                     assert entry.is_zero()
-    # P_inv really inverts P
-    words = [w.canonical_word for w in b2_universal.elements]
-    for u in words:
-        for w in words:
-            acc = b2_universal.ring.zero()
-            for v in words:
-                acc = acc + Pinv[(u, v)] * P[(v, w)]
-            assert acc == (b2_universal.ring.one() if u == w else b2_universal.ring.zero())
+    # column w of P is c(t * b_w), so back substitution recovers b_w
+    for w in b2_universal.elements:
+        column = {v.canonical_word: P[(v.canonical_word, w.canonical_word)]
+                  for v in b2_universal.elements}
+        assert b2_universal.class_of(column, 1) == b2_universal.basis_class(w)
 
 
 def test_transition_additive_matches_oracle():
@@ -110,7 +109,7 @@ def test_transition_additive_matches_oracle():
     datum = RootDatum.build("A2")
     fb = FlagBasis(datum, FormalGroupLaw.additive(7))
     oracle = ChowOracle(datum)
-    P, _ = fb.transition_matrix()
+    P = fb.transition_matrix()
     words = [w.canonical_word for w in fb.elements]
     for i, v in enumerate(words):
         for j, w in enumerate(words):
@@ -144,23 +143,13 @@ def test_duality_shortcut_matches_algorithm(b2_universal):
     # Recompute length-sum-N products through the characteristic map and
     # compare with the duality rule the shortcut implements.
     fb = b2_universal
-    from fractions import Fraction
-
-    from flagcohom.coeffring import assert_integer
-
     for w1 in fb.elements:
         for w2 in fb.elements:
             if w1.length + w2.length != fb.N:
                 continue
             u = fb.c_of_u0(w1).restrict(fb.N) * fb.c_of_u0(w2).restrict(fb.N)
-            q = fb.eps_vector(u)
-            coords = fb.convert_a_to_b(q, integral=False)
-            coords = {
-                w: c.scale(Fraction(1, fb.t * fb.t)) for w, c in coords.items()
-            }
-            coords = {w: c for w, c in coords.items() if not c.is_zero()}
-            got = dict(coords)
-            want = fb.basis_product(w1, w2).coords
+            got = fb.class_of(fb.eps_vector(u), 2)
+            want = fb.basis_product(w1, w2)
             assert got == want, (w1.canonical_word, w2.canonical_word)
 
 
@@ -173,11 +162,9 @@ def test_product_commutes_and_associates(a2_universal):
     assert ((a * b) * c - a * (b * c)).is_zero()
 
 
-def test_unit_class_acts_as_identity(a2_universal):
-    unit = a2_universal.unit_class()
-    for w in a2_universal.elements:
-        cls = a2_universal.basis_class(w)
-        assert ((unit * cls) - cls).is_zero()
+def test_unit_class_acts_as_identity():
+    ok, detail = check_table_ring_axioms(CheckContext(seed=7))
+    assert ok, detail
 
 
 def test_pushforward_point_values(a2_universal):
@@ -186,15 +173,6 @@ def test_pushforward_point_values(a2_universal):
     datum = RootDatum.build("A2")
     fb = FlagBasis(datum, FormalGroupLaw.additive(7))
     assert fb.unit_class().pr().is_zero()
-
-
-def test_pairing_matrix_identity(a2_universal):
-    for v in a2_universal.elements:
-        a = a2_universal.dual_class(v)
-        for w in a2_universal.elements:
-            val = (a2_universal.basis_class(w) * a).pr()
-            want = a2_universal.ring.const(1 if v.matrix == w.matrix else 0)
-            assert val == want
 
 
 def test_a_operator_concatenation(a2_universal):

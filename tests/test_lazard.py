@@ -5,7 +5,7 @@ import random
 import pytest
 
 from flagcohom.errors import IntegralityError, NotInImageError
-from flagcohom.lazard import weighted_monomials
+from flagcohom.lazard import _solve_structure, weighted_monomials
 
 
 def test_a1_is_minus_two_m1(universal8, lazard6):
@@ -80,3 +80,17 @@ def test_a6_leading_term(lazard6):
 def test_weighted_monomials():
     assert weighted_monomials((1, 2), 4) == [(0, 2), (2, 1), (4, 0)]
     assert len(weighted_monomials((1, 2, 3, 4, 5, 6), 6)) == 11
+
+
+def test_solve_structure_left_inverse_and_span_checks():
+    # Universal weights give square systems, so the span checks are empty
+    # there; a tall system exercises them.
+    columns = [[1, 2, 0], [0, 3, 1]]
+    left_inverse, checks = _solve_structure(columns, 3)
+    for row, want in zip(left_inverse, ((1, 0), (0, 1))):
+        assert tuple(sum(r * col[k] for k, r in enumerate(row)) for col in columns) == want
+    assert len(checks) == 1 and any(checks[0])
+    assert all(sum(r * col[k] for k, r in enumerate(checks[0])) == 0 for col in columns)
+    assert sum(r * v for r, v in zip(checks[0], (0, 0, 1))) != 0
+    with pytest.raises(NotInImageError):
+        _solve_structure([[1, 2], [2, 4]], 2)

@@ -3,11 +3,7 @@
 import pytest
 
 from flagcohom.rootdata import RootDatum, cartan_matrix
-
-POINCARE_EXPONENTS = {
-    "A1": (1,), "A2": (1, 2), "A3": (1, 2, 3), "B2": (1, 3),
-    "B3": (1, 3, 5), "C3": (1, 3, 5), "G2": (1, 5), "D4": (1, 3, 3, 5),
-}
+from flagcohom.selfcheck import CheckContext, check_poincare, check_reduced_words
 
 
 def test_a2_constants():
@@ -58,28 +54,13 @@ def test_reflect():
 
 
 def test_words_multiply_to_elements():
-    for typ in ("A2", "B2", "G2"):
-        rd = RootDatum.build(typ)
-        for w in rd.weyl_elements():
-            for word in rd.reduced_words(w):
-                assert len(word) == w.length
-                assert rd.element_of_word(word).matrix == w.matrix
+    ok, detail = check_reduced_words(CheckContext())
+    assert ok, detail
 
 
 def test_poincare_polynomials():
-    for typ, exps in POINCARE_EXPONENTS.items():
-        rd = RootDatum.build(typ)
-        counts = {}
-        for w in rd.weyl_elements():
-            counts[w.length] = counts.get(w.length, 0) + 1
-        poly = {0: 1}
-        for e in exps:
-            new = {}
-            for k, c in poly.items():
-                for j in range(e + 1):
-                    new[k + j] = new.get(k + j, 0) + c
-            poly = new
-        assert counts == poly
+    ok, detail = check_poincare(CheckContext())
+    assert ok, detail
 
 
 def test_positive_root_count():
@@ -104,6 +85,9 @@ def test_invalid_cartan_rejected():
         RootDatum.from_cartan([[2, 1], [1, 2]])
     with pytest.raises(ValueError):
         RootDatum.from_cartan([[2, -1], [0, 2]])
+    for bad in ([], [[2, -1.5], [-1, 2]], 5):
+        with pytest.raises(ValueError):
+            RootDatum.from_cartan(bad)
 
 
 def test_named_types_exist():
