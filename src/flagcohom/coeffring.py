@@ -1,28 +1,98 @@
-"""Exact weighted-graded polynomial coefficient rings.
+"""Exact weighted-graded polynomial coefficient rings, and the monomial layout.
 
 A :class:`CoeffRing` is a polynomial ring over the rationals whose generators
 carry positive integer weights (``a1`` has weight 1, ``a2`` weight 2, ...).
-Polynomials are stored sparsely as exponent-tuple -> coefficient maps with
+Polynomials are stored sparsely as packed monomial -> coefficient maps with
 exact arithmetic: coefficients are Python ints whenever integral and
 ``fractions.Fraction`` otherwise.  All values are immutable after
 construction, so they are safe to share between threads.
+
+This module keeps the one monomial layout of the package.  A monomial
+y^e m^a of a series in n variables over k generators is one int of
+fixed-width fields: m-exponents lowest, then y-exponents, and the total
+y-degree |e| on top, so a monomial product is one integer addition and a
+degree is one shift.  A polynomial's keys are the same layout with no
+y-part, so the coefficient of y^e in a series (``tseries``) is the low part
+of its keys, unchanged.  Exponents above ``_CAP`` are refused when packed, and
+a field that overflows into its guard bit raises OverflowError rather than
+wrap.  :func:`convolve` is the one monomial product, for polynomials and
+series alike.  Exponent tuples appear only at the edges that print, parse or
+index by generator, through :meth:`CoeffRing.exponents` and the public
+``CoeffPoly(ring, {exponent tuple: scalar})`` constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 
 from .errors import IntegralityError, RingMismatchError, SpecializationError
 
 Scalar = "int | Fraction"
 
+_BITS = 16  # per field: 15 exponent bits under one guard bit
+_CAP = (1 << (_BITS - 1)) - 1
+_MASK = (1 << _BITS) - 1
 
-def _norm(value):
-    """Collapse integral Fractions to plain ints; keep everything exact."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
+
+class _Layout:
+    """Field offsets of the keys of series in ``n_vars`` y's over ``ngens`` generators."""
+
+    def __init__(self, ngens, n_vars):
+        self.ngens = ngens
+        self.n_vars = n_vars
+        self.m_bits = _BITS * ngens  # keys below 1 << m_bits have y-part 1
+        self.y_shift = [_BITS * (ngens + i) for i in range(n_vars)]
+        self.deg_shift = _BITS * (ngens + n_vars)
+        self.guard = sum(1 << (_BITS * f - 1) for f in range(1, ngens + n_vars + 1))
+        self.y_unit = [1 << s | 1 << self.deg_shift for s in self.y_shift]  # key of y_i
+
+    def pack(self, exps, y):
+        """Key of a y-monomial (with its degree) if ``y``, else of an m-monomial."""
+        exps = tuple(exps)
+        if len(exps) != (self.n_vars if y else self.ngens):
+            raise RingMismatchError(f"exponent {exps} has the wrong number of entries")
+        key = sum(exps) << self.deg_shift if y else 0
+        for i, k in enumerate(exps, self.ngens if y else 0):
+            if k < 0:
+                raise ValueError(f"negative exponent in {exps}")
+            if k > _CAP:
+                raise OverflowError(f"exponent {k} exceeds the packing cap {_CAP}")
+            key |= k << (_BITS * i)
+        return key
+
+    def unpack(self, key, y):
+        first, count = (self.ngens, self.n_vars) if y else (0, self.ngens)
+        return tuple((key >> (_BITS * i)) & _MASK for i in range(first, first + count))
+
+
+_layout = lru_cache(maxsize=None)(_Layout)
+
+
+def _fold(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def convolve(pairs, guard):
+    """Sum over ``pairs`` of the products of a left and a right term list.
+
+    Terms are (packed key, scalar); a monomial product is key addition.
+    Returns the nonzero sums, folded to ints where integral.  A sum whose
+    key reaches a ``guard`` bit raises OverflowError.
+    """
+    out = {}
+    get = out.get
+    for left, right in pairs:
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    out = {k: _fold(c) for k, c in out.items() if c}
+    if reduce(or_, out, 0) & guard:
+        raise OverflowError(f"a product exponent exceeds the packing cap {_CAP}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,67 +126,87 @@ class CoeffRing:
     def ngens(self):
         return len(self.generators)
 
+    @cached_property
+    def layout(self):
+        """The packed layout of this ring's monomials (no y-part)."""
+        return _layout(self.ngens, 0)
+
+    def exponents(self, key):
+        """The exponent tuple of a packed monomial."""
+        return self.layout.unpack(key, False)
+
     def zero(self):
-        return CoeffPoly(self, {})
+        return CoeffPoly._wrap(self, {})
 
     def one(self):
         return self.const(1)
 
     def const(self, value):
-        value = _norm(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
-        if value == 0:
-            return CoeffPoly(self, {})
-        return CoeffPoly(self, {(0,) * self.ngens: value})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        value = _fold(value)
+        return CoeffPoly._wrap(self, {0: value} if value else {})
 
     def gen(self, name):
         idx = self.names.index(name)
-        exps = [0] * self.ngens
-        exps[idx] = 1
-        return CoeffPoly(self, {tuple(exps): 1})
+        return self.monomial(tuple(int(i == idx) for i in range(self.ngens)))
 
     def monomial(self, exps, coeff=1):
-        coeff = _norm(coeff)
-        if coeff == 0:
-            return self.zero()
         return CoeffPoly(self, {tuple(exps): coeff})
 
-    def term_weight(self, exps):
-        w = 0
-        for e, gw in zip(exps, self.weights):
-            w += e * gw
-        return w
+    def dot(self, pairs):
+        """sum p * q over the polynomial pairs (p, q), as one convolution."""
+
+        def terms():
+            for p, q in pairs:
+                if not (p.ring is self is q.ring or p.ring == self == q.ring):
+                    raise RingMismatchError("polynomials from different rings")
+                yield p.terms.items(), q.terms.items()
+
+        return CoeffPoly._wrap(self, convolve(terms(), self.layout.guard))
+
+    def term_weight(self, key):
+        """Weighted degree of a packed monomial."""
+        return sum(e * w for e, w in zip(self.exponents(key), self.weights))
 
     def term_sort_key(self, exps):
         # Canonical order: ascending weighted degree, then descending
         # lexicographic comparison starting from the last generator.  This
         # prints e.g. "a4 + a1*a3 + 13*a2^2 + 15*a1^2*a2 + a1^4".
-        return (self.term_weight(exps), tuple(-e for e in reversed(exps)))
+        weight = sum(e * w for e, w in zip(exps, self.weights))
+        return (weight, tuple(-e for e in reversed(exps)))
+
+
+def _check_integral(ring, terms):
+    if not ring.rational_mode:
+        for c in terms.values():
+            if type(c) is Fraction:
+                raise IntegralityError(f"non-integer coefficient {c} in integral ring")
 
 
 class CoeffPoly:
-    """Sparse exact polynomial in a :class:`CoeffRing`.
+    """Sparse exact polynomial in a :class:`CoeffRing`: {packed monomial: scalar}.
 
     Never mutated after construction; zero coefficients are never stored.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms, _clean=True):
+    def __init__(self, ring, terms):
+        """Polynomial from {exponent tuple: scalar}; zero scalars are dropped."""
+        pack = ring.layout.pack
         self.ring = ring
-        if _clean:
-            cleaned = {}
-            for exps, c in terms.items():
-                c = _norm(c)
-                if c != 0:
-                    cleaned[exps] = c
-            terms = cleaned
-        if not ring.rational_mode:
-            for c in terms.values():
-                if isinstance(c, Fraction):
-                    raise IntegralityError(
-                        f"non-integer coefficient {c} in integral ring"
-                    )
-        self.terms = terms
+        self.terms = {pack(e, False): _fold(c) for e, c in terms.items() if c}
+        _check_integral(ring, self.terms)
+
+    @classmethod
+    def _wrap(cls, ring, terms):
+        """Wrap packed ``terms`` (nonzero, folded scalars); kernel use only."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        _check_integral(ring, terms)
+        return p
 
     # -- queries ---------------------------------------------------------
 
@@ -127,20 +217,20 @@ class CoeffPoly:
         return all(isinstance(c, int) for c in self.terms.values())
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.ngens, 0)
+        return self.terms.get(0, 0)
 
     def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(self.terms)  # the monomial 1 is the key 0
 
     def weight(self):
         """Weighted degree when homogeneous; raises otherwise."""
-        weights = {self.ring.term_weight(e) for e in self.terms}
+        weights = {self.ring.term_weight(k) for k in self.terms}
         if len(weights) > 1:
             raise ValueError(f"not homogeneous: weights {sorted(weights)}")
         return weights.pop() if weights else 0
 
     def is_homogeneous(self, weight=None):
-        weights = {self.ring.term_weight(e) for e in self.terms}
+        weights = {self.ring.term_weight(k) for k in self.terms}
         if not weights:
             return True
         if len(weights) > 1:
@@ -148,23 +238,22 @@ class CoeffPoly:
         return weight is None or weights == {weight}
 
     def max_weight(self):
-        return max((self.ring.term_weight(e) for e in self.terms), default=0)
+        return max((self.ring.term_weight(k) for k in self.terms), default=0)
 
     def homogeneous_part(self, weight):
-        return CoeffPoly(
+        return CoeffPoly._wrap(
             self.ring,
-            {e: c for e, c in self.terms.items() if self.ring.term_weight(e) == weight},
-            _clean=False,
+            {k: c for k, c in self.terms.items() if self.ring.term_weight(k) == weight},
         )
 
     def uses_generator(self, name):
         idx = self.ring.names.index(name)
-        return any(e[idx] for e in self.terms)
+        return any(self.ring.exponents(k)[idx] for k in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("polynomials from different rings")
 
     def __add__(self, other):
@@ -172,18 +261,18 @@ class CoeffPoly:
             other = self.ring.const(other)
         self._check(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        for k, c in other.terms.items():
+            s = terms.get(k, 0) + c
             if s == 0:
-                terms.pop(e, None)
+                terms.pop(k, None)
             else:
-                terms[e] = _norm(s)
-        return CoeffPoly(self.ring, terms, _clean=False)
+                terms[k] = _fold(s)
+        return CoeffPoly._wrap(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CoeffPoly(self.ring, {e: -c for e, c in self.terms.items()}, _clean=False)
+        return CoeffPoly._wrap(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -197,30 +286,18 @@ class CoeffPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        sterms = self.terms
-        oterms = other.terms
-        if len(sterms) > len(oterms):
-            sterms, oterms = oterms, sterms
-        for e1, c1 in sterms.items():
-            for e2, c2 in oterms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return CoeffPoly(self.ring, out)
+        pairs = [(self.terms.items(), other.terms.items())]
+        return CoeffPoly._wrap(self.ring, convolve(pairs, self.ring.layout.guard))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = _norm(c)
+        c = _fold(c)
         if c == 0:
             return self.ring.zero()
         if c == 1:
             return self
-        return CoeffPoly(self.ring, {e: _norm(v * c) for e, v in self.terms.items()}, _clean=False)
+        return CoeffPoly._wrap(self.ring, {k: _fold(v * c) for k, v in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
@@ -270,9 +347,9 @@ class CoeffPoly:
                 images[name] = target.const(v)
         names = self.ring.names
         result = target.zero()
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             term = target.const(c)
-            for name, e in zip(names, exps):
+            for name, e in zip(names, self.ring.exponents(key)):
                 if e == 0:
                     continue
                 if name not in images:
@@ -284,7 +361,10 @@ class CoeffPoly:
     # -- printing --------------------------------------------------------
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self.ring.term_sort_key(kv[0]))
+        """[(exponent tuple, scalar)] in the canonical printing order."""
+        exponents = self.ring.exponents
+        terms = [(exponents(k), c) for k, c in self.terms.items()]
+        return sorted(terms, key=lambda kv: self.ring.term_sort_key(kv[0]))
 
     def __str__(self):
         if not self.terms:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffring import CoeffRing
+from .coeffring import CoeffPoly, CoeffRing
 from .errors import AssociativityError, RingMismatchError
 from .tseries import TruncatedSeries
 
@@ -295,14 +295,12 @@ def ring_inclusion(src, dst):
 
     def func(p):
         terms = {}
-        for e, c in p.terms.items():
+        for key, c in p.terms.items():
             out = [0] * dst.ngens
-            for i, k in enumerate(e):
+            for i, k in enumerate(src.exponents(key)):
                 out[positions[i]] = k
             terms[tuple(out)] = c
-        from .coeffring import CoeffPoly
-
-        return CoeffPoly(dst, terms, _clean=False)
+        return CoeffPoly(dst, terms)
 
     return func
 

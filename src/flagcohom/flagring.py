@@ -102,12 +102,7 @@ class FlagBasis:
         out = {}
         for word, f in table.items():
             small, big = (f, coeffs) if len(f) < len(coeffs) else (coeffs, f)
-            acc = self.ring.zero()
-            for e, c in small.items():
-                d = big.get(e)
-                if d is not None:
-                    acc = acc + c * d
-            out[word] = acc
+            out[word] = self.ring.dot((c, big[e]) for e, c in small.items() if e in big)
         return out
 
     def _functionals(self, variant):
@@ -139,11 +134,8 @@ class FlagBasis:
                 got = {}
                 for d in range(len(word) + 1):
                     for e in monomials[d]:
-                        acc = self.ring.zero()
-                        for e2, c in column(word[-1], e).items():
-                            f = prev.get(e2)
-                            if f is not None:
-                                acc = acc + f * c
+                        col = column(word[-1], e)
+                        acc = self.ring.dot((prev[e2], c) for e2, c in col.items() if e2 in prev)
                         if not acc.is_zero():
                             got[e] = acc
                 memo[word] = got
@@ -173,8 +165,10 @@ class FlagBasis:
                 raise AssertionError("transition matrix diagonal is not t")
             if any(not P[(vr, words[c])].is_zero() for c in range(r)):
                 raise AssertionError("transition matrix is not triangular")
-            upper = [(c, P[(vr, words[c])]) for c in range(r + 1, len(words))]
-            rows.append((vr, [(c, p) for c, p in upper if not p.is_zero()]))
+            # The upper entries, kept divided by -t as class_of uses them.
+            scale = Fraction(-1, self.t)
+            upper = [(c, P[(vr, words[c])].scale(scale)) for c in range(r + 1, len(words))]
+            rows.append((vr, [(c, q) for c, q in upper if not q.is_zero()]))
         self._P, self._rows = P, rows
         return P
 
@@ -182,18 +176,19 @@ class FlagBasis:
         """The class with c(u) = t^k * class, from avec = eps_vector(u).
 
         Solves P x = avec by back substitution over the paired rows,
-        dividing only by t; c(u) = t * sum_w x_w b_w, so the class is
+        dividing only by t: x_r = (avec_r - sum_c P_rc x_c) / t, one
+        convolution per row.  c(u) = t * sum_w x_w b_w, so the class is
         t^(1-k) x.  Its coordinates must be integral in a rational ring.
         """
         self.transition_matrix()
+        inv_t = self.ring.const(Fraction(1, self.t))
         x = [None] * len(self.elements)
         for r in range(len(x) - 1, -1, -1):
             vr, upper = self._rows[r]
-            acc = avec.get(vr, self.ring.zero())
-            for c, p in upper:
-                if not x[c].is_zero():
-                    acc = acc - p * x[c]
-            x[r] = acc.scale(Fraction(1, self.t))
+            pairs = [(q, x[c]) for c, q in upper]
+            if vr in avec:
+                pairs.append((avec[vr], inv_t))
+            x[r] = self.ring.dot(pairs)
         factor = Fraction(self.t) ** (1 - k)
         coords = {}
         for w, c in zip(self.elements, x):
@@ -298,16 +293,25 @@ class FlagBasis:
         return self.class_of(self.eps_vector(u), 1)
 
     def _u_representative(self, cls):
-        """u with c(u) = t * cls, namely sum coords_w Cs_{I_w^rev}(u0)."""
-        acc = None
+        """u with c(u) = t * cls, namely sum coords_w Cs_{I_w^rev}(u0).
+
+        Cs_{I_w0^rev}(u0) is valid only to degree N, one short of what one
+        more operator needs, so the w0 coordinate goes through the unit
+        class instead: its representative is the constant t, and
+        b_w0 = unit - sum_{w != w0} unit_w b_w.
+        """
+        coords = dict(cls.coords)
+        top = coords.pop(self.w0.canonical_word, None)
+        acc = self.fgr.zero()
+        if top is not None:
+            acc = self.fgr.const(top.scale(self.t))
+            for w, c in self.unit_class().coords.items():
+                if w != self.w0.canonical_word:
+                    coords[w] = coords.get(w, self.ring.zero()) - top * c
         for w in self.elements:
-            c = cls.coords.get(w.canonical_word)
-            if c is None or c.is_zero():
-                continue
-            term = self.c_of_u0(w) * c
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return self.fgr.zero()
+            c = coords.get(w.canonical_word)
+            if c is not None and not c.is_zero():
+                acc = acc + self.c_of_u0(w) * c
         return acc
 
     # -- Landweber-Novikov ---------------------------------------------------------
@@ -357,7 +361,8 @@ class FlagBasis:
         nm = mring.ngens
         pieces = {}
         for e, p in img.coeffs.items():
-            for exps, c in p.terms.items():
+            for k, c in p.terms.items():
+                exps = ext.exponents(k)
                 texp = exps[nm:]
                 if sum(k * v for k, v in enumerate(texp, 1)) <= weight_bound:
                     pieces.setdefault(texp, {}).setdefault(e, {})[exps[:nm]] = c

@@ -105,8 +105,8 @@ class LazardBasis:
         monos = weighted_monomials(self.m_ring.weights, weight)
         index = {e: k for k, e in enumerate(monos)}
         vec = [0] * len(monos)
-        for e, c in poly.terms.items():
-            vec[index[e]] = c
+        for k, c in poly.terms.items():
+            vec[index[poly.ring.exponents(k)]] = c
         return vec, monos
 
     def _build_generator(self, d):
@@ -195,7 +195,7 @@ class LazardBasis:
     def _solve_weight(self, part, d):
         cols, monos, left_inverse, checks = self._solver(d)
         index = {e: k for k, e in enumerate(monos)}
-        target = [(index[e], c) for e, c in part.terms.items()]
+        target = [(index[part.ring.exponents(k)], c) for k, c in part.terms.items()]
         for row in checks:
             if sum(row[k] * v for k, v in target) != 0:
                 raise NotInImageError(f"no a-basis expression at weight {d}")
@@ -208,7 +208,7 @@ class LazardBasis:
                         f"a-basis coefficient {c} is not an integer at weight {d}"
                     )
                 terms[exps] = int(c)
-        return CoeffPoly(self.a_ring, terms, _clean=False)
+        return CoeffPoly(self.a_ring, terms)
 
     def from_a_basis(self, poly):
         """Substitute the m-expansions back (inverse of to_a_basis)."""

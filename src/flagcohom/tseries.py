@@ -14,72 +14,28 @@ valid degree (``restrict``) is also how callers cap the cost of a chain of
 operations to the precision actually needed downstream.
 
 A series is one flat sparse map from monomials y^e m^a to exact scalars
-(int, or Fraction when not integral).  A monomial is packed into one int of
-fixed-width fields: m-exponents lowest, then y-exponents, and the total
-y-degree |e| on top, so a monomial product is one integer addition and a
-degree is one shift.  Exponents above ``_CAP`` are refused when packed, and
-a field that overflows into its guard bit raises OverflowError rather than
-wrap.  Only this module knows the layout; :class:`CoeffPoly` stays the
-coefficient algebra, reached through ``from_terms``, ``const``, ``scale``,
-``coefficient``, ``map_coefficients`` and the ``coeffs`` view.
+(int, or Fraction when not integral), keyed by the packed monomials of
+``coeffring``'s layout.  The coefficient of y^e is the set of keys with that
+y-part, and their low (m-) part is the :class:`CoeffPoly` key as it is: no
+coefficient is unpacked or repacked on its way in or out, through
+``from_terms``, ``const``, ``scale``, ``coefficient``, ``constant_term`` and
+the ``coeffs`` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import or_
 
-from .coeffring import CoeffPoly
+from .coeffring import _CAP, _MASK, CoeffPoly, _fold, _layout, convolve
 from .errors import (
     DegreeValidityError,
     DivisionError,
     IntegralityError,
     RingMismatchError,
 )
-
-_BITS = 16  # per field: 15 exponent bits under one guard bit
-_CAP = (1 << (_BITS - 1)) - 1
-_MASK = (1 << _BITS) - 1
-
-
-class _Layout:
-    """Field offsets of the keys of series in ``n_vars`` y's over ``ngens`` generators."""
-
-    def __init__(self, ngens, n_vars):
-        self.ngens = ngens
-        self.n_vars = n_vars
-        self.m_bits = _BITS * ngens  # keys below 1 << m_bits have y-part 1
-        self.y_shift = [_BITS * (ngens + i) for i in range(n_vars)]
-        self.deg_shift = _BITS * (ngens + n_vars)
-        self.guard = sum(1 << (_BITS * f - 1) for f in range(1, ngens + n_vars + 1))
-        self.y_unit = [1 << s | 1 << self.deg_shift for s in self.y_shift]  # key of y_i
-
-    def pack(self, exps, y):
-        """Key of a y-monomial (with its degree) if ``y``, else of an m-monomial."""
-        exps = tuple(exps)
-        if len(exps) != (self.n_vars if y else self.ngens):
-            raise RingMismatchError(f"exponent {exps} has the wrong number of entries")
-        key = sum(exps) << self.deg_shift if y else 0
-        for i, k in enumerate(exps, self.ngens if y else 0):
-            if k < 0:
-                raise ValueError(f"negative exponent in {exps}")
-            if k > _CAP:
-                raise OverflowError(f"exponent {k} exceeds the packing cap {_CAP}")
-            key |= k << (_BITS * i)
-        return key
-
-    def unpack(self, key, y):
-        first, count = (self.ngens, self.n_vars) if y else (0, self.ngens)
-        return tuple((key >> (_BITS * i)) & _MASK for i in range(first, first + count))
-
-
-_layout = lru_cache(maxsize=None)(_Layout)
-
-
-def _fold(c):
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 class TruncatedSeries:
@@ -144,9 +100,8 @@ class TruncatedSeries:
             elif p.ring != ring:
                 raise RingMismatchError("coefficient from a different ring")
             if y >> lay.deg_shift <= s.valid_degree:
-                for a, c in p.terms.items():
-                    if c:
-                        s._terms[y | lay.pack(a, False)] = _fold(c)
+                for k, c in p.terms.items():
+                    s._terms[y | k] = c
         return s
 
     # -- queries -----------------------------------------------------------
@@ -156,11 +111,6 @@ class TruncatedSeries:
         top = y + (1 << self._lay.m_bits)
         return {k - y: c for k, c in self._terms.items() if y <= k < top}
 
-    def _poly(self, part):
-        return CoeffPoly(
-            self.ring, {self._lay.unpack(k, False): c for k, c in part.items()}, _clean=False
-        )
-
     def coefficient(self, exps):
         y = self._lay.pack(exps, True)
         d = y >> self._lay.deg_shift
@@ -168,10 +118,10 @@ class TruncatedSeries:
             raise DegreeValidityError(
                 f"read of degree {d} above valid degree {self.valid_degree}"
             )
-        return self._poly(self._part(y))
+        return CoeffPoly._wrap(self.ring, self._part(y))
 
     def constant_term(self):
-        return self._poly(self._part(0))
+        return CoeffPoly._wrap(self.ring, self._part(0))
 
     def is_zero(self):
         return not self._terms
@@ -183,7 +133,8 @@ class TruncatedSeries:
         groups = {}
         for k, c in self._terms.items():
             groups.setdefault(k & ~low, {})[k & low] = c
-        return {self._lay.unpack(y, True): self._poly(t) for y, t in groups.items()}
+        wrap = CoeffPoly._wrap
+        return {self._lay.unpack(y, True): wrap(self.ring, t) for y, t in groups.items()}
 
     def _shape_check(self, other):
         if self.ring != other.ring or self.n_vars != other.n_vars or self.trunc != other.trunc:
@@ -282,18 +233,8 @@ class TruncatedSeries:
         for terms in b:
             flat += terms
             ends.append(len(flat))
-        out = {}
-        get = out.get
-        for d, terms in enumerate(a):
-            upto = flat[: ends[v - d]]
-            for k1, c1 in terms:
-                for k2, c2 in upto:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        out = {k: _fold(c) for k, c in out.items() if c}
-        if reduce(or_, out, 0) & self._lay.guard:
-            raise OverflowError(f"a product exponent exceeds the packing cap {_CAP}")
-        return self._like(out, v)
+        pairs = ((terms, flat[: ends[v - d]]) for d, terms in enumerate(a) if terms)
+        return self._like(convolve(pairs, self._lay.guard), v)
 
     __rmul__ = __mul__
 

@@ -1,9 +1,9 @@
 """Exact polynomial coefficient rings."""
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcohom.coeffring import CoeffPoly, CoeffRing
 from flagcohom.errors import IntegralityError, RingMismatchError, SpecializationError
@@ -35,6 +35,8 @@ def test_ring_mismatch(aring):
     other = CoeffRing((("b", 1),), True)
     with pytest.raises(RingMismatchError):
         aring.gen("a1") + other.gen("b")
+    with pytest.raises(RingMismatchError):
+        aring.dot([(aring.gen("a1"), other.gen("b"))])
 
 
 def test_canonical_string(aring):
@@ -72,38 +74,63 @@ def test_specialize_missing_generator(aring):
         aring.gen("a3").specialize({"a1": 1})
 
 
-def test_specialize_is_morphism(aring):
-    rng = random.Random(11)
+# -- properties on drawn polynomials --------------------------------------------
 
-    def rand():
-        terms = {}
-        for _ in range(4):
-            e = [0] * aring.ngens
-            e[rng.randrange(3)] = rng.randint(0, 2)
-            terms[tuple(e)] = rng.randint(-3, 3)
-        return CoeffPoly(aring, terms)
-
-    assign = {f"a{i}": Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for i in range(1, 7)}
-    for _ in range(25):
-        p, q = rand(), rand()
-        assert (p * q).specialize(assign) == p.specialize(assign) * q.specialize(assign)
+PROPERTY = settings(max_examples=60, deadline=None)
+RING = CoeffRing((("a1", 1), ("a2", 2), ("a3", 3)), rational_mode=True)
+TARGET = CoeffRing((("v", 1),), rational_mode=True)
+SCALARS = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
 
 
-def test_ring_axioms_random(aring):
-    rng = random.Random(5)
+def polys(ring):
+    exps = st.tuples(*[st.integers(0, 3)] * ring.ngens)
+    return st.dictionaries(exps, SCALARS, max_size=5).map(lambda t: CoeffPoly(ring, t))
 
-    def rand():
-        terms = {}
-        for _ in range(4):
-            e = [rng.randint(0, 2) for _ in range(aring.ngens)]
-            terms[tuple(e)] = rng.randint(-5, 5)
-        return CoeffPoly(aring, terms)
 
-    for _ in range(30):
-        p, q, r = rand(), rand(), rand()
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
-        assert p * q == q * p
+def naive_product(p, q):
+    """The exponent-tuple convolution, read through the printing edge."""
+    out = {}
+    for e1, c1 in p.sorted_terms():
+        for e2, c2 in q.sorted_terms():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return CoeffPoly(p.ring, out)
+
+
+@PROPERTY
+@given(polys(RING), polys(RING), polys(RING))
+def test_ring_axioms_random(p, q, r):
+    assert p * q == naive_product(p, q)
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert (p - p).is_zero()
+
+
+@PROPERTY
+@given(polys(RING), polys(RING), polys(RING))
+def test_dot_sums_products(p, q, r):
+    assert RING.dot([(p, q), (q, r)]) == p * q + q * r
+    assert RING.dot([]) == RING.zero()
+
+
+@PROPERTY
+@given(
+    polys(RING),
+    polys(RING),
+    st.fixed_dictionaries(
+        {name: st.one_of(SCALARS, polys(TARGET)) for name in RING.names}
+    ),
+)
+def test_specialize_is_morphism(p, q, assign):
+    def spec(f):
+        return f.specialize(assign, TARGET)
+
+    assert spec(p * q) == spec(p) * spec(q)
+    assert spec(p + q) == spec(p) + spec(q)
+    assert spec(RING.one()) == TARGET.one()
 
 
 def test_integral_mode_rejects_fractions():

@@ -226,3 +226,29 @@ def test_homogeneity_of_products(b2_universal):
     N = b2_universal.N
     prod = b2_universal.basis_product(W[(1, 2, 1)], W[(2, 1, 2)])
     assert prod.codim_weights_ok((N - 3) + (N - 3))
+
+
+@pytest.mark.parametrize("name", ["a2_universal", "b2_universal"])
+def test_operators_on_top_class_at_default_truncation(name, request):
+    # At truncation 2N + 1 the top coordinate goes through the unit class.  At
+    # 2N + 3, sum_w coords_w Cs_{I_w^rev}(u0) is valid to degree N + 2, enough
+    # for one more operator and the characteristic map, so it is the reference.
+    fb = request.getfixturevalue(name)
+    wide = FlagBasis(fb.datum, FormalGroupLaw.universal(2 * fb.N + 3))
+
+    def direct(op, i, cls):
+        u = wide.fgr.zero()
+        for w in wide.elements:
+            if w.canonical_word in cls.coords:
+                u = u + wide.c_of_u0(w) * cls.coords[w.canonical_word]
+        u = {"a_operator": wide.cs, "b_operator": wide.fgr.delta}[op](i, u)
+        return wide.class_of(wide.eps_vector(u), 1)
+
+    def text(cls):
+        return {w: str(c) for w, c in cls.coords.items()}
+
+    for make in (lambda b: b.basis_class(b.w0), lambda b: b.unit_class()):
+        for i in range(1, fb.datum.rank + 1):
+            for op in ("a_operator", "b_operator"):
+                got = getattr(fb, op)(i, make(fb))
+                assert text(got) == text(direct(op, i, make(wide)))

@@ -74,7 +74,7 @@ def test_a6_leading_term(lazard6):
     a6 = lazard6.expansions["a6"]
     m6_index = lazard6.m_ring.names.index("m6")
     e = tuple(1 if k == m6_index else 0 for k in range(lazard6.m_ring.ngens))
-    assert abs(a6.terms[e]) == 7
+    assert abs(dict(a6.sorted_terms())[e]) == 7
 
 
 def test_weighted_monomials():

@@ -74,7 +74,7 @@ def _aparse(text):
     from flagcohom.coeffring import CoeffRing
 
     ring = CoeffRing(tuple((n, i + 1) for i, n in enumerate(ring_names)), True)
-    return list(parse_poly(ring, text).terms.items())
+    return parse_poly(ring, text).sorted_terms()
 
 
 def test_connective_table_substitutes_a1(b2):

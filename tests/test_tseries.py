@@ -286,9 +286,11 @@ def test_exponent_cap():
     assert not TruncatedSeries.const(RB, 1, 4, RB.monomial((_CAP,))).is_zero()
     with pytest.raises(OverflowError):
         TruncatedSeries.const(RB, 1, 4, RB.monomial((2**20,)))
-    half = TruncatedSeries.const(RB, 1, 4, RB.monomial((_CAP // 2 + 1,)))
+    half = RB.monomial((_CAP // 2 + 1,))
     with pytest.raises(OverflowError):
         half * half
+    with pytest.raises(OverflowError):
+        TruncatedSeries.const(RB, 1, 4, half) * TruncatedSeries.const(RB, 1, 4, half)
     # A quotient term beta^(CAP - 1) * y pushes beta^CAP * y^2, then beta^(CAP + 1) * y^3.
     y = TruncatedSeries.variable(RB, 1, 4, 0)
     den = y + (y * y).scale(RB.gen("beta"))
