@@ -8,7 +8,6 @@ from flagcohom.bott import BSRing, bs_presentation, bs_pushforward, theta_coeffi
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
 from flagcohom.rootdata import RootDatum
-from flagcohom.selfcheck import CheckContext, check_bs_properties
 
 
 @pytest.fixture(scope="module")
@@ -81,17 +80,28 @@ def test_cc_in_xi_empty_word(a2_univ):
     assert coords == {(): u.constant_term()}
 
 
-def test_bs_properties_check():
-    # Tower characteristic map multiplicative, tangent unit coefficient 1 and
-    # the push-forward of u0 along both reduced words of w0 in A2.
-    ok, detail = check_bs_properties(CheckContext(seed=1))
-    assert ok, detail
+def test_characteristic_map_is_ring_morphism(a2_univ):
+    ring = BSRing(a2_univ, (1, 2, 1))
+    rng = random.Random(1)
+    for _ in range(5):
+        u, v = rand_elt(a2_univ, rng), rand_elt(a2_univ, rng)
+        assert ring.characteristic_class(u * v) == (
+            ring.characteristic_class(u) * ring.characteristic_class(v)
+        )
 
 
 def test_pushforward_empty_word(a2_univ):
     rng = random.Random(2)
     u = rand_elt(a2_univ, rng)
     assert bs_pushforward(a2_univ, (), u) == u.constant_term()
+
+
+def test_pushforward_u0_reduced_words(a2_universal):
+    fgr = a2_universal.fgr
+    u0 = a2_universal.torsion.u0
+    N, t = a2_universal.N, a2_universal.t
+    for word in ((1, 2, 1), (2, 1, 2)):
+        assert bs_pushforward(fgr, word, u0) == fgr.ring.const((-1) ** N * t)
 
 
 def test_pushforward_reversal_symmetry_b2(b2_universal):
