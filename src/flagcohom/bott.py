@@ -20,7 +20,9 @@ from .errors import InsufficientPrecisionError, RingMismatchError
 
 def theta_coefficients(fgr, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    return {K: v.constant_term() for K, v in fgr.theta(word, u)}
+    # s_i keeps I^d and delta takes I^d into I^(d-1), so eps Theta_K(u)
+    # reads only the terms of u of degree <= |K| <= len(word).
+    return {K: v.constant_term() for K, v in fgr.theta(word, u.restrict(len(word)))}
 
 
 def bs_pushforward(fgr, word, u):
@@ -100,11 +102,14 @@ class BSRingElement:
         )
 
     def __mul__(self, other):
-        acc = self.ring.zero()
+        pairs = {}
         for K, c in self.coords.items():
             for L, d in other.coords.items():
-                acc = acc + self.ring.monomial_product(K, L).scale(c * d)
-        return acc
+                cd = c * d
+                for M, r in self.ring.monomial_product(K, L).coords.items():
+                    pairs.setdefault(M, []).append((cd, r))
+        dot = self.ring.coeff_ring.dot
+        return BSRingElement(self.ring, {M: dot(p) for M, p in pairs.items()})
 
     def __eq__(self, other):
         return (

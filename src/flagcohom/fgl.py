@@ -13,6 +13,10 @@ given by explicit coefficients (``from_coefficients``, which also builds
 the multiplicative and connective laws) can fail them, so only it is
 validated against unit, commutativity, associativity and its inverse on
 construction.  ``selfcheck.check_fgl_axioms`` validates every constructor.
+
+The laws that carry a logarithm also keep its exponential, and form
+c_1 x_1 +F ... +F c_n x_n in log coordinates (``combination``); a law given
+by coefficients substitutes formal multiples into the n-fold sum instead.
 """
 
 from __future__ import annotations
@@ -54,20 +58,23 @@ class FormalGroupLaw:
 
     Fields: ``F`` the 2-variable sum series, ``inverse`` the 1-variable
     formal inverse with F(x, inverse(x)) = 0, ``log`` the logarithm when the
-    backend has one, and ``tag`` naming the backend.
+    backend has one with ``exp`` its compositional inverse, and ``tag``
+    naming the backend.
     """
 
-    def __init__(self, ring, trunc, F, inverse, tag, log=None, a_table=None):
+    def __init__(self, ring, trunc, F, inverse, tag, log=None, exp=None, a_table=None):
         self.ring = ring
         self.trunc = trunc
         self.F = F
         self.inverse = inverse
         self.tag = tag
         self.log = log
+        self.exp = exp
         self.a_table = a_table
         self._mult = {}
         self._nary = {}
         self._kappa = None
+        self._log_kappa = None
 
     # -- constructors -------------------------------------------------------
 
@@ -99,7 +106,9 @@ class FormalGroupLaw:
         logy = embed(log, 2, [1])
         F = exp.substitute([logx + logy])
         inverse = exp.substitute([-log])
-        return FormalGroupLaw(ring, trunc, F, inverse, tag, log=log, a_table=F.coeffs)
+        return FormalGroupLaw(
+            ring, trunc, F, inverse, tag, log=log, exp=exp, a_table=F.coeffs
+        )
 
     @staticmethod
     def additive(trunc, ring=None):
@@ -108,7 +117,7 @@ class FormalGroupLaw:
         y = TruncatedSeries.variable(ring, 2, trunc, 1)
         inv = -TruncatedSeries.variable(ring, 1, trunc, 0)
         logx = TruncatedSeries.variable(ring, 1, trunc, 0)
-        return FormalGroupLaw(ring, trunc, x + y, inv, "additive", log=logx)
+        return FormalGroupLaw(ring, trunc, x + y, inv, "additive", log=logx, exp=logx)
 
     @staticmethod
     def multiplicative(trunc, name="beta"):
@@ -233,6 +242,42 @@ class FormalGroupLaw:
         self._nary[n] = s
         return s
 
+    def combination(self, coeffs, xs):
+        """c_1 .F x_1 +F ... +F c_n .F x_n for integers c_i and series x_i.
+
+        A law with a logarithm sums in log coordinates: the result is
+        exp(c_1 log x_1 + ... + c_n log x_n), one substitution into the
+        1-variable exp, and for the universal law the inner sum has
+        single-monomial coefficients.  A law given by coefficients has no log
+        free of 1/k denominators, so it substitutes the formal multiples into
+        ``nary_sum``.  A term with c_i = 0 is dropped in both routes, so the
+        validity of its x_i does not bound the result's.
+        """
+        if self.log is None:
+            images = [self.multiple(c, x) for c, x in zip(coeffs, xs)]
+            return self.nary_sum(len(images)).substitute(images)
+        return self.exp.substitute([self.log_combination(coeffs, xs)])
+
+    def log_combination(self, coeffs, xs):
+        """c_1 log x_1 + ... + c_n log x_n over the terms with c_i != 0."""
+        acc = TruncatedSeries.zero(self.ring, xs[0].n_vars, xs[0].trunc)
+        for c, x in zip(coeffs, xs):
+            if c:
+                acc = acc + self.log.substitute([x]).scale(c)
+        return acc
+
+    def log_kappa(self):
+        """k(t) = g(exp t, exp(-t)) for the kappa series g; cached, needs a log.
+
+        x = exp(L) has formal inverse exp(-L), so g(x, inverse(x)) = k(L);
+        k = (exp t + exp(-t)) / (exp t * exp(-t)) is one 1-variable quotient.
+        """
+        if self._log_kappa is None:
+            t = TruncatedSeries.variable(self.ring, 1, self.trunc, 0)
+            e, e_neg = self.exp, self.exp.substitute([-t])
+            self._log_kappa = (e + e_neg).exact_divide(e).exact_divide(e_neg)
+        return self._log_kappa
+
     def kappa(self):
         """g with x +F y = x + y - x*y*g(x, y); cached."""
         if self._kappa is None:
@@ -262,15 +307,19 @@ class FormalGroupLaw:
         ly = embed(lam_inv, 2, [1])
         F2 = lam.substitute([F.substitute([lx, ly])])
         inv2 = lam.substitute([inverse.substitute([lam_inv])])
-        log2 = None
+        log2 = exp2 = None
         if self.log is not None:
             log2 = self.log.map_coefficients(incl, target).substitute([lam_inv])
-        return FormalGroupLaw(target, self.trunc, F2, inv2, "twisted", log=log2)
+            exp2 = lam.substitute([self.exp.map_coefficients(incl, target)])
+        return FormalGroupLaw(target, self.trunc, F2, inv2, "twisted", log=log2, exp=exp2)
 
     def specialize(self, assignment, target_ring):
         """Push the law through a coefficient specialization."""
         func = lambda p: p.specialize(assignment, target_ring)
-        log = self.log.map_coefficients(func, target_ring) if self.log is not None else None
+        log = exp = None
+        if self.log is not None:
+            log = self.log.map_coefficients(func, target_ring)
+            exp = self.exp.map_coefficients(func, target_ring)
         return FormalGroupLaw(
             target_ring,
             self.trunc,
@@ -278,6 +327,7 @@ class FormalGroupLaw:
             self.inverse.map_coefficients(func, target_ring),
             "specialized",
             log=log,
+            exp=exp,
         )
 
     def __repr__(self):

@@ -2,16 +2,20 @@
 
 Elements are plain TruncatedSeries in R[[y_1..y_n]], with the law's ring
 and truncation, where y_i is the class of the i-th fundamental weight;
-every method takes and returns them.  x_lambda for an arbitrary weight is
-assembled with the formal group law, the Weyl group acts by substitution,
-and the two first-order operators are
+every method takes and returns them.  x_lambda for lambda = sum c_i omega_i
+is c_1 y_1 +F ... +F c_n y_n, built by the law's ``combination`` (in log
+coordinates when the law has a logarithm), the Weyl group acts by
+substitution, and the two first-order operators are
 
     delta_i(u) = (u - s_i(u)) / x_{alpha_i}
     cc_i(u)    = u * kappa_i - delta_i(u),   kappa_i = g(x_alpha, x_{-alpha})
 
 where g is the law's kappa series.  kappa is computed by the quotient
 identity kappa_alpha = (x_alpha + x_{-alpha}) / (x_alpha x_{-alpha}), which
-x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.  Apart from
+x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.  When the
+law has a logarithm, x_{+-alpha} = exp(+-L) for the log coordinate L of
+alpha, so the quotient is taken once in one variable, k(t) = g(exp t,
+exp(-t)), and kappa_alpha = k(L) is one substitution.  Apart from
 x_lambda values and kappa elements (cached, immutable after fill) every
 operation is pure, so shared instances are safe under concurrent reads;
 cache insertions are idempotent.
@@ -50,6 +54,7 @@ class FormalGroupRing:
         self.ring = law.ring
         self.trunc = law.trunc
         self.n = datum.rank
+        self._variables = [self.variable(i) for i in range(self.n)]
         self._x_lambda = {}
         self._kappa = {}
         self._s_powers = {}
@@ -80,11 +85,7 @@ class FormalGroupRing:
         cached = self._x_lambda.get(lam)
         if cached is not None:
             return cached
-        images = [self.law.multiple(c, self.variable(i)) for i, c in enumerate(lam)]
-        if self.n == 1:
-            series = images[0]
-        else:
-            series = self.law.nary_sum(self.n).substitute(images)
+        series = self.law.combination(lam, self._variables)
         self._x_lambda[lam] = series
         return series
 
@@ -168,6 +169,10 @@ class FormalGroupRing:
         return cached
 
     def _kappa_for_root(self, root):
+        if self.law.log is not None:
+            # x_{+-alpha} = exp(+-L) in the log coordinate L of alpha
+            L = self.law.log_combination(root, self._variables)
+            return self.law.log_kappa().substitute([L])
         xp = self.x_lambda_series(root)
         xm = self.x_lambda_series(tuple(-c for c in root))
         return (xp + xm).exact_divide(xp).exact_divide(xm)

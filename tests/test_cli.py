@@ -3,9 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import flagcohom
 from flagcohom.cli import main
 from flagcohom.schema import validate
 
@@ -22,6 +26,17 @@ def test_torsion_values():
         rc, out, err = run_cli(["torsion", "--type", typ])
         assert rc == 0
         assert out.strip() == want
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flagcohom.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagcohom", "torsion", "--type", "B3"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
 
 
 def test_table_a2_chow_text():

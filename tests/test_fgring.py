@@ -1,15 +1,21 @@
 """The formal group ring: x_lambda, Weyl action, difference operators, torsion."""
 
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flagcohom.bott import theta_coefficients
+from flagcohom.coeffring import CoeffRing
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing, torsion_bezout
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import CheckContext, check_decomposition_system
+from flagcohom.tseries import TruncatedSeries
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +51,65 @@ def test_x_lambda_additive_linear():
     assert got == want
 
 
-def test_x_lambda_sum_relation(a2_small):
-    rng = random.Random(1)
-    for _ in range(6):
-        lam = (rng.randint(-2, 2), rng.randint(-2, 2))
-        mu = (rng.randint(-2, 2), rng.randint(-2, 2))
-        total = tuple(a + b for a, b in zip(lam, mu))
-        lhs = a2_small.x_lambda_series(total)
-        rhs = a2_small.law.formal_sum(
-            a2_small.x_lambda_series(lam), a2_small.x_lambda_series(mu)
-        )
-        assert lhs == rhs
+def _rational_from_log(trunc):
+    return FormalGroupLaw.from_log(
+        CoeffRing((), True), trunc, [Fraction(1, 2), Fraction(-2, 3), 3]
+    )
+
+
+def _twisted_from_log(trunc):
+    t1 = CoeffRing((("t1", 1),), True)
+    x = TruncatedSeries.variable(t1, 1, trunc, 0)
+    return _rational_from_log(trunc).twist(x + (x * x).scale(t1.gen("t1")))
+
+
+LAWS = {
+    "additive": FormalGroupLaw.additive,
+    "universal": FormalGroupLaw.universal,
+    "multiplicative": FormalGroupLaw.multiplicative,
+    "connective": FormalGroupLaw.connective,
+    "from_log": _rational_from_log,
+    "twist": _twisted_from_log,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def sum_ring(law, typ):
+    return FormalGroupRing(RootDatum.build(typ), LAWS[law](5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["universal", "multiplicative", "connective", "from_log", "twist"]),
+    st.sampled_from(["A2", "G2", "A3"]),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+)
+def test_x_lambda_sum_relation(law, typ, entries):
+    # The law's F is an oracle that the log route never uses.
+    fgr = sum_ring(law, typ)
+    n = fgr.n
+    lam, mu = tuple(entries[:n]), tuple(entries[3 : 3 + n])
+    total = tuple(a + b for a, b in zip(lam, mu))
+    lhs = fgr.x_lambda_series(total)
+    rhs = fgr.law.formal_sum(fgr.x_lambda_series(lam), fgr.x_lambda_series(mu))
+    assert lhs == rhs and lhs.valid_degree == rhs.valid_degree
+    for i in range(n):
+        omega = fgr.x_lambda_series(fgr.datum.fundamental_weight(i))
+        assert omega == fgr.variable(i) and omega.valid_degree == fgr.trunc
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2", "A3"])
+def test_x_lambda_log_route_matches_substitution(typ):
+    datum = RootDatum.build(typ)
+    law = FormalGroupLaw.universal(7)
+    fgr = FormalGroupRing(datum, law)
+    weights = [r for r, _ in datum.all_roots()]
+    weights += [datum.reflect(i, datum.fundamental_weight(i)) for i in range(fgr.n)]
+    for lam in weights:
+        images = [law.multiple(c, fgr.variable(i)) for i, c in enumerate(lam)]
+        want = law.nary_sum(fgr.n).substitute(images)
+        got = fgr.x_lambda_series(lam)
+        assert got == want and got.valid_degree == want.valid_degree
 
 
 def test_weyl_identity_action(a2_small):
@@ -196,11 +250,30 @@ def test_theta_family_matches_definition(fgr_name, request, monkeypatch):
         assert got.valid_degree == want.valid_degree
 
 
+@pytest.mark.parametrize("fgr_name", ["a2_small", "b2_small"])
+def test_theta_coefficients_read_degrees_up_to_word_length(fgr_name, request):
+    fgr = request.getfixturevalue(fgr_name)
+    word = (1, 2, 1)
+    high = {(2, 2): 1, (1, 3): -2, (4, 1): 3, (0, 5): 1, (3, 3): -1}
+    u = rand_elt(fgr, random.Random(13)) + fgr.from_monomials(high)
+    assert any(sum(e) > len(word) for e in u.coeffs)
+    got = theta_coefficients(fgr, word, u)
+    assert len(got) == 2 ** len(word)
+    for K, value in got.items():
+        want = u
+        for j in range(len(word), 0, -1):
+            op = fgr.delta_neg if j in K else fgr.s_act
+            want = op(word[j - 1], want)
+        assert value == want.constant_term()
+
+
 @pytest.mark.parametrize("typ", ["A2", "B2", "G2"])
-@pytest.mark.parametrize("law", ["additive", "multiplicative", "universal"])
+@pytest.mark.parametrize(
+    "law", ["additive", "multiplicative", "universal", "from_log", "twist"]
+)
 def test_kappa_quotient_identity_matches_substitution(typ, law):
     datum = RootDatum.build(typ)
-    fgr = FormalGroupRing(datum, getattr(FormalGroupLaw, law)(7))
+    fgr = FormalGroupRing(datum, LAWS[law](7))
 
     def substituted(root):
         xs = [fgr.x_lambda_series(r) for r in (root, tuple(-c for c in root))]
