@@ -9,6 +9,27 @@ to the relations
 where Theta_K composes delta at negative simple roots (positions in K) with
 plain reflections (positions outside K).  The same coefficient family
 expresses the characteristic map of the tower: c_I(u) = sum eps Theta_K(u) xi_K.
+
+So the tower ring is the iterated extension
+
+    H_0 = R,    H_j = H_{j-1}[xi_j] / (xi_j^2 - y_j xi_j),
+
+with y_j = sum_K eps Theta_K(x_{-alpha_{i_j}}) xi_K in H_{j-1}, and H_j is
+free over H_{j-1} on 1 and xi_j.  A product in H_j is four in H_{j-1}:
+
+    (a + b xi_j)(c + d xi_j) = ac + (ad + b (c + d y_j)) xi_j,
+
+so products recurse down the letters and no reduction of xi-monomials is
+stored.  Since xi_j^n = y_j^(n-1) xi_j for n >= 1, a series g has
+g(xi_j) = g(0) + xi_j h(y_j) with h(t) = (g(t) - g(0))/t.  For
+g(t) = F(t, iota(y_j)), with the formal inverse iota, F(y, iota(y)) = 0 and
+F(0, s) = s, this is h(y_j) = k(y_j) with k(t) = -iota(t)/t, so
+
+    xi_j -_F y_j = F(xi_j, iota(y_j)) = iota(y_j) + xi_j k(y_j),
+    (1 + xi_j)(1 + (xi_j -_F y_j)) = (1 + iota(y_j)) + xi_j (1 + k(y_j)),
+
+the factor of the tangent class at letter j: two one-variable series at
+y_j, and no two-variable series evaluated in the tower ring.
 """
 
 from __future__ import annotations
@@ -16,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientPrecisionError, RingMismatchError
+from .tseries import TruncatedSeries
 
 
 def theta_coefficients(fgr, word, u):
@@ -58,6 +80,52 @@ def bs_presentation(fgr, word):
     return BSPresentation(word, tuple(rels))
 
 
+def _split(u, j):
+    """(a, b) with u = a + b xi_j, for coordinates u over subsets of [1, j]."""
+    a, b = {}, {}
+    for K, c in u.items():
+        if K and K[-1] == j:
+            b[K[:-1]] = c
+        else:
+            a[K] = c
+    return a, b
+
+
+def _add(u, v):
+    """Sum of two coordinate maps, zero coordinates dropped."""
+    out = dict(u)
+    for K, c in v.items():
+        s = out.get(K)
+        if s is None:
+            out[K] = c
+        else:
+            s = s + c
+            if s.is_zero():
+                del out[K]
+            else:
+                out[K] = s
+    return out
+
+
+def _tower_mul(u, v, j, ys):
+    """Product in H_j of coordinates over subsets of [1, j]; ys[i] is y_(i+1)."""
+    if not u or not v:
+        return {}
+    if j == 0:
+        p = u[()] * v[()]
+        return {} if p.is_zero() else {(): p}
+    a, b = _split(u, j)
+    c, d = _split(v, j)
+    # (a + b xi_j)(c + d xi_j) = ac + (ad + b (c + d y_j)) xi_j, as xi_j^2 = y_j xi_j.
+    out = _tower_mul(a, c, j - 1, ys)
+    if b or d:
+        dy = _tower_mul(d, ys[j - 1], j - 1, ys)
+        high = _add(_tower_mul(a, d, j - 1, ys), _tower_mul(b, _add(c, dy), j - 1, ys))
+        for K, x in high.items():
+            out[K + (j,)] = x
+    return out
+
+
 class BSRingElement:
     """Element of the tower ring: {subset of [1, l]: CoeffPoly}."""
 
@@ -76,15 +144,7 @@ class BSRingElement:
         return self.coords.get((), self.ring.coeff_ring.zero())
 
     def __add__(self, other):
-        coords = dict(self.coords)
-        for K, c in other.coords.items():
-            s = coords.get(K)
-            s = c if s is None else s + c
-            if s.is_zero():
-                coords.pop(K, None)
-            else:
-                coords[K] = s
-        return BSRingElement(self.ring, coords, _clean=False)
+        return BSRingElement(self.ring, _add(self.coords, other.coords), _clean=False)
 
     def __neg__(self):
         return BSRingElement(
@@ -102,14 +162,10 @@ class BSRingElement:
         )
 
     def __mul__(self, other):
-        pairs = {}
-        for K, c in self.coords.items():
-            for L, d in other.coords.items():
-                cd = c * d
-                for M, r in self.ring.monomial_product(K, L).coords.items():
-                    pairs.setdefault(M, []).append((cd, r))
-        dot = self.ring.coeff_ring.dot
-        return BSRingElement(self.ring, {M: dot(p) for M, p in pairs.items()})
+        ring = self.ring
+        return BSRingElement(
+            ring, _tower_mul(self.coords, other.coords, len(ring.word), ring._ys), _clean=False
+        )
 
     def __eq__(self, other):
         return (
@@ -136,7 +192,7 @@ class BSRing:
         self.word = tuple(word)
         self.coeff_ring = fgr.ring
         self.presentation = bs_presentation(fgr, self.word)
-        self._mono_cache = {}
+        self._ys = [self.y_element(j).coords for j in range(1, len(self.word) + 1)]
 
     def zero(self):
         return BSRingElement(self, {}, _clean=False)
@@ -154,79 +210,34 @@ class BSRing:
         """The class the j-th relation squares against: c_prefix(x_{-alpha})."""
         return self.from_subset_coords(self.presentation.relation(j))
 
-    def monomial_product(self, K, L):
-        """Product xi_K * xi_L reduced to the subset basis, memoized."""
-        counts = {}
-        for j in K:
-            counts[j] = counts.get(j, 0) + 1
-        for j in L:
-            counts[j] = counts.get(j, 0) + 1
-        return self._reduce(tuple(sorted(counts.items())))
+    def evaluate_series(self, series, a):
+        """[s(a) for s in series]: one-variable series at a nilpotent element.
 
-    def _reduce(self, counts):
-        cached = self._mono_cache.get(counts)
-        if cached is not None:
-            return cached
-        repeated = [j for j, k in counts if k >= 2]
-        if not repeated:
-            result = BSRingElement(
-                self, {tuple(j for j, _ in counts): self.coeff_ring.one()},
-                _clean=False,
-            )
-        else:
-            j = max(repeated)
-            rest = []
-            for i, k in counts:
-                if i == j:
-                    k -= 2
-                if k:
-                    rest.append((i, k))
-            rel = self.presentation.relation(j)
-            acc = self.zero()
-            for K, coef in rel.items():
-                if coef.is_zero():
-                    continue
-                merged = dict(rest)
-                for i in K:
-                    merged[i] = merged.get(i, 0) + 1
-                merged[j] = merged.get(j, 0) + 1
-                acc = acc + self._reduce(tuple(sorted(merged.items()))).scale(coef)
-            result = acc
-        self._mono_cache[counts] = result
-        return result
-
-    def evaluate_series(self, series, args):
-        """Evaluate a truncated series at nilpotent ring elements.
-
-        Every argument must have zero constant part; powers are expanded
-        until they vanish, which must happen within the series truncation.
+        ``a`` must have zero constant part.  The series share one list of
+        powers of ``a``, which must vanish above the smallest valid degree d
+        among them (a^(d+1) = 0), since their terms above d are unknown.
         """
-        pows = []
-        for a in args:
-            if not a.constant_part().is_zero():
-                raise RingMismatchError("series argument has a constant part")
-            levels = [self.one(), a]
-            while not levels[-1].is_zero() and len(levels) <= series.trunc + 1:
-                levels.append(levels[-1] * a)
-            if not levels[-1].is_zero():
-                raise InsufficientPrecisionError(
-                    "nilpotency exceeds the series truncation",
-                    deficit=1,
-                )
-            pows.append(levels)
-        acc = self.zero()
-        for e, c in series.coeffs.items():
-            term = self.one().scale(c)
-            skip = False
-            for i, k in enumerate(e):
-                if k >= len(pows[i]):
-                    skip = True
-                    break
-                if k:
-                    term = term * pows[i][k]
-            if not skip and not term.is_zero():
-                acc = acc + term
-        return acc
+        if not a.constant_part().is_zero():
+            raise RingMismatchError("series argument has a constant part")
+        d = min(s.valid_degree for s in series)
+        powers = [self.one(), a]
+        while not powers[-1].is_zero() and len(powers) <= d + 1:
+            powers.append(powers[-1] * a)
+        if not powers[-1].is_zero():
+            raise InsufficientPrecisionError(
+                "nilpotency exceeds the series truncation",
+                deficit=1,
+            )
+        dot = self.coeff_ring.dot
+        values = []
+        for s in series:
+            pairs = {}
+            for (i,), c in s.coeffs.items():
+                if i < len(powers):
+                    for K, r in powers[i].coords.items():
+                        pairs.setdefault(K, []).append((c, r))
+            values.append(BSRingElement(self, {K: dot(p) for K, p in pairs.items()}))
+        return values
 
     def characteristic_class(self, u):
         """c_I(u) as a ring element (coordinates eps Theta_K(u))."""
@@ -235,15 +246,20 @@ class BSRing:
     def tangent_chern_class(self):
         """Total Chern class of the tower tangent bundle in the xi basis.
 
-        The product of (1 + xi_j)(1 + (xi_j - y_j taken in the formal
-        group sense)) over the letters of the word.
+        The product over the letters of (1 + xi_j)(1 + (xi_j -_F y_j)), each
+        factor taken as (1 + iota(y_j)) + xi_j (1 + k(y_j)) with
+        k(t) = -iota(t)/t (see the module docstring).  The partial product
+        lies in H_{j-1}, so both of its products do, and multiplying by xi_j
+        only appends j to the subsets.
         """
         law = self.fgr.law
+        t = TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
+        k = -law.inverse.exact_divide(t)
         total = self.one()
         for j in range(1, len(self.word) + 1):
-            xi = self.xi(j)
-            y = self.y_element(j)
-            minus_y = self.evaluate_series(law.inverse, [y])
-            diff = self.evaluate_series(law.F, [xi, minus_y])
-            total = total * (self.one() + xi) * (self.one() + diff)
+            iota_y, k_y = self.evaluate_series([law.inverse, k], self.y_element(j))
+            shifted = total * (self.one() + k_y)
+            total = total * (self.one() + iota_y) + BSRingElement(
+                self, {K + (j,): c for K, c in shifted.coords.items()}, _clean=False
+            )
         return total

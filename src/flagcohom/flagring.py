@@ -23,6 +23,7 @@ from .coeffring import CoeffPoly, CoeffRing, assert_integer
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import revert
 from .fgring import FormalGroupRing
+from .lazard import weighted_monomials
 from .tseries import TruncatedSeries, _degree_monomials
 
 
@@ -319,8 +320,9 @@ class FlagBasis:
     def ln_operation(self, weight_bound, cls):
         """Coefficient classes of the total twisted-coordinate operation.
 
-        Returns {t-exponent tuple: FlagClass}; the empty index recovers the
-        class itself.  Only available over the universal law.
+        Returns {t-exponent tuple: FlagClass} with a key for every index of
+        weight <= ``weight_bound``, zero classes included; the empty index
+        recovers the class itself.  Only available over the universal law.
         """
         if self.law.tag != "universal" or self.law.log is None:
             raise RingMismatchError("operations need the universal law")
@@ -351,6 +353,8 @@ class FlagBasis:
                 "operation source needs valid degree N",
                 deficit=self.N - u.valid_degree,
             )
+        # eps_vector reads only degrees <= N, and the substitution keeps degree.
+        u = u.restrict(self.N)
         u_ext = u.map_coefficients(lambda p: p.specialize(m_images, ext), ext)
         images = [
             lam.substitute([TruncatedSeries.variable(ext, self.datum.rank, D, i)])
@@ -363,14 +367,14 @@ class FlagBasis:
         for e, p in img.coeffs.items():
             for k, c in p.terms.items():
                 exps = ext.exponents(k)
-                texp = exps[nm:]
-                if sum(k * v for k, v in enumerate(texp, 1)) <= weight_bound:
-                    pieces.setdefault(texp, {}).setdefault(e, {})[exps[:nm]] = c
+                pieces.setdefault(exps[nm:], {}).setdefault(e, {})[exps[:nm]] = c
         out = {}
-        for texp in sorted(pieces):
-            terms = {e: CoeffPoly(mring, d) for e, d in pieces[texp].items()}
-            series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, u.valid_degree)
-            out[texp] = self.class_of(self.eps_vector(series), 1)
+        tweights = tuple(range(1, weight_bound + 1))
+        for weight in range(weight_bound + 1):
+            for texp in weighted_monomials(tweights, weight):
+                terms = {e: CoeffPoly(mring, d) for e, d in pieces.get(texp, {}).items()}
+                series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, self.N)
+                out[texp] = self.class_of(self.eps_vector(series), 1)
         return out
 
 

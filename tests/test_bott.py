@@ -1,10 +1,14 @@
 """Tower presentations, xi-coordinates, push-forward, tangent class."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from flagcohom.bott import BSRing, bs_presentation, bs_pushforward, theta_coefficients
+from flagcohom.cli import main
+from flagcohom.coeffring import CoeffRing
+from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
 from flagcohom.rootdata import RootDatum
@@ -143,3 +147,80 @@ def test_xi_squares_from_relations(a2_univ):
             if not c.is_zero():
                 rhs = rhs + ring.from_subset_coords({tuple(sorted(set(K) | {j})): c})
         assert lhs == rhs
+
+
+def naive_evaluate(ring, series, args):
+    """series(args) summed over every monomial, by repeated tower products.
+
+    Asserts first that every monomial of degree trunc + 1 in the arguments
+    vanishes, so the truncated sum is the exact value.
+    """
+    one = ring.one()
+
+    def monomial(e):
+        term = one
+        for a, k in zip(args, e):
+            for _ in range(k):
+                term = term * a
+        return term
+
+    n, top = len(args), series.trunc + 1
+    for e in _exponents(n, top):
+        assert monomial(e).is_zero()
+    acc = ring.zero()
+    for e, c in series.coeffs.items():
+        acc = acc + monomial(e).scale(c)
+    return acc
+
+
+def _exponents(n, d):
+    if n == 1:
+        return [(d,)]
+    return [(k,) + e for k in range(d + 1) for e in _exponents(n - 1, d - k)]
+
+
+def naive_tangent(ring):
+    """prod_j (1 + xi_j)(1 + F(xi_j, iota(y_j))), from the two-variable law."""
+    law = ring.fgr.law
+    total = ring.one()
+    for j in range(1, len(ring.word) + 1):
+        xi = ring.xi(j)
+        iota_y = naive_evaluate(ring, law.inverse, [ring.y_element(j)])
+        diff = naive_evaluate(ring, law.F, [xi, iota_y])
+        total = total * (ring.one() + xi) * (ring.one() + diff)
+    return total
+
+
+def _law(name, trunc):
+    if name == "universal":
+        return FormalGroupLaw.universal(trunc)
+    if name == "ktheory":
+        return FormalGroupLaw.multiplicative(trunc)
+    if name == "connective":
+        return FormalGroupLaw.connective(trunc)
+    ring = CoeffRing((), rational_mode=True)
+    return FormalGroupLaw.from_log(ring, trunc, [Fraction(1, 2), Fraction(-2, 3), 3])
+
+
+@pytest.mark.parametrize(
+    "typ, word, theory, trunc",
+    [
+        ("A2", (1, 2, 1), "universal", 7),
+        ("A2", (1, 1, 2), "universal", 5),
+        ("B2", (1, 2, 1, 2), "ktheory", 6),
+        ("G2", (1, 2), "connective", 7),
+        ("A2", (2, 1, 2), "from_log", 5),
+    ],
+)
+def test_tangent_matches_two_variable_oracle(typ, word, theory, trunc):
+    fgr = FormalGroupRing(RootDatum.build(typ), _law(theory, trunc))
+    ring = BSRing(fgr, word)
+    assert ring.tangent_chern_class() == naive_tangent(ring)
+
+
+def test_tangent_needs_nilpotency_within_truncation():
+    # y_3 squares to a nonzero class, so k(y_3), valid to degree 1, is not known.
+    ring = BSRing(FormalGroupRing(RootDatum.build("A2"), FormalGroupLaw.universal(2)), (1, 2, 1))
+    with pytest.raises(InsufficientPrecisionError):
+        ring.tangent_chern_class()
+    assert main(["bs", "--type", "A2", "--word", "1,2,1", "--trunc", "2"]) == 3

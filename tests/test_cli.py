@@ -178,3 +178,16 @@ def test_ln_json_format():
     obj = json.loads(out)
     assert obj["weight_bound"] == 1
     assert {"index": "t1", "argument": "Z_12", "value": "Z_2"} in obj["operations"]
+
+
+def test_bs_refuses_long_words_before_building_a_tower(monkeypatch):
+    from flagcohom import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a tower ring was built")
+
+    monkeypatch.setattr(cli, "BSRing", boom)
+    rc, out, err = run_cli(["bs", "--type", "A3", "--word", ",".join("123" * 13 + "1")])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "at most" in err
