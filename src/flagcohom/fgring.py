@@ -20,10 +20,19 @@ x_lambda values and kappa elements (cached, immutable after fill) every
 operation is pure, so shared instances are safe under concurrent reads;
 cache insertions are idempotent.
 
+``functionals`` tabulates eps op_word, for an operator family op and a
+prefix-closed set of words, as R-linear functionals of the monomials:
+f_word = f_{word[:-1]} o op_{word[-1]}, one column op_i(y^e) per letter and
+monomial.  The characteristic map of ``flagring`` is built on it.
+
 The torsion index and its witness u0 are computed in the additive model:
 the operators induce the classical divided differences on the associated
 graded ring, so the Bezout combination of degree-N monomials realizing
-gcd(eps delta_{I0}(monomial)) lifts verbatim to any law.
+gcd(eps delta_{I0}(monomial)) lifts verbatim to any law.  The values are
+the w0 functional of delta over the additive law, a fold that evaluates
+one delta per monomial of each degree k <= N, since there the operators are
+homogeneous of degree -1 (Demazure's divided-difference evaluation of the
+torsion index).
 """
 
 from __future__ import annotations
@@ -233,6 +242,43 @@ class FormalGroupRing:
 
         return split(len(word), u)
 
+    # -- functionals of operator words -------------------------------------------
+
+    def functionals(self, op, words, homogeneous=False):
+        """{word: {y-exponent e: eps op_word(y^e)}} for each word in ``words``.
+
+        op(i, u) is an R-linear operator taking I^d into I^(d-1) (I the
+        augmentation ideal), applied rightmost letter first.  So eps op_word
+        vanishes on the monomials of degree > |word|, and op_i(y^e) is needed
+        only modulo degree > max |word| - 1.  The words and their prefixes
+        are folded by length, f_word = f_{word[:-1]} o op_{word[-1]}, each
+        column op_i(y^e) computed once.  When op is homogeneous of degree -1
+        (the additive law), eps op_word also vanishes below degree |word|:
+        the words of length k are evaluated on the monomials of degree k
+        only, and their columns are dropped once the fold passes length k.
+        """
+        top = max(map(len, words), default=0)
+        monomials = [_degree_monomials(self.n, d) for d in range(top + 1)]
+        memo = {(): {(0,) * self.n: self.ring.one()}}
+        columns, length = {}, 0
+        for word in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=len):
+            if homogeneous and len(word) > length:
+                columns.clear()
+            length = len(word)
+            prev, i = memo[word[:-1]], word[-1]
+            got = {}
+            for d in (len(word),) if homogeneous else range(len(word) + 1):
+                for e in monomials[d]:
+                    col = columns.get((i, e))
+                    if col is None:
+                        mono = self.from_monomials({e: 1}).restrict(top)
+                        col = columns[i, e] = op(i, mono).coeffs
+                    acc = self.ring.dot((prev[e2], c) for e2, c in col.items() if e2 in prev)
+                    if not acc.is_zero():
+                        got[e] = acc
+            memo[word] = got
+        return {word: memo[word] for word in words}
+
     # -- torsion index ---------------------------------------------------------
 
     def torsion_and_u0(self):
@@ -318,22 +364,23 @@ def _ext_gcd(a, b):
 def torsion_bezout(datum):
     """Torsion index of the root datum with a Bezout witness.
 
-    Works in the additive model: evaluates eps delta_{I0} on the degree-N
-    monomial basis of the symmetric algebra and folds the extended gcd over
-    the values in the canonical monomial order.  Returns (t, monomials)
-    where monomials is a tuple of (exponent tuple, int) pairs summing to an
-    integral homogeneous u0 of degree N.
+    Works in the additive model: reads eps delta_{I0} on the degree-N
+    monomial basis of the symmetric algebra off the w0 functional (one fold
+    over the degree-k monomials per letter, see ``functionals``) and folds
+    the extended gcd over the values in the canonical monomial order.
+    Returns (t, monomials) where monomials is a tuple of (exponent tuple,
+    int) pairs summing to an integral homogeneous u0 of degree N.
     """
     N = datum.N
     ring = CoeffRing((), rational_mode=True)
     law = FormalGroupLaw.additive(N + 1, ring)
     fgr = FormalGroupRing(datum, law)
     word = datum.longest_element().canonical_word
+    f = fgr.functionals(fgr.delta, [word], homogeneous=True)[word]
     basis = sorted(_degree_monomials(datum.rank, N))
     values = []
     for mono in basis:
-        elt = fgr.from_monomials({mono: 1})
-        c = fgr.delta_word(word, elt).constant_term().constant_term()
+        c = f[mono].constant_term() if mono in f else 0
         assert c == int(c), "additive divided difference must be integral"
         values.append(int(c))
     g = 0

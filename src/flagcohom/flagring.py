@@ -11,7 +11,14 @@ R-linear functional of the terms of u of degree <= N that is built once per
 basis.  The transition matrix P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)) with
 t * b_w = sum_v P[v][w] a_v leads back to the b-basis.  Its rows paired by
 w -> w0 w make it triangular with the torsion index t on the diagonal, so P
-is never inverted: each class is one back substitution, dividing only by t.
+is never inverted: ``class_of`` is one back substitution, dividing only by t.
+
+c is R-linear, so in the b-basis it is one sparse table K: K[e] holds the
+(integral) b-coordinates of c(y^e) for each monomial e of degree <= N that
+the functionals read.  ``class_of`` only builds K, one call per monomial,
+and ``dual_class``, which starts from a-coordinates, still uses it; every
+other class (unit, products, word classes, operators) is one pass over the
+terms of u, grouped by the rows of K, with one convolution per coordinate.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import revert
 from .fgring import FormalGroupRing
 from .lazard import weighted_monomials
-from .tseries import TruncatedSeries, _degree_monomials
+from .tseries import TruncatedSeries
 
 
 def default_truncation(datum):
@@ -54,6 +61,7 @@ class FlagBasis:
         self._unit = None
         self._products = {}
         self._eps_tables = {}
+        self._table = None
 
     # -- cached operator chains ------------------------------------------
 
@@ -83,66 +91,38 @@ class FlagBasis:
         """Cs_{I_w^rev}(u0) for a Weyl element w."""
         return self.c_chain_u0(tuple(reversed(w.canonical_word)))
 
+    def _require_degree_n(self, u):
+        if u.valid_degree < self.N:
+            raise InsufficientPrecisionError(
+                f"characteristic map needs valid degree {self.N}",
+                deficit=self.N - u.valid_degree,
+            )
+
+    def _functionals(self, variant):
+        """{canonical word w: {y-exponent e: eps Op_{I_w}(y^e)}}, built once."""
+        table = self._eps_tables.get(variant)
+        if table is None:
+            op = {"Cs": self.cs, "C": self.fgr.cc, "D": self.fgr.delta}[variant]
+            words = [w.canonical_word for w in self.elements]
+            table = self._eps_tables[variant] = self.fgr.functionals(op, words)
+        return table
+
     def eps_vector(self, u, variant="Cs"):
         """(eps Op_{I_w}(u))_w as {canonical word: CoeffPoly}.
 
         Variants: "Cs" the negative-root push-pull operator (the basis
         pipeline), "C" the positive-root one, "D" the difference operator.
         Each coordinate is a fixed R-linear functional of the terms of u of
-        degree <= N (see ``_functionals``); u must be valid to degree N.
+        degree <= N (see ``FormalGroupRing.functionals``); u must be valid to
+        degree N.
         """
-        if u.valid_degree < self.N:
-            raise InsufficientPrecisionError(
-                f"characteristic map needs valid degree {self.N}",
-                deficit=self.N - u.valid_degree,
-            )
-        table = self._eps_tables.get(variant)
-        if table is None:
-            table = self._eps_tables[variant] = self._functionals(variant)
+        self._require_degree_n(u)
         coeffs = u.restrict(self.N).coeffs
         out = {}
-        for word, f in table.items():
+        for word, f in self._functionals(variant).items():
             small, big = (f, coeffs) if len(f) < len(coeffs) else (coeffs, f)
             out[word] = self.ring.dot((c, big[e]) for e, c in small.items() if e in big)
         return out
-
-    def _functionals(self, variant):
-        """{canonical word w: {y-exponent e: eps Op_{I_w}(y^e)}}.
-
-        Op_i is R-linear and takes I^d into I^{d-1} (I the augmentation
-        ideal), so eps Op_{I_w} vanishes on the monomials of degree > |w|
-        and Op_i(y^e) is needed only modulo degree > N - 1.  Each column
-        Op_i(y^e) is computed once, and f_word = f_{word[:-1]} o Op_{word[-1]}
-        is memoized by prefix; a prefix of a canonical word is canonical.
-        """
-        op = {"Cs": self.cs, "C": self.fgr.cc, "D": self.fgr.delta}[variant]
-        columns = {}
-
-        def column(i, e):
-            got = columns.get((i, e))
-            if got is None:
-                mono = self.fgr.from_monomials({e: 1}).restrict(self.N)
-                got = columns[i, e] = op(i, mono).coeffs
-            return got
-
-        monomials = [_degree_monomials(self.datum.rank, d) for d in range(self.N + 1)]
-        memo = {(): {(0,) * self.datum.rank: self.ring.one()}}
-
-        def functional(word):
-            got = memo.get(word)
-            if got is None:
-                prev = functional(word[:-1])
-                got = {}
-                for d in range(len(word) + 1):
-                    for e in monomials[d]:
-                        col = column(word[-1], e)
-                        acc = self.ring.dot((prev[e2], c) for e2, c in col.items() if e2 in prev)
-                        if not acc.is_zero():
-                            got[e] = acc
-                memo[word] = got
-            return got
-
-        return {w.canonical_word: functional(w.canonical_word) for w in self.elements}
 
     # -- transition matrix --------------------------------------------------
 
@@ -178,27 +158,72 @@ class FlagBasis:
 
         Solves P x = avec by back substitution over the paired rows,
         dividing only by t: x_r = (avec_r - sum_c P_rc x_c) / t, one
-        convolution per row.  c(u) = t * sum_w x_w b_w, so the class is
-        t^(1-k) x.  Its coordinates must be integral in a rational ring.
+        convolution per row that has a nonzero input, so a call costs its
+        nonzeros.  c(u) = t * sum_w x_w b_w, so the class is t^(1-k) x.  Its
+        coordinates must be integral in a rational ring.
         """
         self.transition_matrix()
         inv_t = self.ring.const(Fraction(1, self.t))
         x = [None] * len(self.elements)
         for r in range(len(x) - 1, -1, -1):
             vr, upper = self._rows[r]
-            pairs = [(q, x[c]) for c, q in upper]
-            if vr in avec:
-                pairs.append((avec[vr], inv_t))
-            x[r] = self.ring.dot(pairs)
+            pairs = [(q, x[c]) for c, q in upper if x[c] is not None]
+            a = avec.get(vr)
+            if a is not None and not a.is_zero():
+                pairs.append((a, inv_t))
+            if pairs:
+                xr = self.ring.dot(pairs)
+                if not xr.is_zero():
+                    x[r] = xr
         factor = Fraction(self.t) ** (1 - k)
-        coords = {}
-        for w, c in zip(self.elements, x):
-            c = c.scale(factor)
-            if not c.is_zero():
-                if self.ring.rational_mode:
-                    assert_integer(c, f"b-coordinate at {w.canonical_word}")
-                coords[w.canonical_word] = c
+        return self._flag_class(
+            {w.canonical_word: c.scale(factor) for w, c in zip(self.elements, x) if c is not None}
+        )
+
+    def _flag_class(self, coords):
+        """FlagClass of nonzero b-coordinates, each integral in a rational ring."""
+        if self.ring.rational_mode:
+            for word, c in coords.items():
+                assert_integer(c, f"b-coordinate at {word}")
         return FlagClass(self, coords)
+
+    def _class_table(self):
+        """{y-exponent e: b-coordinates of c(y^e)}, the characteristic map in the b-basis.
+
+        One class_of per monomial e in the support of the Cs functionals,
+        on the column {w: eps Cs_{I_w}(y^e)}.
+        """
+        if self._table is None:
+            columns = {}
+            for word, f in self._functionals("Cs").items():
+                for e, c in f.items():
+                    columns.setdefault(e, {})[word] = c
+            self._table = {e: self.class_of(col, 0).coords for e, col in columns.items()}
+        return self._table
+
+    def class_from(self, u, k):
+        """The class with c(u) = t^k * class; equal to class_of(eps_vector(u), k).
+
+        c is R-linear and reads only the terms of u of degree <= N, so
+        c(u) = sum_e u_e c(y^e): the terms of u are grouped by the rows of
+        the class table and each b-coordinate is one convolution, scaled by
+        t^(-k).  u must be valid to degree N.
+        """
+        self._require_degree_n(u)
+        table = self._class_table()
+        rows = {}
+        for e, p in u.restrict(self.N).coeffs.items():
+            for word, c in table.get(e, {}).items():
+                rows.setdefault(word, []).append((p, c))
+        factor = Fraction(1, self.t ** k)
+        coords = {}
+        for w in self.elements:
+            pairs = rows.get(w.canonical_word)
+            if pairs:
+                c = self.ring.dot(pairs)
+                if not c.is_zero():
+                    coords[w.canonical_word] = c.scale(factor)
+        return self._flag_class(coords)
 
     # -- distinguished classes -----------------------------------------------
 
@@ -214,7 +239,7 @@ class FlagBasis:
     def unit_class(self):
         """The ring unit, decomposed over the b-basis; unit coefficient at w0 is 1."""
         if self._unit is None:
-            unit = self.class_of(self.eps_vector(self.fgr.one()), 0)
+            unit = self.class_from(self.fgr.one(), 0)
             if unit.coords.get(self.w0.canonical_word) != self.ring.one():
                 raise AssertionError("unit class has non-unit top coefficient")
             self._unit = unit
@@ -238,7 +263,7 @@ class FlagBasis:
         u = self.torsion.u0
         for i in word:
             u = self.cs(i, u)
-        return self.class_of(self.eps_vector(u), 1)
+        return self.class_from(u, 1)
 
     # -- products -------------------------------------------------------------
 
@@ -261,7 +286,7 @@ class FlagBasis:
         else:
             # c(Cs_{I_w1^rev}(u0) Cs_{I_w2^rev}(u0)) = t^2 b_w1 b_w2
             u = self.c_of_u0(w1).restrict(self.N) * self.c_of_u0(w2).restrict(self.N)
-            result = self.class_of(self.eps_vector(u), 2)
+            result = self.class_from(u, 2)
         self._products[key] = result
         return result
 
@@ -286,12 +311,12 @@ class FlagBasis:
         sum_J c_J bclass(J + (i,)).
         """
         u = self.cs(i, self._u_representative(cls))
-        return self.class_of(self.eps_vector(u), 1)
+        return self.class_from(u, 1)
 
     def b_operator(self, i, cls):
         """The delta-variant operator through the u-representative route."""
         u = self.fgr.delta(i, self._u_representative(cls))
-        return self.class_of(self.eps_vector(u), 1)
+        return self.class_from(u, 1)
 
     def _u_representative(self, cls):
         """u with c(u) = t * cls, namely sum coords_w Cs_{I_w^rev}(u0).
@@ -353,7 +378,7 @@ class FlagBasis:
                 "operation source needs valid degree N",
                 deficit=self.N - u.valid_degree,
             )
-        # eps_vector reads only degrees <= N, and the substitution keeps degree.
+        # c reads only degrees <= N, and the substitution keeps degree.
         u = u.restrict(self.N)
         u_ext = u.map_coefficients(lambda p: p.specialize(m_images, ext), ext)
         images = [
@@ -374,7 +399,7 @@ class FlagBasis:
             for texp in weighted_monomials(tweights, weight):
                 terms = {e: CoeffPoly(mring, d) for e, d in pieces.get(texp, {}).items()}
                 series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, self.N)
-                out[texp] = self.class_of(self.eps_vector(series), 1)
+                out[texp] = self.class_from(series, 1)
         return out
 
 

@@ -120,3 +120,10 @@ TABLE_G2 = [
 REFERENCE_TABLES = {"A2": TABLE_A2, "B2": TABLE_B2, "G2": TABLE_G2}
 
 REFERENCE_TORSION = {"A2": 1, "A3": 1, "B2": 1, "C2": 1, "C3": 1, "B3": 2, "G2": 2}
+
+# Rank-4 torsion indices: 1 for the simply connected A_n and C_n (SL_n and
+# Sp_n have torsion-free cohomology); 2 for Spin(9) and Spin(8), the values
+# the per-monomial divided-difference evaluation gave; 6 for F4 (Totaro,
+# "The torsion index of E8 and other groups", 2005).  Kept apart from
+# REFERENCE_TORSION because F4 takes seconds, too long for ``check``.
+RANK4_TORSION = {"A4": 1, "C4": 1, "B4": 2, "D4": 2, "F4": 6}

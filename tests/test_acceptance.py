@@ -72,7 +72,7 @@ def test_criterion_2_torsion_indices():
         elapsed = time.time() - t0
         assert t == want, f"{typ}: torsion {t} != {want}"
         assert elapsed < 10, f"{typ} torsion took {elapsed:.1f}s"
-    report(2, "torsion indices 1/1/1/1 and 2/2, under 10s each")
+    report(2, "reference torsion indices, under 10s each")
 
 
 def test_criterion_3_a6_absence(golden_tables):

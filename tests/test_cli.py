@@ -11,6 +11,7 @@ import pytest
 
 import flagcohom
 from flagcohom.cli import main
+from flagcohom.reference import REFERENCE_TORSION
 from flagcohom.schema import validate
 
 
@@ -22,10 +23,29 @@ def run_cli(args):
 
 
 def test_torsion_values():
-    for typ, want in (("G2", "2"), ("A3", "1"), ("B3", "2"), ("C3", "1")):
+    for typ, want in REFERENCE_TORSION.items():
         rc, out, err = run_cli(["torsion", "--type", typ])
         assert rc == 0
-        assert out.strip() == want
+        assert out == f"{want}\n"
+
+
+@pytest.mark.parametrize("typ", ["E6", "E8"])
+def test_torsion_refuses_large_types_before_enumerating_w(typ, monkeypatch):
+    from flagcohom import cli
+
+    built = []
+    load = cli.load_datum
+
+    def load_and_keep(args):
+        built.append(load(args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "load_datum", load_and_keep)
+    rc, out, err = run_cli(["torsion", "--type", typ])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "monomials" in err
+    assert built[0]._elements is None
 
 
 def test_python_dash_m_runs_the_cli():
@@ -36,7 +56,7 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "2"
+    assert proc.stdout == f"{REFERENCE_TORSION['B3']}\n"
 
 
 def test_table_a2_chow_text():

@@ -12,7 +12,8 @@ from flagcohom.bott import theta_coefficients
 from flagcohom.coeffring import CoeffRing
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
-from flagcohom.fgring import FormalGroupRing, torsion_bezout
+from flagcohom.fgring import FormalGroupRing, _ext_gcd, torsion_bezout
+from flagcohom.reference import RANK4_TORSION, REFERENCE_TORSION
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import CheckContext, check_decomposition_system
 from flagcohom.tseries import TruncatedSeries
@@ -289,12 +290,45 @@ def test_kappa_quotient_identity_matches_substitution(typ, law):
 
 
 def test_torsion_values():
-    for typ, want in (("A2", 1), ("B2", 1), ("G2", 2), ("B3", 2), ("A3", 1), ("C3", 1)):
+    for typ, want in REFERENCE_TORSION.items():
         t, monomials = torsion_bezout(RootDatum.build(typ))
         assert t == want
         assert monomials  # nonempty witness
         N = RootDatum.build(typ).N
         assert all(sum(e) == N for e, _ in monomials)
+
+
+def per_monomial_torsion(datum):
+    """eps delta_{I_w0}(y^e) chain by chain on each degree-N monomial, then the gcd fold."""
+    N = datum.N
+    fgr = FormalGroupRing(datum, FormalGroupLaw.additive(N + 1))
+    word = datum.longest_element().canonical_word
+    monomials = sorted(
+        tuple(letters.count(i) for i in range(datum.rank))
+        for letters in itertools.combinations_with_replacement(range(datum.rank), N)
+    )
+    g, combo = 0, []
+    for e in monomials:
+        c = fgr.delta_word(word, fgr.from_monomials({e: 1})).constant_term().constant_term()
+        g, xs, ys = _ext_gcd(g, int(c))
+        combo = [a * xs for a in combo] + [ys]
+    return g, tuple((e, a) for e, a in zip(monomials, combo) if a)
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2", "B3", "C3", "A4"])
+def test_torsion_fold_matches_per_monomial_chains(typ):
+    # Every table's bytes depend on this witness, so it must be tuple-equal.
+    datum = RootDatum.build(typ)
+    assert torsion_bezout(datum) == per_monomial_torsion(datum)
+
+
+def test_rank4_torsion_values():
+    # Cheap since the w0 functional is one fold: F4 takes a few seconds.
+    for typ, want in RANK4_TORSION.items():
+        datum = RootDatum.build(typ)
+        t, monomials = torsion_bezout(datum)
+        assert t == want, typ
+        assert all(sum(e) == datum.N for e, _ in monomials)
 
 
 def test_torsion_witness_evaluates_to_t(b2_small):

@@ -1,16 +1,20 @@
 """Basis classes, transition matrix, products, push-forward, operators."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
-from flagcohom.flagring import FlagBasis
+from flagcohom.flagring import FlagBasis, default_truncation
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import (
     CheckContext,
     check_eps_functionals,
     check_table_ring_axioms,
 )
+from flagcohom.tables import make_theory
 
 
 def test_char_map_delta_variant_on_unit(a2_universal):
@@ -151,6 +155,35 @@ def test_duality_shortcut_matches_algorithm(b2_universal):
             got = fb.class_of(fb.eps_vector(u), 2)
             want = fb.basis_product(w1, w2)
             assert got == want, (w1.canonical_word, w2.canonical_word)
+
+
+@functools.lru_cache(maxsize=None)
+def table_basis(typ, theory):
+    datum = RootDatum.build(typ)
+    law, _ = make_theory(theory, default_truncation(datum))
+    return FlagBasis(datum, law)
+
+
+@pytest.mark.parametrize(
+    "typ,theory", [("A2", "universal"), ("B2", "universal"), ("B2", "ktheory"), ("B3", "chow")]
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_class_table_matches_back_substitution(typ, theory, data):
+    # class_from reads c(u) off the table of c(y^e); class_of solves P x = eps(u).
+    fb = table_basis(typ, theory)
+    ring, rank = fb.ring, fb.datum.rank
+    coefficients = [ring.one()] + [ring.gen(name) for name in ring.names[:2]]
+    exponent = st.tuples(*[st.integers(0, fb.N)] * rank).filter(lambda e: sum(e) <= fb.N)
+    scalar = st.tuples(st.integers(-3, 3), st.sampled_from(coefficients))
+    terms = data.draw(st.dictionaries(exponent, scalar, max_size=8))
+    u = fb.fgr.from_monomials({e: c * p for e, (c, p) in terms.items()}).restrict(fb.N)
+    w1, w2 = data.draw(st.lists(st.sampled_from(fb.elements), min_size=2, max_size=2))
+    product = fb.c_of_u0(w1).restrict(fb.N) * fb.c_of_u0(w2).restrict(fb.N)
+    for k in (1, 2):
+        # t^k u has an integral class; the product is t^2 b_w1 b_w2.
+        for v in (u.scale(fb.t ** k), product):
+            assert fb.class_from(v, k) == fb.class_of(fb.eps_vector(v), k)
 
 
 def test_product_commutes_and_associates(a2_universal):
