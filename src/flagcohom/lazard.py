@@ -1,22 +1,30 @@
 """Integral generator basis a1, a2, ... of the universal coefficient ring.
 
-The universal law lives over QQ[m1, m2, ...], but its coefficients a_ij
-generate an integral subring (the image of the integral universal ring).
-The first five generators are fixed linear combinations of the a_ij:
+The universal law lives over QQ[m1, m2, ...]; its coefficients a_ij
+generate an integral subring L, polynomial on one generator a_d per weight.
+By Lazard's theorem (Lazard 1955; Adams, *Stable homotopy and generalised
+homology*, Part II; Ravenel's green book, A2), modulo decomposables
+a_{i,d+1-i} = binom(d+1, i) / g_d * (generator), g_d = gcd_i binom(d+1, i)
+(p when d+1 is a power of a prime p, 1 otherwise).  So a_d =
+sum_i lam_i a_{i,d+1-i} is a generator whenever sum_i lam_i binom(d+1, i)
+= g_d; as a_{i,d+1-i} has m_d coefficient -binom(d+1, i), a_d has -g_d.
+
+Up to weight 5 lam is the paper's combination:
 
     a1 = a11, a2 = a12, a3 = a22 - a13, a4 = a14, a5 = -9 a15 + a24 + 2 a33
 
-From weight 6 on no preferred combination is pinned down, so a_d is chosen
-as a generator of (weight-d integral lattice) / (decomposables in a_1..a_{d-1}),
-computed by Smith normal form over the m-expansion lattice.  Conversion of
-a polynomial in the m's into the a-basis is a per-weight exact linear solve;
-the result is required to be integral (IntegralityError otherwise) and to
-exist at all (NotInImageError otherwise).
+From weight 6 on it is the extended gcd of the binomials folded left to
+right (``lazard_combination``): a6 = a16, a7 = 51 a17 - 17 a26 + a44, ...
+Other choices differ by decomposables, so the printed coefficients of a6
+and beyond depend on this one.  Conversion of an m-polynomial into the
+a-basis is a per-weight exact linear solve, required to exist
+(NotInImageError otherwise) and to be integral (IntegralityError).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .coeffring import CoeffPoly, CoeffRing
 from .errors import IntegralityError, NotInImageError, RingMismatchError
@@ -52,26 +60,29 @@ def _aij_pairs(weight):
     return [(i, weight + 1 - i) for i in range(1, weight // 2 + 2) if i <= weight + 1 - i]
 
 
-def _aij_monomials(weight):
-    """All multisets of a_ij positions with total weight ``weight``."""
-    pairs = []
-    for w in range(1, weight + 1):
-        pairs.extend((w, p) for p in _aij_pairs(w))
-    out = []
+def lazard_combination(d):
+    """Integers lam over ``_aij_pairs(d)`` with sum lam_i binom(d+1, i) = g_d.
 
-    def rec(idx, remaining, chosen):
-        if remaining == 0:
-            out.append(tuple(chosen))
-            return
-        if idx == len(pairs):
-            return
-        w, p = pairs[idx]
-        rec(idx + 1, remaining, chosen)
-        if w <= remaining:
-            rec(idx, remaining - w, chosen + [p])
+    One extended Euclid step per binomial, left to right; zero terms are
+    dropped.  Returns ((i, j), lam) pairs in the layout of PAPER_COMBOS.
+    """
+    pairs = _aij_pairs(d)
+    g, lams = comb(d + 1, pairs[0][0]), [1]
+    for i, _ in pairs[1:]:
+        g, s, t = _extended_gcd(g, comb(d + 1, i))
+        lams = [s * lam for lam in lams] + [t]
+    return tuple((p, lam) for p, lam in zip(pairs, lams) if lam)
 
-    rec(0, weight, [])
-    return out
+
+def _extended_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
 class LazardBasis:
@@ -97,55 +108,19 @@ class LazardBasis:
 
     # -- construction -----------------------------------------------------
 
-    def _aij(self, i, j):
-        p = self.law.a_table.get((i, j))
-        return p if p is not None else self.m_ring.zero()
-
     def _m_coordinates(self, poly, weight):
         monos = weighted_monomials(self.m_ring.weights, weight)
         index = {e: k for k, e in enumerate(monos)}
         vec = [0] * len(monos)
         for k, c in poly.terms.items():
             vec[index[poly.ring.exponents(k)]] = c
-        return vec, monos
+        return vec
 
     def _build_generator(self, d):
-        if d in PAPER_COMBOS:
-            p = self.m_ring.zero()
-            for (i, j), c in PAPER_COMBOS[d]:
-                p = p + self._aij(i, j).scale(c)
-            return p
-        # Lattice of all weight-d products of universal coefficients.
-        rows = []
-        for mono in _aij_monomials(d):
-            p = self.m_ring.one()
-            for (i, j) in mono:
-                p = p * self._aij(i, j)
-            rows.append(self._m_coordinates(p, d)[0])
-        basis = _hnf(rows)
-        dim = len(weighted_monomials(self.m_ring.weights, d))
-        if len(basis) != dim:
-            raise NotInImageError(f"weight-{d} coefficient lattice is not full rank")
-        # Decomposables: weight-d monomials in the already-built generators.
-        lower = [(f"a{k}", k) for k in range(1, d)]
-        dec_rows = []
-        for exps in weighted_monomials(tuple(w for _, w in lower), d):
-            p = self.m_ring.one()
-            for (name, _), e in zip(lower, exps):
-                for _ in range(e):
-                    p = p * self.expansions[name]
-            dec_rows.append(_integer_coordinates(self._m_coordinates(p, d)[0], basis))
-        gen_coords = _snf_quotient_generator(dec_rows, dim)
-        vec = [
-            sum(g * b[k] for g, b in zip(gen_coords, basis)) for k in range(dim)
-        ]
-        monos = weighted_monomials(self.m_ring.weights, d)
-        poly = CoeffPoly(self.m_ring, {e: v for e, v in zip(monos, vec)})
-        # Deterministic sign: first canonical-order coefficient positive.
-        first = poly.sorted_terms()[0][1]
-        if first < 0:
-            poly = -poly
-        return poly
+        p = self.m_ring.zero()
+        for (i, j), c in PAPER_COMBOS.get(d) or lazard_combination(d):
+            p = p + self.law.a_table[(i, j)].scale(c)
+        return p
 
     # -- conversion ----------------------------------------------------------
 
@@ -187,7 +162,7 @@ class LazardBasis:
             for name, e in zip(self.a_ring.names, exps):
                 for _ in range(e):
                     p = p * self.expansions[name]
-            mat.append(self._m_coordinates(p, d)[0])
+            mat.append(self._m_coordinates(p, d))
         cached = (cols, monos) + _solve_structure(mat, len(monos))
         self._solvers[d] = cached
         return cached
@@ -214,27 +189,6 @@ class LazardBasis:
         """Substitute the m-expansions back (inverse of to_a_basis)."""
         assignment = {name: self.expansions[name] for name in self.a_ring.names}
         return poly.specialize(assignment, self.m_ring)
-
-
-def _integer_coordinates(vec, basis):
-    """Coordinates of an integer vector in a row-HNF basis; must be integral."""
-    vec = [Fraction(v) for v in vec]
-    coords = [Fraction(0)] * len(basis)
-    # HNF rows have staircase pivots: eliminate greedily.
-    for i, row in enumerate(basis):
-        lead = next(k for k, v in enumerate(row) if v != 0)
-        if vec[lead] != 0:
-            f = vec[lead] / row[lead]
-            coords[i] = f
-            vec = [a - f * b for a, b in zip(vec, row)]
-    if any(v != 0 for v in vec):
-        raise NotInImageError("vector outside the integral lattice")
-    out = []
-    for c in coords:
-        if c.denominator != 1:
-            raise IntegralityError("non-integral lattice coordinates")
-        out.append(int(c))
-    return out
 
 
 def _solve_structure(columns, nrows):
@@ -264,104 +218,3 @@ def _solve_structure(columns, nrows):
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
     return [row[ncols:] for row in aug[:ncols]], [row[ncols:] for row in aug[ncols:]]
-
-
-def _hnf(rows):
-    """Staircase basis (integer row echelon) of an integer row span."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    nc = len(mat[0])
-    top = 0
-    for col in range(nc):
-        if top >= len(mat):
-            break
-        nz = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
-        if nz is None:
-            continue
-        mat[top], mat[nz] = mat[nz], mat[top]
-        for r in range(top + 1, len(mat)):
-            # Euclid the pair (mat[top][col], mat[r][col]) down to one value.
-            while mat[r][col] != 0:
-                if abs(mat[r][col]) < abs(mat[top][col]):
-                    mat[top], mat[r] = mat[r], mat[top]
-                q = mat[r][col] // mat[top][col]
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[top])]
-        if mat[top][col] < 0:
-            mat[top] = [-v for v in mat[top]]
-        top += 1
-    basis = [row for row in mat[:top] if any(row)]
-    for i in range(len(basis) - 1, -1, -1):
-        lead = next(k for k, v in enumerate(basis[i]) if v != 0)
-        for j in range(i):
-            q = basis[j][lead] // basis[i][lead]
-            if q:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
-    return basis
-
-
-def _snf_quotient_generator(rows, dim):
-    """Generator of ZZ^dim / rowspan(rows) when that quotient is ZZ.
-
-    Diagonalizes by unimodular row and column operations, tracking the
-    inverse column transform; the generator is its last row.  Raises when
-    the quotient has torsion or rank different from one.
-    """
-    m = [list(r) for r in rows]
-    nr, nc = len(m), dim
-    vinv = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def col_swap(a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        vinv[a], vinv[b] = vinv[b], vinv[a]
-
-    def col_add(dst, src, q):
-        # column dst += q * column src; W = V^{-1} gets row src -= q * row dst
-        for row in m:
-            row[dst] += q * row[src]
-        vinv[src] = [a - q * b for a, b in zip(vinv[src], vinv[dst])]
-
-    def col_neg(a):
-        for row in m:
-            row[a] = -row[a]
-        vinv[a] = [-v for v in vinv[a]]
-
-    r = 0
-    while r < min(nr, nc):
-        best = None
-        pr = pc = None
-        for i in range(r, nr):
-            for j in range(r, nc):
-                v = m[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best, pr, pc = abs(v), i, j
-        if pr is None:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        if pc != r:
-            col_swap(r, pc)
-        dirty = False
-        for i in range(r + 1, nr):
-            q = m[i][r] // m[r][r]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[r])]
-            if m[i][r] != 0:
-                dirty = True
-        for j in range(r + 1, nc):
-            q = m[r][j] // m[r][r]
-            if q:
-                col_add(j, r, -q)
-            if m[r][j] != 0:
-                dirty = True
-        if dirty:
-            continue
-        if m[r][r] < 0:
-            col_neg(r)
-        r += 1
-    diag = [m[i][i] for i in range(r)]
-    if len(diag) != dim - 1 or any(d != 1 for d in diag):
-        raise NotInImageError(
-            f"quotient lattice is not free of rank one (diag {diag}, dim {dim})"
-        )
-    return vinv[dim - 1]

@@ -1,6 +1,7 @@
 """The command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -76,6 +77,16 @@ def test_table_a2_universal_text():
     assert rc == 0
     assert "Z_121 = 1 + a2*Z_1" in out
     assert "Z_12*Z_21 = Z_1 + Z_2 + a1*pt" in out
+
+
+def test_table_a3_universal_bytes():
+    # The only rank-3 universal table that reaches weight 6, where the
+    # Lazard generators stop being the paper's fixed combinations.
+    rc, out, _ = run_cli(["table", "--type", "A3", "--theory", "universal"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"
+    )
 
 
 def test_table_deterministic():

@@ -1,9 +1,16 @@
 """Integral a-basis of the universal coefficient ring."""
 
+from math import comb, gcd
+
 import pytest
 
 from flagcohom.errors import IntegralityError, NotInImageError
-from flagcohom.lazard import _solve_structure, weighted_monomials
+from flagcohom.lazard import (
+    PAPER_COMBOS,
+    _solve_structure,
+    lazard_combination,
+    weighted_monomials,
+)
 from flagcohom.selfcheck import CheckContext, check_lazard_roundtrip
 
 
@@ -30,12 +37,8 @@ def test_paper_combinations(universal8, lazard6):
     assert lazard6.to_a_basis(combo) == a("a5")
 
 
-def test_every_aij_is_integral(universal8, lazard6):
-    for (i, j), poly in universal8.a_table.items():
-        if i + j - 1 <= 6:
-            conv = lazard6.to_a_basis(poly)
-            assert conv.is_integer()
-            assert lazard6.from_a_basis(conv) == poly
+def test_every_aij_is_integral():
+    assert check_lazard_roundtrip(CheckContext()) == (True, "")
 
 
 def test_roundtrip_random_products():
@@ -54,12 +57,42 @@ def test_exceeding_bound_raises(universal8, lazard6):
         lazard6.to_a_basis(p)
 
 
+def _g(d):
+    """gcd_i binom(d+1, i): p when d+1 is a power of the prime p, else 1."""
+    n, p = d + 1, 2
+    while n % p:
+        p += 1
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else 1
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_lazard_combination_hits_the_binomial_gcd(d):
+    g = 0
+    for i in range(1, d + 1):
+        g = gcd(g, comb(d + 1, i))
+    assert g == _g(d)
+    for combo in (lazard_combination(d), PAPER_COMBOS.get(d, ())):
+        if combo:
+            assert sum(lam * comb(d + 1, i) for (i, _), lam in combo) == g
+
+
+def test_lazard_combination_pinned():
+    assert lazard_combination(5) == (((1, 5), -14), ((2, 4), 7), ((3, 3), -1))
+    assert lazard_combination(6) == (((1, 6), 1),)
+    assert lazard_combination(7) == (((1, 7), 51), ((2, 6), -17), ((4, 4), 1))
+    assert lazard_combination(8) == (((1, 8), -9), ((3, 6), 1))
+    assert lazard_combination(9) == (((1, 9), -404), ((2, 8), 101), ((5, 5), -2))
+
+
 def test_a6_leading_term(lazard6):
-    # The degree-6 indecomposable has m6-coefficient +-7.
-    a6 = lazard6.expansions["a6"]
-    m6_index = lazard6.m_ring.names.index("m6")
-    e = tuple(1 if k == m6_index else 0 for k in range(lazard6.m_ring.ngens))
-    assert abs(dict(a6.sorted_terms())[e]) == 7
+    # Every generator, paper or not, has m_d coefficient exactly -g_d;
+    # for a6 that is -7.
+    for d in range(1, 7):
+        m_index = lazard6.m_ring.names.index(f"m{d}")
+        e = tuple(int(k == m_index) for k in range(lazard6.m_ring.ngens))
+        assert dict(lazard6.expansions[f"a{d}"].sorted_terms())[e] == -_g(d), d
 
 
 def test_weighted_monomials():
