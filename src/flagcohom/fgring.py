@@ -15,10 +15,24 @@ identity kappa_alpha = (x_alpha + x_{-alpha}) / (x_alpha x_{-alpha}), which
 x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.  When the
 law has a logarithm, x_{+-alpha} = exp(+-L) for the log coordinate L of
 alpha, so the quotient is taken once in one variable, k(t) = g(exp t,
-exp(-t)), and kappa_alpha = k(L) is one substitution.  Apart from
-x_lambda values and kappa elements (cached, immutable after fill) every
-operation is pure, so shared instances are safe under concurrent reads;
-cache insertions are idempotent.
+exp(-t)), and kappa_alpha = k(L) is one substitution.
+
+The simple operators s_i, delta_i, delta_{-alpha_i}, cc_i and cc_{-alpha_i}
+never substitute or divide per call.  s_i(omega_j) = omega_j for j != i, so
+s_i fixes every series free of y_i and all five are linear over such
+series: writing u = sum_k u_k y_i^k, op_i(u) = sum_k u_k op_i(y_i^k).  Each
+call is one convolution against a table of the values op_i(y_i^k), kept as
+term lists ordered by degree so that a product reads a prefix.  The
+identity is exact: op_i(y_i^k) has order >= k - 1, so the output keeps the
+valid degree of the defining formula.  A table entry, the powers of
+x_{s_i(omega_i)} and the x_lambda it divides by are built only to the
+degree their callers read (the output's valid degree minus the lowest
+degree of u_k) and rebuilt when a caller asks for more.  The operators at
+an arbitrary root (``reflection_act``, ``delta_root``, ``cc_root``) keep the
+substitution and serve as their oracle.  Apart from these tables, x_lambda
+values and kappa elements (cached, replaced only by more precise values)
+every operation is pure, so shared instances are safe under concurrent
+reads; cache insertions are idempotent.
 
 ``functionals`` tabulates eps op_word, for an operator family op and a
 prefix-closed set of words, as R-linear functionals of the monomials:
@@ -66,7 +80,7 @@ class FormalGroupRing:
         self._variables = [self.variable(i) for i in range(self.n)]
         self._x_lambda = {}
         self._kappa = {}
-        self._s_powers = {}
+        self._tables = {}
 
     # -- element constructors ---------------------------------------------
 
@@ -90,39 +104,23 @@ class FormalGroupRing:
 
     def x_lambda_series(self, lam):
         """x_lambda for a weight lam in fundamental-weight coordinates, cached."""
-        lam = tuple(int(c) for c in lam)
-        cached = self._x_lambda.get(lam)
-        if cached is not None:
-            return cached
-        series = self.law.combination(lam, self._variables)
-        self._x_lambda[lam] = series
-        return series
+        return self._x_lambda_at(tuple(int(c) for c in lam), self.trunc)
 
-    def _s_power(self, i, k):
-        """k-th power of x_{s_i(omega_i)}, cached at full truncation."""
-        key = (i, k)
-        cached = self._s_powers.get(key)
-        if cached is None:
-            if k == 1:
-                cached = self.x_lambda_series(
-                    self.datum.reflect(i - 1, self.datum.fundamental_weight(i - 1))
-                )
-            else:
-                cached = self._s_power(i, k - 1) * self._s_power(i, 1)
-            self._s_powers[key] = cached
-        return cached
+    def _x_lambda_at(self, lam, need):
+        """x_lambda valid to degree ``need``, from ``combination`` on restricted variables."""
+
+        def build(d):
+            return self.law.combination(lam, [y.restrict(d) for y in self._variables])
+
+        return _on_demand(self._x_lambda, lam, need, build)
 
     def s_act(self, i, u):
         """Action of the simple reflection s_i (1-based index).
 
-        The substitution touches a single variable, so the element is split
-        by the exponent of y_i and recombined against cached powers of
-        x_{s_i(omega_i)}.
+        s_i fixes every y_j but y_i, which goes to x_{s_i(omega_i)}, so
+        s_i(u) = sum_k u_k x_{s_i(omega_i)}^k for u = sum_k u_k y_i^k.
         """
-        acc = TruncatedSeries.zero(self.ring, self.n, self.trunc, u.valid_degree)
-        for k, part in sorted(u.split(i - 1).items()):
-            acc = acc + (part * self._s_power(i, k) if k else part)
-        return acc
+        return self._apply("s", i, u, u.valid_degree)
 
     def weyl_act(self, w, u):
         """Action of a Weyl element (or an explicit word) on u."""
@@ -152,15 +150,12 @@ class FormalGroupRing:
     def delta(self, i, u):
         """delta_i(u) = (u - s_i(u)) / x_{alpha_i}; drops one valid degree."""
         self.require_valid(u, 1, "delta")
-        den = self.x_lambda_series(self.datum.simple_roots[i - 1])
-        return (u - self.s_act(i, u)).exact_divide(den)
+        return self._apply("delta", i, u, u.valid_degree - 1)
 
     def delta_neg(self, i, u):
         """delta at the negative simple root: (u - s_i(u)) / x_{-alpha_i}."""
         self.require_valid(u, 1, "delta")
-        root = self.datum.simple_roots[i - 1]
-        den = self.x_lambda_series(tuple(-c for c in root))
-        return (u - self.s_act(i, u)).exact_divide(den)
+        return self._apply("delta_neg", i, u, u.valid_degree - 1)
 
     def delta_root(self, root, coroot, u):
         """delta at an arbitrary root given with its coroot pairing row."""
@@ -189,7 +184,8 @@ class FormalGroupRing:
     def cc(self, i, u):
         """cc_i(u) = u * kappa_i - delta_i(u)."""
         self.require_valid(u, 1, "cc")
-        return u * self.kappa_element(i) - self.delta(i, u)
+        valid = min(u.valid_degree - 1, self.kappa_element(i).valid_degree)
+        return self._apply("cc", i, u, valid)
 
     def cc_neg(self, i, u):
         """The push-pull operator at the negative simple root.
@@ -198,11 +194,54 @@ class FormalGroupRing:
         part changes: cc_{-alpha}(u) = u * kappa_i - delta_{-alpha}(u).
         """
         self.require_valid(u, 1, "cc")
-        return u * self.kappa_element(i) - self.delta_neg(i, u)
+        valid = min(u.valid_degree - 1, self.kappa_element(i).valid_degree)
+        return self._apply("cc_neg", i, u, valid)
 
     def cc_root(self, root, coroot, u):
         self.require_valid(u, 1, "cc")
         return u * self._kappa_for_root(root) - self.delta_root(root, coroot, u)
+
+    # -- the simple operators as tables of their values on y_i^k --------------
+
+    def _apply(self, op, i, u, valid):
+        """op_i(u) = sum_k u_k op_i(y_i^k) for u = sum_k u_k y_i^k: one convolution.
+
+        s_i fixes the u_k, so all five simple operators are linear over them.
+        """
+        return u.convolve_split(i - 1, lambda k, need: self._entry(op, i, k, need)[1], valid)
+
+    def _entry(self, op, i, k, need):
+        """(op_i(y_i^k), its ``prefixes``) valid to degree ``need``.
+
+        Kept at the highest degree asked for so far, and rebuilt when a
+        caller needs more.  With X = x_{s_i(omega_i)}: s(y^k) = X^k,
+        delta(y^k) = (y^k - X^k) / x_{+-alpha_i} and C(y^k) = y^k kappa_i -
+        delta(y^k), the matching delta for C at -alpha_i.
+        """
+
+        def build(d):
+            root = self.datum.simple_roots[i - 1]
+            yk = self.from_monomials({tuple(k * (j == i - 1) for j in range(self.n)): 1})
+            if op == "s" and k <= 1:
+                X = self.datum.reflect(i - 1, self.datum.fundamental_weight(i - 1))
+                value = self._x_lambda_at(X, d) if k else self.one()
+            elif op == "s":
+                value = self._s_power(i, k - 1, d) * self._s_power(i, 1, d)
+            elif op.startswith("delta") and not k:
+                value = self.zero()
+            elif op.startswith("delta"):
+                den = self._x_lambda_at(root if op == "delta" else tuple(-c for c in root), d + 1)
+                value = (yk.restrict(d + 1) - self._s_power(i, k, d + 1)).exact_divide(den)
+            else:
+                delta = self._entry(op.replace("cc", "delta"), i, k, d)[0]
+                value = yk.restrict(d) * self.kappa_element(i) - delta
+            return value, value.prefixes(d)
+
+        return _on_demand(self._tables, (op, i, k), need, build)
+
+    def _s_power(self, i, k, need):
+        """x_{s_i(omega_i)}^k valid to degree ``need``: the s table's entry."""
+        return self._entry("s", i, k, need)[0]
 
     def delta_word(self, word, u):
         """Composite delta along a word, leftmost operator applied last."""
@@ -223,8 +262,8 @@ class FormalGroupRing:
         Position j contributes delta at -alpha_{i_j} when j is in K and the
         plain reflection s_{i_j} otherwise; factors compose like delta_word.
         Splitting on the last letter i, the sets without position l continue
-        on su = s_i(u) and those with it on (u - su) / x_{-alpha_i}, so a
-        length-l word costs 2^l - 1 reflections and 2^l - 1 divisions.
+        on s_i(u) and those with it on delta_{-alpha_i}(u), so a length-l
+        word costs 2^l - 1 calls to each of ``s_act`` and ``delta_neg``.
         """
         self.require_valid(u, len(word), "theta")
 
@@ -233,11 +272,8 @@ class FormalGroupRing:
                 yield (), v
                 return
             i = word[l - 1]
-            sv = self.s_act(i, v)
-            yield from split(l - 1, sv)
-            root = self.datum.simple_roots[i - 1]
-            den = self.x_lambda_series(tuple(-c for c in root))
-            for K, t in split(l - 1, (v - sv).exact_divide(den)):
+            yield from split(l - 1, self.s_act(i, v))
+            for K, t in split(l - 1, self.delta_neg(i, v)):
                 yield K + (l,), t
 
         return split(len(word), u)
@@ -303,10 +339,10 @@ class FormalGroupRing:
         # Cache delta_{I_w}(u0) by shared suffix of the canonical words.
         du0 = {(): u0}
 
-        def chain(word, base, cache):
+        def chain(word, cache):
             if word in cache:
                 return cache[word]
-            prev = chain(word[1:], base, cache)
+            prev = chain(word[1:], cache)
             val = self.delta(word[0], prev)
             cache[word] = val
             return val
@@ -320,7 +356,7 @@ class FormalGroupRing:
         for v in rows:
             row = []
             for w in cols:
-                inner = chain(w.canonical_word, u0, du0) if w.length else u0
+                inner = chain(w.canonical_word, du0) if w.length else u0
                 row.append(self.delta_word(v.canonical_word, inner))
             mat.append(row)
         rhs = [dx[v.canonical_word] for v in rows]
@@ -344,6 +380,14 @@ class FormalGroupRing:
         for k, w in enumerate(cols):
             out[w.canonical_word] = rhs[k] * mat[k][k].invert_unit()
         return out
+
+
+def _on_demand(cache, key, need, build):
+    """cache[key] = build(d) for the highest degree d asked for so far."""
+    got = cache.get(key)
+    if got is None or got[0] < need:
+        got = cache[key] = (need, build(need))
+    return got[1]
 
 
 def _ext_gcd(a, b):

@@ -188,17 +188,18 @@ class FlagBasis:
         return FlagClass(self, coords)
 
     def _class_table(self):
-        """{y-exponent e: b-coordinates of c(y^e)}, the characteristic map in the b-basis.
+        """{y-key of y^e: b-coordinates of c(y^e)}, the characteristic map in the b-basis.
 
         One class_of per monomial e in the support of the Cs functionals,
-        on the column {w: eps Cs_{I_w}(y^e)}.
+        on the column {w: eps Cs_{I_w}(y^e)}; keyed as ``packed_coeffs``.
         """
         if self._table is None:
             columns = {}
             for word, f in self._functionals("Cs").items():
                 for e, c in f.items():
                     columns.setdefault(e, {})[word] = c
-            self._table = {e: self.class_of(col, 0).coords for e, col in columns.items()}
+            key = self.fgr.one().y_key
+            self._table = {key(e): self.class_of(col, 0).coords for e, col in columns.items()}
         return self._table
 
     def class_from(self, u, k):
@@ -212,8 +213,8 @@ class FlagBasis:
         self._require_degree_n(u)
         table = self._class_table()
         rows = {}
-        for e, p in u.restrict(self.N).coeffs.items():
-            for word, c in table.get(e, {}).items():
+        for y, p in u.restrict(self.N).packed_coeffs().items():
+            for word, c in table.get(y, {}).items():
                 rows.setdefault(word, []).append((p, c))
         factor = Fraction(1, self.t ** k)
         coords = {}

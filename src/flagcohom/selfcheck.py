@@ -352,7 +352,7 @@ def check_operator_identities_delta(ctx):
             dnu = fgr.delta_neg(i, u)
             if not (fgr.delta(i, fgr.one()).is_zero()):
                 return False, "delta(1) != 0"
-            if not (du * xa == u - fgr.s_act(i, u)):
+            if not (du * xa == u - fgr.reflection_act(alpha, roots[alpha], u)):
                 return False, "delta(u) x_a != u - s(u)"
             if not (fgr.delta(i, du) * xa == du + dnu):
                 return False, "delta^2 identity fails"
@@ -418,6 +418,45 @@ def check_operator_identities_cc(ctx):
             rhs = fgr.cc_root(walpha, coroot, u)
             if not (lhs == rhs):
                 return False, "C conjugation identity fails"
+    return True, ""
+
+
+def check_simple_operators_by_substitution(ctx):
+    # s_act, delta, delta_neg, cc and cc_neg read tables of their values on
+    # y_i^k; reflection_act, delta_root and cc_root substitute into u instead.
+    rational = CoeffRing((), True)
+    t1 = CoeffRing((("t1", 1),), True)
+    x = TruncatedSeries.variable(t1, 1, 6, 0)
+    from_log = FormalGroupLaw.from_log(rational, 6, [Fraction(1, 2), Fraction(-2, 3), 3])
+    laws = [
+        FormalGroupLaw.additive(6),
+        FormalGroupLaw.multiplicative(6),
+        FormalGroupLaw.universal(6),
+        from_log.twist(x + (x * x).scale(t1.gen("t1"))),
+    ]
+    for typ in ctx.types:
+        datum = ctx.datum(typ)
+        roots = dict(datum.all_roots())
+        for law in laws:
+            fgr = FormalGroupRing(datum, law)
+            for _ in range(ctx.samples // 10 + 1):
+                u = ctx.random_series_element(fgr)
+                u = u.restrict(ctx.rng.randint(1, fgr.trunc))
+                for i, alpha in enumerate(datum.simple_roots, start=1):
+                    coroot = roots[alpha]
+                    nalpha = tuple(-c for c in alpha)
+                    su = fgr.reflection_act(alpha, coroot, u)
+                    xna = fgr.x_lambda_series(nalpha)
+                    pairs = {
+                        "s": (fgr.s_act(i, u), su),
+                        "delta": (fgr.delta(i, u), fgr.delta_root(alpha, coroot, u)),
+                        "delta_neg": (fgr.delta_neg(i, u), (u - su).exact_divide(xna)),
+                        "cc": (fgr.cc(i, u), fgr.cc_root(alpha, coroot, u)),
+                        "cc_neg": (fgr.cc_neg(i, u), fgr.cc_root(nalpha, roots[nalpha], u)),
+                    }
+                    for name, (got, want) in pairs.items():
+                        if not (got == want and got.valid_degree == want.valid_degree):
+                            return False, f"{name}_{i} differs at {typ} over the {law.tag} law"
     return True, ""
 
 
@@ -860,6 +899,7 @@ CHECKS = [
     ("universal-to-multiplicative specialization", check_fgl_specialization),
     ("difference operator identities", check_operator_identities_delta),
     ("push-pull operator identities", check_operator_identities_cc),
+    ("simple operators match the substitution route", check_simple_operators_by_substitution),
     ("word independence for x+y-vxy", check_word_independence),
     ("decomposition dependence witness", check_dependence_witness),
     ("eps C vs eps delta on u0", check_eps_c_vs_delta),

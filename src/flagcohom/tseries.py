@@ -129,12 +129,21 @@ class TruncatedSeries:
     @property
     def coeffs(self):
         """Read-only view {y-exponent tuple: CoeffPoly}: a new dict on each access."""
+        unpack = self._lay.unpack
+        return {unpack(y, True): p for y, p in self.packed_coeffs().items()}
+
+    def packed_coeffs(self):
+        """``coeffs`` keyed by packed y-monomials (``y_key``): no key is unpacked."""
         low = (1 << self._lay.m_bits) - 1
         groups = {}
         for k, c in self._terms.items():
             groups.setdefault(k & ~low, {})[k & low] = c
         wrap = CoeffPoly._wrap
-        return {self._lay.unpack(y, True): wrap(self.ring, t) for y, t in groups.items()}
+        return {y: wrap(self.ring, t) for y, t in groups.items()}
+
+    def y_key(self, exps):
+        """The packed key of y^exps, as ``packed_coeffs`` uses it."""
+        return self._lay.pack(exps, True)
 
     def _shape_check(self, other):
         if self.ring != other.ring or self.n_vars != other.n_vars or self.trunc != other.trunc:
@@ -229,12 +238,43 @@ class TruncatedSeries:
         a, b = self._graded(v), other._graded(v)
         if sum(map(len, a)) > sum(map(len, b)):
             a, b = b, a
-        flat, ends = [], []
-        for terms in b:
-            flat += terms
-            ends.append(len(flat))
+        flat, ends = _flatten(b)
         pairs = ((terms, flat[: ends[v - d]]) for d, terms in enumerate(a) if terms)
         return self._like(convolve(pairs, self._lay.guard), v)
+
+    def prefixes(self, valid):
+        """(flat, ends): the terms of degree <= ``valid`` in degree order.
+
+        ends[d] counts those of degree <= d, so flat[:ends[d]] is the
+        truncation above degree d.  Kernel data for ``convolve_split``.
+        """
+        return _flatten(self._graded(valid))
+
+    def convolve_split(self, index, image, valid):
+        """sum_k p_k * f(y_index^k) for self = sum_k y_index^k p_k, valid to ``valid``.
+
+        For a map f that is linear over the series free of y_index.
+        ``image(k, need)`` gives the ``prefixes`` of f(y_index^k) through
+        degree ``need``, asked for need = valid - (lowest degree of p_k); a
+        term of p_k of degree d meets the prefix through degree valid - d.
+        The caller vouches that f takes terms above self's valid degree
+        above ``valid``.  One convolution over all k.
+        """
+        lay = self._lay
+        shift, unit, ds = lay.y_shift[index], lay.y_unit[index], lay.deg_shift
+        parts = {}
+        for key, c in self._terms.items():
+            k = (key >> shift) & _MASK
+            rest = key - k * unit
+            d = rest >> ds
+            if d <= valid:
+                parts.setdefault(k, {}).setdefault(d, []).append((rest, c))
+        pairs = []
+        for k, by_degree in parts.items():
+            flat, ends = image(k, valid - min(by_degree))
+            if flat:
+                pairs += ((terms, flat[: ends[valid - d]]) for d, terms in by_degree.items())
+        return self._like(convolve(pairs, lay.guard), valid)
 
     __rmul__ = __mul__
 
@@ -412,6 +452,15 @@ class TruncatedSeries:
             f"TruncatedSeries(n={self.n_vars}, trunc={self.trunc}, "
             f"valid={self.valid_degree}, {self})"
         )
+
+
+def _flatten(graded):
+    """Concatenate per-degree term lists; return (flat, ends) as in ``prefixes``."""
+    flat, ends = [], []
+    for terms in graded:
+        flat += terms
+        ends.append(len(flat))
+    return flat, ends
 
 
 def _degree_monomials(n, d):

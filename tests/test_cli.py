@@ -89,6 +89,23 @@ def test_table_a3_universal_bytes():
     )
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["table", "--type", "B2", "--theory", "ktheory"],
+         "4bc410db7188cbcdfafaad696103bf860636a515a9312fcc9500384899c76dd6"),
+        (["bs", "--type", "G2", "--word", "1,2,1,2", "--theory", "ktheory"],
+         "64c22d3a71a15cbc487ae10a73c4353b7557e09ddbe4a3da8d59d97fa6710ff9"),
+    ],
+)
+def test_coefficient_law_bytes(args, digest):
+    # The multiplicative law has no logarithm, so x_lambda and kappa take
+    # the coefficient-law route (formal multiples into nary_sum).
+    rc, out, _ = run_cli(args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_deterministic():
     runs = [run_cli(["table", "--type", "A2", "--theory", "universal",
                      "--format", "json"]) for _ in range(2)]

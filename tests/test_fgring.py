@@ -15,7 +15,11 @@ from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing, _ext_gcd, torsion_bezout
 from flagcohom.reference import RANK4_TORSION, REFERENCE_TORSION
 from flagcohom.rootdata import RootDatum
-from flagcohom.selfcheck import CheckContext, check_decomposition_system
+from flagcohom.selfcheck import (
+    CheckContext,
+    check_decomposition_system,
+    check_simple_operators_by_substitution,
+)
 from flagcohom.tseries import TruncatedSeries
 
 
@@ -161,6 +165,29 @@ def test_delta_defining_relation(a2_small):
         for i in (1, 2):
             xa = a2_small.x_lambda_series(a2_small.datum.simple_roots[i - 1])
             assert a2_small.delta(i, u) * xa + a2_small.s_act(i, u) == u
+
+
+def test_simple_operators_match_the_substitution_route():
+    ok, detail = check_simple_operators_by_substitution(CheckContext(seed=5))
+    assert ok, detail
+
+
+@pytest.mark.parametrize("law", ["universal", "multiplicative"])
+def test_operator_tables_rebuilt_when_demand_grows(law):
+    datum = RootDatum.build("B2")
+    fgr = FormalGroupRing(datum, LAWS[law](7))
+    u = rand_elt(fgr, random.Random(14), nterms=8, max_deg=5)
+    ops = ("s_act", "delta", "delta_neg", "cc", "cc_neg")
+    for valid in (2, fgr.trunc):
+        fresh = FormalGroupRing(datum, LAWS[law](7))
+        for op in ops:
+            for i in (1, 2):
+                got = getattr(fgr, op)(i, u.restrict(valid))
+                want = getattr(fresh, op)(i, u.restrict(valid))
+                assert got == want and got.valid_degree == want.valid_degree
+    for op in ops[1:]:
+        with pytest.raises(InsufficientPrecisionError):
+            getattr(fgr, op)(1, u.restrict(0))
 
 
 def test_cc_values(a2_small):
