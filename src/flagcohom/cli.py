@@ -111,8 +111,20 @@ def effective_trunc(args, datum):
     return trunc
 
 
+def admit_table(datum, theory):
+    """Refuse a table whose Weyl group is too large for ``theory``, before enumerating W."""
+    bound = MAX_TABLE_WEYL_ORDER["universal" if theory == "universal" else "other"]
+    order = datum.order_from_roots()
+    if order > bound:
+        raise ValueError(
+            f"a {theory} table of {datum.label or 'this root datum'} has |W| = {order:,} "
+            f"classes, over the bound of {bound:,}"
+        )
+
+
 def cmd_table(args):
     datum = load_datum(args)
+    admit_table(datum, args.theory)
     trunc = effective_trunc(args, datum)
     with _trunc_context(trunc):
         table = MultiplicationTable(datum, args.theory, trunc, raw=args.raw_basis)
@@ -169,9 +181,19 @@ def _parse_word(text, datum):
 
 
 # A length-l word has 2^l - 1 Theta_K chains and a tower ring of rank 2^l:
-# on 2 cores an A3 universal word took 1.2 s at length 8, 10.5 s at 10 and
-# 63 s at 11, and its length-12 presentation and tangent class 296 s.
+# on 2 cores an A3 universal word took 0.7 s at length 8, 5.9 s at 10 and
+# 29 s at 11, and its length-12 presentation and tangent class 147 s
+# in-process (49 s and 97 s).
 MAX_BS_WORD = 11
+
+
+# A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
+# universal theory took 18 s and 136 MB at B3 (|W| = 48) and 331 s and
+# 1.3 GB at A4 (120); the theories with at most one generator are far
+# cheaper: chow took 0.3 s at B3, 13 s at D4 (192) and 226 s at B4 (384),
+# and F4 (1152) would take about an hour.  |W| comes from the roots
+# (``RootDatum.order_from_roots``), so a refusal enumerates nothing.
+MAX_TABLE_WEYL_ORDER = {"universal": 120, "other": 384}
 
 
 def cmd_bs(args):
@@ -252,6 +274,7 @@ def cmd_ln(args):
     datum = load_datum(args)
     if args.theory != "universal":
         raise ValueError("operations are defined over the universal theory")
+    admit_table(datum, "universal")
     trunc = effective_trunc(args, datum)
     if args.word:
         word = _parse_word(args.word, datum)

@@ -14,9 +14,11 @@ the multiplicative and connective laws) can fail them, so only it is
 validated against unit, commutativity, associativity and its inverse on
 construction.  ``selfcheck.check_fgl_axioms`` validates every constructor.
 
-The laws that carry a logarithm also keep its exponential, and form
-c_1 x_1 +F ... +F c_n x_n in log coordinates (``combination``); a law given
-by coefficients substitutes formal multiples into the n-fold sum instead.
+The laws that carry a logarithm also keep its exponential, and the formal
+group ring of such a law works in log coordinates (``fgring``); there
+c_1 x_1 +F ... +F c_n x_n is exp(c_1 log x_1 + ... + c_n log x_n).  For a
+law given by coefficients ``combination`` substitutes formal multiples into
+the n-fold sum.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class FormalGroupLaw:
         self._nary = {}
         self._kappa = None
         self._log_kappa = None
+        self._log_ratio = None
 
     # -- constructors -------------------------------------------------------
 
@@ -245,26 +248,13 @@ class FormalGroupLaw:
     def combination(self, coeffs, xs):
         """c_1 .F x_1 +F ... +F c_n .F x_n for integers c_i and series x_i.
 
-        A law with a logarithm sums in log coordinates: the result is
-        exp(c_1 log x_1 + ... + c_n log x_n), one substitution into the
-        1-variable exp, and for the universal law the inner sum has
-        single-monomial coefficients.  A law given by coefficients has no log
-        free of 1/k denominators, so it substitutes the formal multiples into
-        ``nary_sum``.  A term with c_i = 0 is dropped in both routes, so the
-        validity of its x_i does not bound the result's.
+        The formal multiples substituted into ``nary_sum``.  A term with
+        c_i = 0 is the zero series, so the validity of its x_i does not
+        bound the result's.  (A ring over a law with a logarithm forms
+        x_lambda as exp(lambda.z) in log coordinates instead.)
         """
-        if self.log is None:
-            images = [self.multiple(c, x) for c, x in zip(coeffs, xs)]
-            return self.nary_sum(len(images)).substitute(images)
-        return self.exp.substitute([self.log_combination(coeffs, xs)])
-
-    def log_combination(self, coeffs, xs):
-        """c_1 log x_1 + ... + c_n log x_n over the terms with c_i != 0."""
-        acc = TruncatedSeries.zero(self.ring, xs[0].n_vars, xs[0].trunc)
-        for c, x in zip(coeffs, xs):
-            if c:
-                acc = acc + self.log.substitute([x]).scale(c)
-        return acc
+        images = [self.multiple(c, x) for c, x in zip(coeffs, xs)]
+        return self.nary_sum(len(images)).substitute(images)
 
     def log_kappa(self):
         """k(t) = g(exp t, exp(-t)) for the kappa series g; cached, needs a log.
@@ -277,6 +267,17 @@ class FormalGroupLaw:
             e, e_neg = self.exp, self.exp.substitute([-t])
             self._log_kappa = (e + e_neg).exact_divide(e).exact_divide(e_neg)
         return self._log_kappa
+
+    def log_ratio(self):
+        """r(t) = t / exp(t); cached, needs a log.
+
+        x = exp(L), so L / x = r(L): dividing by x_alpha is multiplying by
+        one substitution into r.
+        """
+        if self._log_ratio is None:
+            t = TruncatedSeries.variable(self.ring, 1, self.trunc, 0)
+            self._log_ratio = t.exact_divide(self.exp)
+        return self._log_ratio
 
     def kappa(self):
         """g with x +F y = x + y - x*y*g(x, y); cached."""

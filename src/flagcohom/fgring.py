@@ -1,43 +1,73 @@
 """The formal group ring of a weight lattice, with its difference operators.
 
-Elements are plain TruncatedSeries in R[[y_1..y_n]], with the law's ring
-and truncation, where y_i is the class of the i-th fundamental weight;
-every method takes and returns them.  x_lambda for lambda = sum c_i omega_i
-is c_1 y_1 +F ... +F c_n y_n, built by the law's ``combination`` (in log
-coordinates when the law has a logarithm), the Weyl group acts by
-substitution, and the two first-order operators are
+Elements are plain TruncatedSeries with the law's ring and truncation;
+every method takes and returns them.  y_i is the class x_{omega_i} of the
+i-th fundamental weight, and x_lambda for lambda = sum c_i omega_i is
+c_1 y_1 +F ... +F c_n y_n.  The two first-order operators are
 
     delta_i(u) = (u - s_i(u)) / x_{alpha_i}
     cc_i(u)    = u * kappa_i - delta_i(u),   kappa_i = g(x_alpha, x_{-alpha})
 
 where g is the law's kappa series.  kappa is computed by the quotient
 identity kappa_alpha = (x_alpha + x_{-alpha}) / (x_alpha x_{-alpha}), which
-x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.  When the
-law has a logarithm, x_{+-alpha} = exp(+-L) for the log coordinate L of
-alpha, so the quotient is taken once in one variable, k(t) = g(exp t,
-exp(-t)), and kappa_alpha = k(L) is one substitution.
+x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.
+
+A ring holds its elements in one of two coordinate systems, chosen by the
+law.  When the law has a logarithm (universal, ``from_log``, additive,
+twisted and specialized laws) the coordinates are z_j = log y_j: the
+series are in R[[z_1..z_n]], and x_lambda = exp(lambda.z) for the linear
+form lambda.z = sum c_j z_j.  There the Weyl group acts linearly, s_i(z_i)
+= z_i - L_i with L_i = alpha_i.z, as in Demazure's additive case, so
+
+    u - s_i(u) = L_i * d_i(u),   delta_{+-alpha_i}(u) = +-d_i(u) * r(+-L_i),
+
+with d_i the classical divided difference, exact over the integers, and
+r(t) = t/exp(t) one fixed series.  kappa_alpha = k(L) for k(t) =
+g(exp t, exp(-t)), one substitution into a one-variable quotient.  For the
+additive law z = y, r = 1 and kappa = 0, and no product with them is made.
+A law given only by coefficients (multiplicative, connective, ``custom``
+with "coefficients") has no logarithm free of denominators: its ring keeps
+y coordinates, x_lambda is the law's ``combination`` and the Weyl group
+acts by substitution.  A measurement decided this split as well: for the
+multiplicative law over QQ[beta], the B3 chains and transition matrix took
+0.3 s in y coordinates and 2.1 s in log coordinates (the law built by its
+logarithm) on 2 cores, since there exp, r and kappa are dense series in
+beta while the y route's powers stay sparse.
+
+The constructors mean the same element in both systems: ``variable(i)`` is
+y_i, ``from_monomials`` takes y-monomials and ``x_lambda_series`` is
+x_lambda, so ``==``, the augmentation (the constant term) and valid degrees
+do not depend on the coordinates (y = exp(z) keeps the degree filtration).
+What does depend on them is the monomial basis: ``functionals`` tabulates
+on the monomials of the ring's own coordinates, ``coordinate_monomial``,
+and ``y_series``/``from_y_series`` cross to y coordinates and back.
 
 The simple operators s_i, delta_i, delta_{-alpha_i}, cc_i and cc_{-alpha_i}
 never substitute or divide per call.  s_i(omega_j) = omega_j for j != i, so
-s_i fixes every series free of y_i and all five are linear over such
-series: writing u = sum_k u_k y_i^k, op_i(u) = sum_k u_k op_i(y_i^k).  Each
-call is one convolution against a table of the values op_i(y_i^k), kept as
-term lists ordered by degree so that a product reads a prefix.  The
-identity is exact: op_i(y_i^k) has order >= k - 1, so the output keeps the
-valid degree of the defining formula.  A table entry, the powers of
-x_{s_i(omega_i)} and the x_lambda it divides by are built only to the
-degree their callers read (the output's valid degree minus the lowest
-degree of u_k) and rebuilt when a caller asks for more.  The operators at
-an arbitrary root (``reflection_act``, ``delta_root``, ``cc_root``) keep the
-substitution and serve as their oracle.  Apart from these tables, x_lambda
-values and kappa elements (cached, replaced only by more precise values)
-every operation is pure, so shared instances are safe under concurrent
-reads; cache insertions are idempotent.
+s_i fixes every series free of the i-th coordinate and all five are linear
+over such series: writing u = sum_k u_k t^k for the i-th coordinate t,
+op_i(u) = sum_k u_k op_i(t^k), one convolution against a table of values
+kept as term lists ordered by degree, so that a product reads a prefix.
+In log coordinates the tables are the integer polynomials s_i(z_i^k) =
+(z_i - L_i)^k and +-d_i(z_i^k) = +-sum_j z_i^j (z_i - L_i)^(k-1-j), exact
+at every degree, built once per letter; delta and cc then make one product
+with r(+-L_i), and cc one more with kappa_i.  In y coordinates a table
+entry holds op_i(y_i^k) itself; it, the powers of x_{s_i(omega_i)} and the
+x_lambda it divides by are built only to the degree their callers read
+(the output's valid degree minus the lowest degree of u_k) and rebuilt when
+a caller asks for more.  Either way the output keeps the valid degree of
+the defining formula.  The operators at an arbitrary root
+(``reflection_act``, ``delta_root``, ``cc_root``) substitute and divide
+and serve as their oracle.  Apart from these tables, x_lambda values and
+kappa elements (cached, replaced only by more precise values) every
+operation is pure, so shared instances are safe under concurrent reads;
+cache insertions are idempotent.
 
 ``functionals`` tabulates eps op_word, for an operator family op and a
-prefix-closed set of words, as R-linear functionals of the monomials:
-f_word = f_{word[:-1]} o op_{word[-1]}, one column op_i(y^e) per letter and
-monomial.  The characteristic map of ``flagring`` is built on it.
+prefix-closed set of words, as R-linear functionals of the coordinate
+monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one column op_i(t^e) per
+letter and monomial.  The characteristic map of ``flagring`` is built on
+it.
 
 The torsion index and its witness u0 are computed in the additive model:
 the operators induce the classical divided differences on the associated
@@ -58,6 +88,10 @@ from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import FormalGroupLaw
 from .tseries import TruncatedSeries, _degree_monomials
 
+# In log coordinates op_i(u) = [u kappa_i +] (+-d_i)(u) r(+-L_i); op -> (column of
+# the table (s_i, d_i, -d_i) it convolves with, sign in r(+-L_i)).
+_LOG_OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, 1), "cc_neg": (1, -1)}
+
 
 @dataclass(frozen=True)
 class TorsionData:
@@ -69,7 +103,7 @@ class TorsionData:
 
 
 class FormalGroupRing:
-    """R[[M]]_F in fundamental-weight coordinates for a fixed root datum."""
+    """R[[M]]_F for a fixed root datum, in log coordinates when the law has a log."""
 
     def __init__(self, datum, law):
         self.datum = datum
@@ -77,10 +111,16 @@ class FormalGroupRing:
         self.ring = law.ring
         self.trunc = law.trunc
         self.n = datum.rank
-        self._variables = [self.variable(i) for i in range(self.n)]
+        self.log_coords = law.log is not None
+        # y_j = exp(z_j); None where the coordinates are y, or z = y (the
+        # additive law, where also r = 1 and kappa = 0)
+        self._exp = law.exp
+        if not self.log_coords or law.exp == TruncatedSeries.variable(law.ring, 1, law.trunc, 0):
+            self._exp = None
+        self._variables = None
         self._x_lambda = {}
         self._kappa = {}
-        self._tables = {}
+        self._tables = {}  # per-letter operator tables and fixed factors
 
     # -- element constructors ---------------------------------------------
 
@@ -94,31 +134,77 @@ class FormalGroupRing:
         return TruncatedSeries.const(self.ring, self.n, self.trunc, c)
 
     def variable(self, i):
-        return TruncatedSeries.variable(self.ring, self.n, self.trunc, i)
+        """y_i = x_{omega_i}."""
+        return self._y_variables()[i]
 
     def from_monomials(self, monomials):
-        """Element from {y-exponent tuple: coefficient}, exact to truncation."""
-        return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
+        """Element sum c y^e from {y-exponent tuple e: coefficient c}, exact to truncation."""
+        return self.from_y_series(
+            TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
+        )
+
+    def coordinate_monomial(self, e, valid_degree=None):
+        """The monomial with exponents e in the ring's own coordinates (z or y)."""
+        return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, {e: 1}, valid_degree)
+
+    def from_y_series(self, s):
+        """The element whose y-coordinate series is s: s(exp z_1, ..., exp z_n)."""
+        if self._exp is None:
+            return s
+        return s.substitute(self._y_variables())
+
+    def y_series(self, u):
+        """u as a series in y_1..y_n: u(log y_1, ..., log y_n)."""
+        if self._exp is None:
+            return u
+        logs = [self.law.log.substitute([self._coordinate(j)]) for j in range(self.n)]
+        return u.substitute(logs)
+
+    def _coordinate(self, j):
+        return TruncatedSeries.variable(self.ring, self.n, self.trunc, j)
+
+    def _y_variables(self):
+        """[y_1, ..., y_n]: exp(z_j) in log coordinates."""
+        if self._variables is None:
+            ys = [self._coordinate(j) for j in range(self.n)]
+            if self._exp is not None:
+                ys = [self._exp.substitute([z]) for z in ys]
+            self._variables = ys
+        return self._variables
+
+    def _linear(self, lam):
+        """The linear form lam.z = sum c_j z_j of a weight (log coordinates)."""
+        terms = {tuple(int(j == k) for k in range(self.n)): c for j, c in enumerate(lam) if c}
+        return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, terms)
 
     # -- x_lambda and the Weyl action ----------------------------------------
 
     def x_lambda_series(self, lam):
         """x_lambda for a weight lam in fundamental-weight coordinates, cached."""
-        return self._x_lambda_at(tuple(int(c) for c in lam), self.trunc)
+        lam = tuple(int(c) for c in lam)
+        if not self.log_coords:
+            return self._x_lambda_at(lam, self.trunc)
+        got = self._x_lambda.get(lam)
+        if got is None:
+            got = self._linear(lam)
+            if self._exp is not None:
+                got = self._exp.substitute([got])
+            self._x_lambda[lam] = got
+        return got
 
     def _x_lambda_at(self, lam, need):
         """x_lambda valid to degree ``need``, from ``combination`` on restricted variables."""
 
         def build(d):
-            return self.law.combination(lam, [y.restrict(d) for y in self._variables])
+            return self.law.combination(lam, [y.restrict(d) for y in self._y_variables()])
 
         return _on_demand(self._x_lambda, lam, need, build)
 
     def s_act(self, i, u):
         """Action of the simple reflection s_i (1-based index).
 
-        s_i fixes every y_j but y_i, which goes to x_{s_i(omega_i)}, so
-        s_i(u) = sum_k u_k x_{s_i(omega_i)}^k for u = sum_k u_k y_i^k.
+        s_i fixes every coordinate but the i-th, which goes to z_i - L_i in
+        log coordinates and to x_{s_i(omega_i)} in y coordinates.
         """
         return self._apply("s", i, u, u.valid_degree)
 
@@ -130,12 +216,15 @@ class FormalGroupRing:
         return u
 
     def reflection_act(self, root, coroot, u):
-        """Action of the reflection at an arbitrary root (weight coords)."""
+        """Action of the reflection at an arbitrary root (weight coords), by substitution.
+
+        The j-th coordinate goes to that of s(omega_j) = omega_j - coroot[j] root.
+        """
         images = []
         for j in range(self.n):
             om = self.datum.fundamental_weight(j)
             lam = tuple(om[k] - coroot[j] * root[k] for k in range(self.n))
-            images.append(self.x_lambda_series(lam))
+            images.append(self._linear(lam) if self.log_coords else self.x_lambda_series(lam))
         return u.substitute(images)
 
     # -- operators ------------------------------------------------------------
@@ -173,10 +262,9 @@ class FormalGroupRing:
         return cached
 
     def _kappa_for_root(self, root):
-        if self.law.log is not None:
-            # x_{+-alpha} = exp(+-L) in the log coordinate L of alpha
-            L = self.law.log_combination(root, self._variables)
-            return self.law.log_kappa().substitute([L])
+        if self.log_coords:
+            # x_{+-alpha} = exp(+-L) for L = alpha.z
+            return self.law.log_kappa().substitute([self._linear(root)])
         xp = self.x_lambda_series(root)
         xm = self.x_lambda_series(tuple(-c for c in root))
         return (xp + xm).exact_divide(xp).exact_divide(xm)
@@ -201,17 +289,65 @@ class FormalGroupRing:
         self.require_valid(u, 1, "cc")
         return u * self._kappa_for_root(root) - self.delta_root(root, coroot, u)
 
-    # -- the simple operators as tables of their values on y_i^k --------------
+    # -- the simple operators as tables of their values on t^k ----------------
 
     def _apply(self, op, i, u, valid):
-        """op_i(u) = sum_k u_k op_i(y_i^k) for u = sum_k u_k y_i^k: one convolution.
+        """op_i(u) = sum_k u_k op_i(t^k) for u = sum_k u_k t^k, t the i-th coordinate.
 
         s_i fixes the u_k, so all five simple operators are linear over them.
         """
-        return u.convolve_split(i - 1, lambda k, need: self._entry(op, i, k, need)[1], valid)
+        if not self.log_coords:
+            return u.convolve_split(i - 1, lambda k, need: self._entry(op, i, k, need)[1], valid)
+        column, root_sign = _LOG_OPS[op]
+        out = u.convolve_split(i - 1, lambda k, need: self._log_entry(i, k)[2][column], valid)
+        if op == "s":
+            return out
+        if self._exp is not None:
+            out = out.mul_prefixes(self._factor(("r", i, root_sign)), valid)
+        if op.startswith("cc") and not self.kappa_element(i).is_zero():
+            out = u.mul_prefixes(self._factor(("kappa", i)), valid) + out
+        return out
+
+    def _log_entry(self, i, k):
+        """(s, d, ``prefixes`` of s, d and -d) for s = (z_i - L_i)^k, d = d_i(z_i^k).
+
+        Exact at every degree.  d_i(z_i^k) = sum_j z_i^j (z_i - L_i)^(k-1-j),
+        so that z_i^k - (z_i - L_i)^k = L_i d_i(z_i^k); by the recursion
+        d_i(z_i^k) = z_i d_i(z_i^(k-1)) + (z_i - L_i)^(k-1).
+        """
+        key = ("log", i, k)
+        got = self._tables.get(key)
+        if got is None:
+            if k:
+                s, d = self._log_entry(i, k - 1)[:2]
+                image = self.datum.reflect(i - 1, self.datum.fundamental_weight(i - 1))
+                s, d = s * self._linear(image), self._coordinate(i - 1) * d + s
+            else:
+                s, d = self.one(), self.zero()
+            prefixes = tuple(v.prefixes(self.trunc) for v in (s, d, -d))
+            got = self._tables[key] = (s, d, prefixes)
+        return got
+
+    def _factor(self, key):
+        """``prefixes`` of kappa_i (key ("kappa", i)) or of r(+-L_i) (key ("r", i, +-1)).
+
+        r(+-L_i) = +-L_i / x_{+-alpha_i}.  Built on first use and kept in
+        degree order, since every call multiplies by the same series.
+        """
+        got = self._tables.get(key)
+        if got is None:
+            if key[0] == "kappa":
+                value = self.kappa_element(key[1])
+            else:
+                _, i, sign = key
+                root = self.datum.simple_roots[i - 1]
+                lin = self._linear(tuple(sign * c for c in root))
+                value = self.law.log_ratio().substitute([lin])
+            got = self._tables[key] = value.prefixes(value.valid_degree)
+        return got
 
     def _entry(self, op, i, k, need):
-        """(op_i(y_i^k), its ``prefixes``) valid to degree ``need``.
+        """(op_i(y_i^k), its ``prefixes``) valid to degree ``need``, in y coordinates.
 
         Kept at the highest degree asked for so far, and rebuilt when a
         caller needs more.  With X = x_{s_i(omega_i)}: s(y^k) = X^k,
@@ -221,7 +357,7 @@ class FormalGroupRing:
 
         def build(d):
             root = self.datum.simple_roots[i - 1]
-            yk = self.from_monomials({tuple(k * (j == i - 1) for j in range(self.n)): 1})
+            yk = self.coordinate_monomial(tuple(k * (j == i - 1) for j in range(self.n)))
             if op == "s" and k <= 1:
                 X = self.datum.reflect(i - 1, self.datum.fundamental_weight(i - 1))
                 value = self._x_lambda_at(X, d) if k else self.one()
@@ -281,14 +417,16 @@ class FormalGroupRing:
     # -- functionals of operator words -------------------------------------------
 
     def functionals(self, op, words, homogeneous=False):
-        """{word: {y-exponent e: eps op_word(y^e)}} for each word in ``words``.
+        """{word: {exponent e: eps op_word(t^e)}} for each word in ``words``.
+
+        t^e is the ``coordinate_monomial`` e, in z or y coordinates.
 
         op(i, u) is an R-linear operator taking I^d into I^(d-1) (I the
         augmentation ideal), applied rightmost letter first.  So eps op_word
-        vanishes on the monomials of degree > |word|, and op_i(y^e) is needed
+        vanishes on the monomials of degree > |word|, and op_i(t^e) is needed
         only modulo degree > max |word| - 1.  The words and their prefixes
         are folded by length, f_word = f_{word[:-1]} o op_{word[-1]}, each
-        column op_i(y^e) computed once.  When op is homogeneous of degree -1
+        column op_i(t^e) computed once.  When op is homogeneous of degree -1
         (the additive law), eps op_word also vanishes below degree |word|:
         the words of length k are evaluated on the monomials of degree k
         only, and their columns are dropped once the fold passes length k.
@@ -307,7 +445,7 @@ class FormalGroupRing:
                 for e in monomials[d]:
                     col = columns.get((i, e))
                     if col is None:
-                        mono = self.from_monomials({e: 1}).restrict(top)
+                        mono = self.coordinate_monomial(e, top)
                         col = columns[i, e] = op(i, mono).coeffs
                     acc = self.ring.dot((prev[e2], c) for e2, c in col.items() if e2 in prev)
                     if not acc.is_zero():

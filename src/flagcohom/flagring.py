@@ -14,11 +14,13 @@ w -> w0 w make it triangular with the torsion index t on the diagonal, so P
 is never inverted: ``class_of`` is one back substitution, dividing only by t.
 
 c is R-linear, so in the b-basis it is one sparse table K: K[e] holds the
-(integral) b-coordinates of c(y^e) for each monomial e of degree <= N that
-the functionals read.  ``class_of`` only builds K, one call per monomial,
-and ``dual_class``, which starts from a-coordinates, still uses it; every
-other class (unit, products, word classes, operators) is one pass over the
-terms of u, grouped by the rows of K, with one convolution per coordinate.
+b-coordinates of c(t^e) for each monomial t^e of degree <= N that the
+functionals read, t the coordinates of the formal group ring (z = log y
+when the law has a logarithm, else y).  K is built by one back substitution
+per monomial.  ``dual_class`` starts from a-coordinates and solves once;
+every other class (unit, products, word classes, operators) is one pass over
+the terms of u, grouped by the rows of K, with one convolution per
+coordinate.
 """
 
 from __future__ import annotations
@@ -99,7 +101,10 @@ class FlagBasis:
             )
 
     def _functionals(self, variant):
-        """{canonical word w: {y-exponent e: eps Op_{I_w}(y^e)}}, built once."""
+        """{canonical word w: {exponent e: eps Op_{I_w}(t^e)}}, built once.
+
+        t^e is a monomial of the formal group ring's coordinates.
+        """
         table = self._eps_tables.get(variant)
         if table is None:
             op = {"Cs": self.cs, "C": self.fgr.cc, "D": self.fgr.delta}[variant]
@@ -162,6 +167,10 @@ class FlagBasis:
         nonzeros.  c(u) = t * sum_w x_w b_w, so the class is t^(1-k) x.  Its
         coordinates must be integral in a rational ring.
         """
+        return self._flag_class(self._solve(avec, k))
+
+    def _solve(self, avec, k):
+        """The b-coordinates of t^(-k) c(u) for avec = eps_vector(u), unchecked."""
         self.transition_matrix()
         inv_t = self.ring.const(Fraction(1, self.t))
         x = [None] * len(self.elements)
@@ -176,9 +185,9 @@ class FlagBasis:
                 if not xr.is_zero():
                     x[r] = xr
         factor = Fraction(self.t) ** (1 - k)
-        return self._flag_class(
-            {w.canonical_word: c.scale(factor) for w, c in zip(self.elements, x) if c is not None}
-        )
+        return {
+            w.canonical_word: c.scale(factor) for w, c in zip(self.elements, x) if c is not None
+        }
 
     def _flag_class(self, coords):
         """FlagClass of nonzero b-coordinates, each integral in a rational ring."""
@@ -188,10 +197,14 @@ class FlagBasis:
         return FlagClass(self, coords)
 
     def _class_table(self):
-        """{y-key of y^e: b-coordinates of c(y^e)}, the characteristic map in the b-basis.
+        """{key of t^e: b-coordinates of c(t^e)}, the characteristic map in the b-basis.
 
-        One class_of per monomial e in the support of the Cs functionals,
-        on the column {w: eps Cs_{I_w}(y^e)}; keyed as ``packed_coeffs``.
+        t^e is a monomial of the ring's coordinates (``functionals``).  One
+        back substitution per monomial e in the support of the Cs
+        functionals, on the column {w: eps Cs_{I_w}(t^e)}; keyed as
+        ``packed_coeffs``.  In log coordinates t^e = (log y)^e may have
+        fractional coefficients, so an entry need not be integral: only the
+        classes that ``class_from`` sums from them are checked.
         """
         if self._table is None:
             columns = {}
@@ -199,14 +212,14 @@ class FlagBasis:
                 for e, c in f.items():
                     columns.setdefault(e, {})[word] = c
             key = self.fgr.one().y_key
-            self._table = {key(e): self.class_of(col, 0).coords for e, col in columns.items()}
+            self._table = {key(e): self._solve(col, 0) for e, col in columns.items()}
         return self._table
 
     def class_from(self, u, k):
         """The class with c(u) = t^k * class; equal to class_of(eps_vector(u), k).
 
         c is R-linear and reads only the terms of u of degree <= N, so
-        c(u) = sum_e u_e c(y^e): the terms of u are grouped by the rows of
+        c(u) = sum_e u_e c(t^e): the terms of u are grouped by the rows of
         the class table and each b-coordinate is one convolution, scaled by
         t^(-k).  u must be valid to degree N.
         """
@@ -379,8 +392,9 @@ class FlagBasis:
                 "operation source needs valid degree N",
                 deficit=self.N - u.valid_degree,
             )
-        # c reads only degrees <= N, and the substitution keeps degree.
-        u = u.restrict(self.N)
+        # c reads only degrees <= N, and the substitution keeps degree; it
+        # acts on y_i, so it runs in y coordinates.
+        u = self.fgr.y_series(u.restrict(self.N))
         u_ext = u.map_coefficients(lambda p: p.specialize(m_images, ext), ext)
         images = [
             lam.substitute([TruncatedSeries.variable(ext, self.datum.rank, D, i)])
@@ -400,7 +414,7 @@ class FlagBasis:
             for texp in weighted_monomials(tweights, weight):
                 terms = {e: CoeffPoly(mring, d) for e, d in pieces.get(texp, {}).items()}
                 series = TruncatedSeries.from_terms(mring, self.datum.rank, D, terms, self.N)
-                out[texp] = self.class_from(series, 1)
+                out[texp] = self.class_from(self.fgr.from_y_series(series), 1)
         return out
 
 

@@ -358,6 +358,22 @@ class RootDatum:
         assert len(out) == self.N
         return tuple(out)
 
+    def order_from_roots(self):
+        """|W| from the roots alone, without enumerating W.
+
+        |W| = prod over the positive roots alpha of (ht alpha + 1) / ht alpha,
+        with ht alpha the sum of alpha's coordinates in the simple roots: by
+        Kostant's theorem the heights determine the exponents m_i, and
+        |W| = prod (m_i + 1).
+        """
+        order = Fraction(1)
+        for root, _ in self.all_roots():
+            height = sum(self._root_coordinates(root))
+            if height > 0:
+                order *= Fraction(height + 1, height)
+        assert order.denominator == 1, "root heights must give an integral |W|"
+        return int(order)
+
     def _root_coordinates(self, root):
         n = self.rank
         aug = [[Fraction(self.cartan[i][j]) for j in range(n)] + [Fraction(root[i])]

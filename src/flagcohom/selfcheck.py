@@ -299,7 +299,7 @@ def check_fgl_axioms(ctx):
     ]
     for law in laws:
         law._validate()
-        # combination sums in log coordinates, so exp must invert log.
+        # Rings over these laws work in log coordinates, so exp must invert log.
         if law.log is not None:
             t = TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
             if not (law.exp.substitute([law.log]) == t == law.log.substitute([law.exp])):
@@ -422,8 +422,11 @@ def check_operator_identities_cc(ctx):
 
 
 def check_simple_operators_by_substitution(ctx):
-    # s_act, delta, delta_neg, cc and cc_neg read tables of their values on
-    # y_i^k; reflection_act, delta_root and cc_root substitute into u instead.
+    # s_act, delta, delta_neg, cc and cc_neg convolve with per-letter tables:
+    # the divided differences and r(+-L_i) in log coordinates (additive,
+    # universal, twisted), their values on y_i^k in y coordinates
+    # (multiplicative).  reflection_act, delta_root and cc_root substitute
+    # into u and divide instead.
     rational = CoeffRing((), True)
     t1 = CoeffRing((("t1", 1),), True)
     x = TruncatedSeries.variable(t1, 1, 6, 0)

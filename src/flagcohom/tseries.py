@@ -238,17 +238,26 @@ class TruncatedSeries:
         a, b = self._graded(v), other._graded(v)
         if sum(map(len, a)) > sum(map(len, b)):
             a, b = b, a
-        flat, ends = _flatten(b)
-        pairs = ((terms, flat[: ends[v - d]]) for d, terms in enumerate(a) if terms)
-        return self._like(convolve(pairs, self._lay.guard), v)
+        return self._like(_convolve_graded(a, _flatten(b), v, self._lay.guard), v)
 
     def prefixes(self, valid):
         """(flat, ends): the terms of degree <= ``valid`` in degree order.
 
         ends[d] counts those of degree <= d, so flat[:ends[d]] is the
-        truncation above degree d.  Kernel data for ``convolve_split``.
+        truncation above degree d.  Kernel data for ``convolve_split`` and
+        ``mul_prefixes``.
         """
         return _flatten(self._graded(valid))
+
+    def mul_prefixes(self, prefixes, valid):
+        """self * f, valid to ``valid``, for f given by ``prefixes`` = f.prefixes(p).
+
+        For a factor f used many times: its terms are put in degree order
+        once.  The caller vouches that valid <= p, f's and self's valid
+        degrees.
+        """
+        terms = _convolve_graded(self._graded(valid), prefixes, valid, self._lay.guard)
+        return self._like(terms, valid)
 
     def convolve_split(self, index, image, valid):
         """sum_k p_k * f(y_index^k) for self = sum_k y_index^k p_k, valid to ``valid``.
@@ -452,6 +461,13 @@ class TruncatedSeries:
             f"TruncatedSeries(n={self.n_vars}, trunc={self.trunc}, "
             f"valid={self.valid_degree}, {self})"
         )
+
+
+def _convolve_graded(graded, prefixes, valid, guard):
+    """Packed terms of (graded terms) * (prefixes' series) through degree ``valid``."""
+    flat, ends = prefixes
+    pairs = ((terms, flat[: ends[valid - d]]) for d, terms in enumerate(graded) if terms)
+    return convolve(pairs, guard)
 
 
 def _flatten(graded):

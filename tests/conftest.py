@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from flagcohom.coeffring import CoeffRing
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.flagring import FlagBasis, default_truncation
 from flagcohom.lazard import LazardBasis
@@ -46,3 +49,21 @@ def universal8():
 @pytest.fixture(scope="session")
 def lazard6(universal8):
     return LazardBasis(universal8, 6)
+
+
+@pytest.fixture(scope="session")
+def multiplicative_by_log():
+    """Law factory: x + y - beta*x*y given by its logarithm sum beta^(k-1) x^k / k.
+
+    The law of ``FormalGroupLaw.multiplicative``, built so that its ring
+    takes log coordinates while the multiplicative law's keeps y.
+    """
+
+    def build(trunc):
+        ring = CoeffRing((("beta", 1),), rational_mode=True)
+        beta = ring.gen("beta")
+        return FormalGroupLaw.from_log(
+            ring, trunc, [(beta ** k).scale(Fraction(1, k + 1)) for k in range(1, trunc)]
+        )
+
+    return build

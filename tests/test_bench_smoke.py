@@ -1,0 +1,23 @@
+"""The benchmark harness still drives the package.
+
+``perfbench`` wraps package names from outside: ``s_act``, ``delta``,
+``delta_neg``, ``delta_root``, ``theta``, ``x_lambda_series``,
+``kappa_element`` and ``torsion_and_u0`` of ``FormalGroupRing``;
+``c_of_u0``, ``eps_vector``, ``basis_product``, ``transition_matrix`` and
+``unit_class`` of ``FlagBasis``; and ``FormalGroupLaw._validate``.  Its
+smoke run (about 5 s) fails when one of them is renamed or removed.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_benchmark_smoke_run_passes():
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--smoke", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

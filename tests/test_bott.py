@@ -36,6 +36,20 @@ def rand_elt(fgr, rng):
     return fgr.from_monomials(terms)
 
 
+def test_multiplicative_law_by_its_log_gives_the_ktheory_presentation(multiplicative_by_log):
+    # The log-coordinate and the y-coordinate route of one law.
+    datum, word, trunc = RootDatum.build("A2"), (1, 2, 1, 2), 6
+    by_log = BSRing(FormalGroupRing(datum, multiplicative_by_log(trunc)), word)
+    by_coefficients = BSRing(FormalGroupRing(datum, FormalGroupLaw.multiplicative(trunc)), word)
+    assert by_log.fgr.log_coords and not by_coefficients.fgr.log_coords
+
+    def text(ring):
+        relations = [{K: str(c) for K, c in rel.items()} for rel in ring.presentation.relations]
+        return relations, {K: str(c) for K, c in ring.tangent_chern_class().coords.items()}
+
+    assert text(by_log) == text(by_coefficients)
+
+
 def test_first_relation_always_trivial(a2_univ):
     pres = bs_presentation(a2_univ, (1, 2, 1))
     rel = pres.relation(1)

@@ -49,6 +49,37 @@ def test_torsion_refuses_large_types_before_enumerating_w(typ, monkeypatch):
     assert built[0]._elements is None
 
 
+@pytest.mark.parametrize(
+    "command, theory, source, order",
+    [
+        ("table", "chow", "E6", "51,840"),
+        ("table", "chow", "cartan:F4", "1,152"),
+        ("table", "universal", "cartan:D4", "192"),
+        ("ln", "universal", "cartan:D4", "192"),
+    ],
+)
+def test_table_refuses_large_weyl_groups_before_enumerating_w(
+    command, theory, source, order, tmp_path, monkeypatch
+):
+    from flagcohom.rootdata import RootDatum, cartan_matrix
+
+    def enumerate_w(self):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(RootDatum, "_generate", enumerate_w)
+    if source.startswith("cartan:"):
+        typ = source.split(":")[1]
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps(cartan_matrix(typ[0], int(typ[1:]))))
+        where = ["--cartan", str(path)]
+    else:
+        where = ["--type", source]
+    rc, out, err = run_cli([command, *where, "--theory", theory])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and f"|W| = {order} " in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(flagcohom.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

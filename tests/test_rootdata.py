@@ -99,3 +99,11 @@ def test_named_types_exist():
 def test_custom_cartan_matches_named():
     rd = RootDatum.from_cartan([[2, -1], [-3, 2]])
     assert rd.N == 6
+
+
+@pytest.mark.parametrize("typ", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"])
+def test_order_from_roots_matches_the_enumerated_group(typ):
+    datum = RootDatum.build(typ)
+    estimate = datum.order_from_roots()
+    assert datum._elements is None
+    assert estimate == datum.order

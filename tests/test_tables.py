@@ -5,7 +5,10 @@ import json
 import pytest
 
 from flagcohom.errors import InsufficientPrecisionError
+from flagcohom.fgl import FormalGroupLaw
+from flagcohom.flagring import FlagBasis, default_truncation
 from flagcohom.reference import REFERENCE_TABLES, parse_poly
+from flagcohom.rootdata import RootDatum
 from flagcohom.schema import validate
 from flagcohom.tables import MultiplicationTable, build_table, make_theory
 
@@ -92,6 +95,20 @@ def test_ktheory_table(b2):
     lines = {(e.left, e.right): e.coords for e in table.lines}
     got = lines[((2, 1, 2), (2, 1, 2))]
     assert got == {"Z_12": table.out_ring.const(2), "Z_2": -beta}
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2"])
+def test_multiplicative_law_by_its_log_renders_the_ktheory_table(typ, multiplicative_by_log):
+    # One law on both routes: by its logarithm the ring takes log
+    # coordinates, by its coefficients y coordinates.
+    datum = RootDatum.build(typ)
+    trunc = default_truncation(datum)
+    by_log = FlagBasis(datum, multiplicative_by_log(trunc))
+    by_coefficients = FlagBasis(datum, FormalGroupLaw.multiplicative(trunc))
+    assert by_log.fgr.log_coords and not by_coefficients.fgr.log_coords
+    got = MultiplicationTable(datum, "ktheory", basis=by_log).render_text()
+    want = MultiplicationTable(datum, "ktheory", basis=by_coefficients).render_text()
+    assert got == want
 
 
 def test_custom_log_theory(tmp_path, b2):
