@@ -188,8 +188,8 @@ MAX_BS_WORD = 11
 
 
 # A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
-# universal theory took 18 s and 136 MB at B3 (|W| = 48) and 331 s and
-# 1.3 GB at A4 (120); the theories with at most one generator are far
+# universal theory took 12-13 s and 143 MB at B3 (|W| = 48, two runs) and
+# 331 s and 1.3 GB at A4 (120); the theories with at most one generator are far
 # cheaper: chow took 0.3 s at B3, 13 s at D4 (192) and 226 s at B4 (384),
 # and F4 (1152) would take about an hour.  |W| comes from the roots
 # (``RootDatum.order_from_roots``), so a refusal enumerates nothing.
@@ -340,15 +340,16 @@ def cmd_check(args):
     from .selfcheck import run_checks
 
     types = (args.type,) if args.type else ("A2", "B2", "G2")
-    results = run_checks(seed=args.seed, types=types, fast=args.fast)
     lines = []
     failed = 0
-    for name, ok, detail in results:
+    for name, ok, detail, seconds in run_checks(seed=args.seed, types=types, fast=args.fast):
+        # wall times vary between runs, so they go to stderr and stdout stays deterministic
+        sys.stderr.write(f"{seconds:.3f} s {name}\n")
         status = "PASS" if ok else "FAIL"
         if not ok:
             failed += 1
         lines.append(f"{status} {name}" + (f": {detail}" if detail and not ok else ""))
-    lines.append(f"# {len(results) - failed}/{len(results)} checks passed")
+    lines.append(f"# {len(lines) - failed}/{len(lines)} checks passed")
     emit(args, "\n".join(lines) + "\n")
     return 0 if failed == 0 else 1
 

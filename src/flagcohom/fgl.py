@@ -2,28 +2,32 @@
 
 The universal law is built over QQ[m1, m2, ...] from its logarithm
 log(x) = x + sum m_i x^(i+1): the exponential is the compositional reverse
-of the logarithm and F(x, y) = exp(log x + log y).  Reversion keeps all
-coefficients in ZZ[m], so the whole universal apparatus stays exact and
+of the logarithm and F(x, y) = exp(log x + log y).  ``revert`` is Lagrange
+inversion: writing the series as c*x*(1 + B), the coefficient of x^k in
+its reverse is read off the powers of B, one product each.  Reversion keeps
+all coefficients in ZZ[m], so the whole universal apparatus stays exact and
 denominator free.
 
 A law built from a logarithm (``universal``, ``from_log``), the additive
-law, and the laws that ``twist`` and ``specialize`` derive from a law
-satisfy the axioms by construction and are not checked again.  Only a law
-given by explicit coefficients (``from_coefficients``, which also builds
-the multiplicative and connective laws) can fail them, so only it is
-validated against unit, commutativity, associativity and its inverse on
-construction.  ``selfcheck.check_fgl_axioms`` validates every constructor.
+law, and the laws that ``twist`` and ``specialize`` derive from such a law
+keep the logarithm and its exponential, and build F and the formal inverse
+exp(-log) from them only when something reads them.  These laws satisfy the
+axioms by construction and are not checked again.  Only a law given by
+explicit coefficients (``from_coefficients``, which also builds the
+multiplicative and connective laws) can fail them, so only it is validated
+against unit, commutativity, associativity and its inverse on construction.
+``selfcheck.check_fgl_axioms`` validates every constructor.
 
-The laws that carry a logarithm also keep its exponential, and the formal
-group ring of such a law works in log coordinates (``fgring``); there
-c_1 x_1 +F ... +F c_n x_n is exp(c_1 log x_1 + ... + c_n log x_n).  For a
-law given by coefficients ``combination`` substitutes formal multiples into
-the n-fold sum.
+The formal group ring of a law with a logarithm works in log coordinates
+(``fgring``); there c_1 x_1 +F ... +F c_n x_n is
+exp(c_1 log x_1 + ... + c_n log x_n).  For a law given by coefficients
+``combination`` substitutes formal multiples into the n-fold sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .coeffring import CoeffPoly, CoeffRing
 from .errors import AssociativityError, RingMismatchError
@@ -38,21 +42,38 @@ def embed(series, n_out, var_map):
 
 
 def revert(series):
-    """Compositional inverse g of a 1-variable series with unit linear term."""
-    ring = series.ring
-    D = series.trunc
+    """Compositional inverse g of a 1-variable series with invertible linear coefficient.
+
+    Lagrange inversion: for series = c*x*(1 + B),
+
+        [x^k] g = c^(-k)/k * sum_{l=1}^{k-1} binom(-k, l) [x^(k-1)] B^l,  k >= 2,
+
+    so g needs only the powers B, B^2, ..., each one product with B, shared
+    by every k.  g is valid to the series' valid degree.
+    """
+    ring, valid = series.ring, series.valid_degree
     lin = series.coefficient((1,))
     if not lin.is_constant() or lin.is_zero():
         raise ValueError("series must have an invertible linear coefficient")
-    c1 = Fraction(lin.constant_term())
-    x = TruncatedSeries.variable(ring, 1, D, 0)
-    g = x.scale(Fraction(1) / c1)
-    for k in range(2, D + 1):
-        err = series.substitute([g]) - x
-        c = err.coefficient((k,))
-        if not c.is_zero():
-            g = g - TruncatedSeries.from_terms(ring, 1, D, {(k,): c.scale(Fraction(1) / c1)})
-    return g
+    inv = Fraction(1) / Fraction(lin.constant_term())
+    B = TruncatedSeries.from_terms(
+        ring,
+        1,
+        series.trunc,
+        {(k - 1,): p.scale(inv) for (k,), p in series.coeffs.items() if k > 1},
+        valid - 1,
+    )
+    # sums[k] = sum_l binom(-k, l) [x^(k-1)] B^l, binom(-k, l) = (-1)^l binom(k+l-1, l)
+    sums = {}
+    power, l = B, 1
+    while not power.is_zero():
+        for (j,), p in power.coeffs.items():
+            sums[j + 1] = sums.get(j + 1, ring.zero()) + p.scale((-1) ** l * comb(j + l, l))
+        power, l = power * B, l + 1
+    terms = {(1,): inv}
+    for k, p in sums.items():
+        terms[(k,)] = p.scale(inv**k / k)
+    return TruncatedSeries.from_terms(ring, 1, series.trunc, terms, valid)
 
 
 class FormalGroupLaw:
@@ -61,18 +82,18 @@ class FormalGroupLaw:
     Fields: ``F`` the 2-variable sum series, ``inverse`` the 1-variable
     formal inverse with F(x, inverse(x)) = 0, ``log`` the logarithm when the
     backend has one with ``exp`` its compositional inverse, and ``tag``
-    naming the backend.
+    naming the backend.  A law is given either by F and inverse or by log
+    and exp; in the second case F and inverse are built on first read.
     """
 
-    def __init__(self, ring, trunc, F, inverse, tag, log=None, exp=None, a_table=None):
+    def __init__(self, ring, trunc, tag, F=None, inverse=None, log=None, exp=None):
         self.ring = ring
         self.trunc = trunc
-        self.F = F
-        self.inverse = inverse
+        self._F = F
+        self._inverse = inverse
         self.tag = tag
         self.log = log
         self.exp = exp
-        self.a_table = a_table
         self._mult = {}
         self._nary = {}
         self._kappa = None
@@ -89,7 +110,7 @@ class FormalGroupLaw:
         gens = tuple((f"m{i}", i) for i in range(1, trunc))
         ring = CoeffRing(gens, rational_mode=True)
         log = _log_from_coeffs(ring, trunc, [ring.gen(f"m{i}") for i in range(1, trunc)])
-        return FormalGroupLaw._from_log_series(ring, trunc, log, tag="universal")
+        return FormalGroupLaw(ring, trunc, "universal", log=log, exp=revert(log))
 
     @staticmethod
     def from_log(ring, trunc, coefficients):
@@ -100,27 +121,13 @@ class FormalGroupLaw:
         while len(coeffs) < trunc - 1:
             coeffs.append(ring.zero())
         log = _log_from_coeffs(ring, trunc, coeffs)
-        return FormalGroupLaw._from_log_series(ring, trunc, log, tag="custom")
-
-    @staticmethod
-    def _from_log_series(ring, trunc, log, tag):
-        exp = revert(log)
-        logx = embed(log, 2, [0])
-        logy = embed(log, 2, [1])
-        F = exp.substitute([logx + logy])
-        inverse = exp.substitute([-log])
-        return FormalGroupLaw(
-            ring, trunc, F, inverse, tag, log=log, exp=exp, a_table=F.coeffs
-        )
+        return FormalGroupLaw(ring, trunc, "custom", log=log, exp=revert(log))
 
     @staticmethod
     def additive(trunc, ring=None):
         ring = ring or CoeffRing((), rational_mode=True)
-        x = TruncatedSeries.variable(ring, 2, trunc, 0)
-        y = TruncatedSeries.variable(ring, 2, trunc, 1)
-        inv = -TruncatedSeries.variable(ring, 1, trunc, 0)
-        logx = TruncatedSeries.variable(ring, 1, trunc, 0)
-        return FormalGroupLaw(ring, trunc, x + y, inv, "additive", log=logx, exp=logx)
+        x = TruncatedSeries.variable(ring, 1, trunc, 0)
+        return FormalGroupLaw(ring, trunc, "additive", log=x, exp=x)
 
     @staticmethod
     def multiplicative(trunc, name="beta"):
@@ -164,9 +171,36 @@ class FormalGroupLaw:
             if i + j <= trunc:
                 terms[(i, j)] = p
         F = TruncatedSeries.from_terms(ring, 2, trunc, terms)
-        law = FormalGroupLaw(ring, trunc, F, _solve_inverse(F), tag)
+        law = FormalGroupLaw(ring, trunc, tag, F=F, inverse=_solve_inverse(F))
         law._validate()
         return law
+
+    # -- the sum and the inverse ---------------------------------------------
+
+    @property
+    def F(self):
+        if self._F is None:
+            self._F = self.log_sum(self.trunc)
+        return self._F
+
+    @property
+    def inverse(self):
+        if self._inverse is None:
+            self._inverse = self.exp.substitute([-self.log])
+        return self._inverse
+
+    @property
+    def a_table(self):
+        """{(i, j): a_ij}: the coefficients of F, a new dict on each access."""
+        return self.F.coeffs
+
+    def log_sum(self, valid):
+        """x +F y valid to degree ``valid``, as exp(log x + log y); needs a log.
+
+        Below the truncation this is the sum's low part, built without F.
+        """
+        log = self.log.restrict(valid)
+        return self.exp.restrict(valid).substitute([embed(log, 2, [0]) + embed(log, 2, [1])])
 
     # -- validation -----------------------------------------------------------
 
@@ -263,8 +297,15 @@ class FormalGroupLaw:
         k = (exp t + exp(-t)) / (exp t * exp(-t)) is one 1-variable quotient.
         """
         if self._log_kappa is None:
-            t = TruncatedSeries.variable(self.ring, 1, self.trunc, 0)
-            e, e_neg = self.exp, self.exp.substitute([-t])
+            e = self.exp
+            # exp(-t): the odd-degree coefficients of exp negated
+            e_neg = TruncatedSeries.from_terms(
+                self.ring,
+                1,
+                self.trunc,
+                {(k,): -p if k % 2 else p for (k,), p in e.coeffs.items()},
+                e.valid_degree,
+            )
             self._log_kappa = (e + e_neg).exact_divide(e).exact_divide(e_neg)
         return self._log_kappa
 
@@ -301,34 +342,36 @@ class FormalGroupLaw:
         if not lin.is_constant() or lin.is_zero():
             raise ValueError("twist requires a unit linear coefficient")
         incl = ring_inclusion(self.ring, target)
+        lam_inv = revert(lam)
+        if self.log is not None:
+            log2 = self.log.map_coefficients(incl, target).substitute([lam_inv])
+            exp2 = lam.substitute([self.exp.map_coefficients(incl, target)])
+            return FormalGroupLaw(target, self.trunc, "twisted", log=log2, exp=exp2)
         F = self.F.map_coefficients(incl, target)
         inverse = self.inverse.map_coefficients(incl, target)
-        lam_inv = revert(lam)
         lx = embed(lam_inv, 2, [0])
         ly = embed(lam_inv, 2, [1])
         F2 = lam.substitute([F.substitute([lx, ly])])
         inv2 = lam.substitute([inverse.substitute([lam_inv])])
-        log2 = exp2 = None
-        if self.log is not None:
-            log2 = self.log.map_coefficients(incl, target).substitute([lam_inv])
-            exp2 = lam.substitute([self.exp.map_coefficients(incl, target)])
-        return FormalGroupLaw(target, self.trunc, F2, inv2, "twisted", log=log2, exp=exp2)
+        return FormalGroupLaw(target, self.trunc, "twisted", F=F2, inverse=inv2)
 
     def specialize(self, assignment, target_ring):
         """Push the law through a coefficient specialization."""
         func = lambda p: p.specialize(assignment, target_ring)
-        log = exp = None
         if self.log is not None:
-            log = self.log.map_coefficients(func, target_ring)
-            exp = self.exp.map_coefficients(func, target_ring)
+            return FormalGroupLaw(
+                target_ring,
+                self.trunc,
+                "specialized",
+                log=self.log.map_coefficients(func, target_ring),
+                exp=self.exp.map_coefficients(func, target_ring),
+            )
         return FormalGroupLaw(
             target_ring,
             self.trunc,
-            self.F.map_coefficients(func, target_ring),
-            self.inverse.map_coefficients(func, target_ring),
             "specialized",
-            log=log,
-            exp=exp,
+            F=self.F.map_coefficients(func, target_ring),
+            inverse=self.inverse.map_coefficients(func, target_ring),
         )
 
     def __repr__(self):

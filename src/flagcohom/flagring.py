@@ -298,9 +298,10 @@ class FlagBasis:
             w0w2 = self.datum.multiply(self.w0, w2)
             result = self.point_class() if w1.matrix == w0w2.matrix else self.zero_class()
         else:
-            # c(Cs_{I_w1^rev}(u0) Cs_{I_w2^rev}(u0)) = t^2 b_w1 b_w2
-            u = self.c_of_u0(w1).restrict(self.N) * self.c_of_u0(w2).restrict(self.N)
-            result = self.class_from(u, 2)
+            # c(Cs_{I_w1^rev}(u0) Cs_{I_w2^rev}(u0)) = t^2 b_w1 b_w2, read to degree N
+            u1, u2 = self.c_of_u0(w1), self.c_of_u0(w2)
+            valid = min(self.N, u1.valid_degree, u2.valid_degree)
+            result = self.class_from(u1.mul_prefixes(u2.prefixes(valid), valid), 2)
         self._products[key] = result
         return result
 

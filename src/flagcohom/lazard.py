@@ -89,8 +89,8 @@ class LazardBasis:
     """Integral a-basis attached to a universal formal group law."""
 
     def __init__(self, law, bound):
-        if law.a_table is None:
-            raise ValueError("law has no universal coefficient table")
+        if law.log is None:
+            raise ValueError("law has no logarithm")
         if bound + 1 > law.trunc:
             raise ValueError(
                 f"truncation {law.trunc} too small for a-basis up to weight {bound}"
@@ -101,10 +101,12 @@ class LazardBasis:
         self.a_ring = CoeffRing(
             tuple((f"a{d}", d) for d in range(1, bound + 1)), rational_mode=True
         )
+        # the a_ij of weight <= bound, from x +F y built only to degree bound + 1
+        table = law.log_sum(bound + 1).coeffs
         self.expansions = {}  # generator name -> CoeffPoly over m_ring
         self._solvers = {}
         for d in range(1, bound + 1):
-            self.expansions[f"a{d}"] = self._build_generator(d)
+            self.expansions[f"a{d}"] = self._build_generator(table, d)
 
     # -- construction -----------------------------------------------------
 
@@ -116,10 +118,10 @@ class LazardBasis:
             vec[index[poly.ring.exponents(k)]] = c
         return vec
 
-    def _build_generator(self, d):
+    def _build_generator(self, table, d):
         p = self.m_ring.zero()
         for (i, j), c in PAPER_COMBOS.get(d) or lazard_combination(d):
-            p = p + self.law.a_table[(i, j)].scale(c)
+            p = p + table[(i, j)].scale(c)
         return p
 
     # -- conversion ----------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 from .bggoracle import oracle_table
@@ -151,10 +152,11 @@ def check_lazard_roundtrip(ctx):
     bound = 9
     law = FormalGroupLaw.universal(bound + 1)
     laz = LazardBasis(law, bound)
-    pool = sorted(ij for ij in law.a_table if 1 <= sum(ij) - 1 <= bound)
+    table = law.a_table
+    pool = sorted(ij for ij in table if 1 <= sum(ij) - 1 <= bound)
     for i, j in pool:
-        conv = laz.to_a_basis(law.a_table[(i, j)])
-        if not conv.is_integer() or laz.from_a_basis(conv) != law.a_table[(i, j)]:
+        conv = laz.to_a_basis(table[(i, j)])
+        if not conv.is_integer() or laz.from_a_basis(conv) != table[(i, j)]:
             return False, f"a{i}{j} does not round-trip integrally"
     for _ in range(10):
         p = law.ring.one()
@@ -163,7 +165,7 @@ def check_lazard_roundtrip(ctx):
             i, j = pool[ctx.rng.randrange(len(pool))]
             if weight + i + j - 1 > bound:
                 break
-            p = p * law.a_table[(i, j)]
+            p = p * table[(i, j)]
             weight += i + j - 1
             if ctx.rng.random() < 0.4:
                 break
@@ -926,12 +928,12 @@ CHECKS = [
 
 
 def run_checks(seed=0, types=("A2", "B2", "G2"), fast=False):
+    """Run the checks in order, yielding (name, ok, detail, wall seconds) as each ends."""
     ctx = CheckContext(seed=seed, types=types, fast=fast)
-    results = []
     for name, func in CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = func(ctx)
         except Exception as exc:  # a crash is a failure with its message
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-    return results
+        yield name, ok, detail, time.perf_counter() - start

@@ -237,6 +237,19 @@ def test_check_command_fast():
     assert "checks passed" in out
 
 
+def test_check_times_go_to_stderr():
+    # stdout keeps its fixed lines, byte for byte; each check's wall time goes to stderr.
+    from flagcohom.selfcheck import CHECKS
+
+    rc, out, err = run_cli(["check", "--type", "A2", "--fast"])
+    assert rc == 0
+    names = [name for name, _ in CHECKS]
+    assert out == "".join(f"PASS {name}\n" for name in names) + f"# {len(names)}/{len(names)} checks passed\n"
+    lines = err.splitlines()
+    assert [line.split(" s ", 1)[1] for line in lines] == names
+    assert all(float(line.split(" s ", 1)[0]) >= 0 for line in lines)
+
+
 def test_integrality_exit_code(monkeypatch):
     from flagcohom import cli
     from flagcohom.errors import IntegralityError

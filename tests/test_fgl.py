@@ -6,7 +6,7 @@ import pytest
 
 from flagcohom.coeffring import CoeffRing
 from flagcohom.errors import AssociativityError, DegreeValidityError
-from flagcohom.fgl import FormalGroupLaw, revert
+from flagcohom.fgl import FormalGroupLaw, embed, revert, ring_inclusion
 from flagcohom.selfcheck import CheckContext, check_fgl_axioms
 from flagcohom.tseries import TruncatedSeries
 
@@ -142,6 +142,30 @@ def test_twist_requires_unit_linear(universal8):
         universal8.twist(bad)
 
 
+def test_log_laws_build_sum_and_inverse_on_read(universal8):
+    # F = exp(log x + log y) and inverse = exp(-log), built when read; the
+    # twisted and specialized laws also agree with twisting and specializing
+    # the sum itself.
+    rational = CoeffRing((), True)
+    t1 = CoeffRing((("t1", 1),), True)
+    x = TruncatedSeries.variable(t1, 1, 8, 0)
+    lam = x + (x * x).scale(t1.gen("t1"))
+    from_log = FormalGroupLaw.from_log(rational, 8, [Fraction(1, 2), Fraction(-2, 3), 3])
+    assignment = {f"m{i}": i * (-1) ** i for i in range(1, 8)}
+    twisted = from_log.twist(lam)
+    specialized = universal8.specialize(assignment, rational)
+    for law in (universal8, from_log, FormalGroupLaw.additive(8), twisted, specialized):
+        s = embed(law.log, 2, [0]) + embed(law.log, 2, [1])
+        assert law.F == law.exp.substitute([s]) and law.F.valid_degree == 8
+        assert law.inverse == law.exp.substitute([-law.log]) and law.inverse.valid_degree == 8
+    lam_inv = revert(lam)
+    F = from_log.F.map_coefficients(ring_inclusion(rational, t1), t1)
+    assert twisted.F == lam.substitute([F.substitute([embed(lam_inv, 2, [0]), embed(lam_inv, 2, [1])])])
+    spec = lambda p: p.specialize(assignment, rational)
+    assert specialized.F == universal8.F.map_coefficients(spec, rational)
+    assert specialized.inverse == universal8.inverse.map_coefficients(spec, rational)
+
+
 def test_revert_roundtrip(universal8):
     log = universal8.log
     exp = revert(log)
@@ -191,3 +215,53 @@ def test_universal_law_against_sympy_reversion():
 
     assert from_series(revert(law.log)) == from_sympy(exp, 1)
     assert from_series(law.F) == from_sympy(F, 2)
+
+
+def _sympy_coeffs(p, n_vars):
+    """{y-exponents: {m-exponents: Fraction}} of a sympy series whose first n_vars generators are y."""
+    out = {}
+    for e, c in p.items():
+        out.setdefault(e[:n_vars], {})[e[n_vars:]] = Fraction(int(c.numerator), int(c.denominator))
+    return out
+
+
+def _series_coeffs(series, degree):
+    return {e: dict(p.sorted_terms()) for e, p in series.coeffs.items() if sum(e) <= degree}
+
+
+def test_revert_against_sympy_reversion():
+    # Independent oracle for the Lagrange inversion in ``revert``: sympy's
+    # rs_series_reversion, on the universal log at truncation 13 (the depth
+    # G2 uses) and on a scalar series with linear coefficient 3 and gaps.
+    pytest.importorskip("sympy")
+    from sympy import QQ
+    from sympy.polys.ring_series import rs_series_reversion
+    from sympy.polys.rings import ring
+
+    D = 13
+    law = FormalGroupLaw.universal(D)
+    R, x, *m = ring(("x",) + law.ring.names, QQ)
+    log = x + sum(mi * x ** (i + 2) for i, mi in enumerate(m))
+    exp = rs_series_reversion(log, x, D + 1, x)
+    assert _series_coeffs(revert(law.log), D) == _sympy_coeffs(exp, 1)
+
+    D = 21
+    gaps = {1: 3, 2: 1, 4: -2, 7: Fraction(1, 5), 12: Fraction(-3, 7), 20: 4}
+    rational = CoeffRing((), True)
+    s = TruncatedSeries.from_terms(rational, 1, D, {(k,): c for k, c in gaps.items()})
+    R1, y = ring("y", QQ)
+    s_sympy = sum(QQ(Fraction(c)) * y**k for k, c in gaps.items())
+    g = revert(s)
+    assert g.valid_degree == D
+    assert _series_coeffs(g, D) == _sympy_coeffs(rs_series_reversion(s_sympy, y, D + 1, y), 1)
+    assert revert(g) == s
+    assert revert(revert(law.log)) == law.log
+
+    # An input valid below its truncation: the reverse keeps that valid
+    # degree and agrees with sympy's reversion to the same precision.
+    low = s.restrict(9)
+    g = revert(low)
+    assert g.valid_degree == 9
+    with pytest.raises(DegreeValidityError):
+        g.coefficient((10,))
+    assert _series_coeffs(g, 9) == _sympy_coeffs(rs_series_reversion(s_sympy, y, 10, y), 1)

@@ -5,8 +5,10 @@ from math import comb, gcd
 import pytest
 
 from flagcohom.errors import IntegralityError, NotInImageError
+from flagcohom.fgl import FormalGroupLaw
 from flagcohom.lazard import (
     PAPER_COMBOS,
+    LazardBasis,
     _solve_structure,
     lazard_combination,
     weighted_monomials,
@@ -35,6 +37,26 @@ def test_paper_combinations(universal8, lazard6):
     assert lazard6.to_a_basis(t[(1, 4)]) == a("a4")
     combo = t[(1, 5)].scale(-9) + t[(2, 4)] + t[(3, 3)].scale(2)
     assert lazard6.to_a_basis(combo) == a("a5")
+
+
+@pytest.mark.parametrize("trunc, bound", [(13, 6), (19, 9)])
+def test_expansions_from_the_low_sum_match_the_full_law(trunc, bound, monkeypatch):
+    # The basis reads x +F y built only to degree bound + 1, never the full F.
+    law = FormalGroupLaw.universal(trunc)
+    degrees = []
+    log_sum = FormalGroupLaw.log_sum
+    monkeypatch.setattr(
+        FormalGroupLaw, "log_sum", lambda self, valid: degrees.append(valid) or log_sum(self, valid)
+    )
+    laz = LazardBasis(law, bound)
+    assert degrees == [bound + 1]
+    table = law.a_table
+    assert degrees == [bound + 1, trunc]
+    for d in range(1, bound + 1):
+        want = law.ring.zero()
+        for (i, j), c in PAPER_COMBOS.get(d) or lazard_combination(d):
+            want = want + table[(i, j)].scale(c)
+        assert laz.expansions[f"a{d}"] == want
 
 
 def test_every_aij_is_integral():
