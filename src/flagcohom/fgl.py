@@ -294,19 +294,16 @@ class FormalGroupLaw:
         """k(t) = g(exp t, exp(-t)) for the kappa series g; cached, needs a log.
 
         x = exp(L) has formal inverse exp(-L), so g(x, inverse(x)) = k(L);
-        k = (exp t + exp(-t)) / (exp t * exp(-t)) is one 1-variable quotient.
+        by the quotient identity of ``fgring``, k(t) = (r(t) - r(-t))/t for
+        r = ``log_ratio``: the odd coefficients of r, doubled and shifted
+        down one degree.
         """
         if self._log_kappa is None:
-            e = self.exp
-            # exp(-t): the odd-degree coefficients of exp negated
-            e_neg = TruncatedSeries.from_terms(
-                self.ring,
-                1,
-                self.trunc,
-                {(k,): -p if k % 2 else p for (k,), p in e.coeffs.items()},
-                e.valid_degree,
+            r = self.log_ratio()
+            odd = {(k - 1,): p.scale(2) for (k,), p in r.coeffs.items() if k % 2}
+            self._log_kappa = TruncatedSeries.from_terms(
+                self.ring, 1, self.trunc, odd, r.valid_degree - 1
             )
-            self._log_kappa = (e + e_neg).exact_divide(e).exact_divide(e_neg)
         return self._log_kappa
 
     def log_ratio(self):

@@ -8,9 +8,9 @@ c_1 y_1 +F ... +F c_n y_n.  The two first-order operators are
     delta_i(u) = (u - s_i(u)) / x_{alpha_i}
     cc_i(u)    = u * kappa_i - delta_i(u),   kappa_i = g(x_alpha, x_{-alpha})
 
-where g is the law's kappa series.  kappa is computed by the quotient
-identity kappa_alpha = (x_alpha + x_{-alpha}) / (x_alpha x_{-alpha}), which
-x_alpha +_F x_{-alpha} = 0 implies, not by substituting into g.
+where g is the law's kappa series.  x_alpha +_F x_{-alpha} = 0 implies the
+quotient identity kappa_alpha = 1/x_alpha + 1/x_{-alpha}, by which kappa
+is computed, not by substituting into g.
 
 A ring holds its elements in one of two coordinate systems, chosen by the
 law.  When the law has a logarithm (universal, ``from_log``, additive,
@@ -22,9 +22,12 @@ form lambda.z = sum c_j z_j.  There the Weyl group acts linearly, s_i(z_i)
     u - s_i(u) = L_i * d_i(u),   delta_{+-alpha_i}(u) = +-d_i(u) * r(+-L_i),
 
 with d_i the classical divided difference, exact over the integers, and
-r(t) = t/exp(t) one fixed series.  kappa_alpha = k(L) for k(t) =
-g(exp t, exp(-t)), one substitution into a one-variable quotient.  For the
-additive law z = y, r = 1 and kappa = 0, and no product with them is made.
+r(t) = t/exp(t) one fixed series, so 1/x_{+-alpha_i} = r(+-L_i)/(+-L_i) and,
+as s_i(L_i) = -L_i, the quotient identity reads
+
+    cc_{+-alpha_i}(u) = -+d_i(u * r(-+L_i)),   kappa_alpha = k(L), k(t) = (r(t) - r(-t))/t.
+
+For the additive law z = y and r = 1, and no product with r is made.
 A law given only by coefficients (multiplicative, connective, ``custom``
 with "coefficients") has no logarithm free of denominators: its ring keeps
 y coordinates, x_lambda is the law's ``combination`` and the Weyl group
@@ -50,15 +53,15 @@ op_i(u) = sum_k u_k op_i(t^k), one convolution against a table of values
 kept as term lists ordered by degree, so that a product reads a prefix.
 In log coordinates the tables are the integer polynomials s_i(z_i^k) =
 (z_i - L_i)^k and +-d_i(z_i^k) = +-sum_j z_i^j (z_i - L_i)^(k-1-j), exact
-at every degree, built once per letter; delta and cc then make one product
-with r(+-L_i), and cc one more with kappa_i.  In y coordinates a table
-entry holds op_i(y_i^k) itself; it, the powers of x_{s_i(omega_i)} and the
-x_lambda it divides by are built only to the degree their callers read
-(the output's valid degree minus the lowest degree of u_k) and rebuilt when
-a caller asks for more.  Either way the output keeps the valid degree of
-the defining formula.  The operators at an arbitrary root
-(``reflection_act``, ``delta_root``, ``cc_root``) substitute and divide
-and serve as their oracle.  Apart from these tables, x_lambda values and
+at every degree, built once per letter; delta then makes one product with
+r(+-L_i) after the convolution, and cc one with r(-+L_i) before it.  In
+y coordinates a table entry holds op_i(y_i^k) itself; it, the powers of
+x_{s_i(omega_i)} and the x_lambda it divides by are built only to the
+degree their callers read (the output's valid degree minus the lowest
+degree of u_k) and rebuilt when a caller asks for more.  Either way the
+output keeps the valid degree of the defining formula.  The operators at
+an arbitrary root (``reflection_act``, ``delta_root``, ``cc_root``)
+substitute and divide and serve as their oracle.  Apart from these tables, x_lambda values and
 kappa elements (cached, replaced only by more precise values) every
 operation is pure, so shared instances are safe under concurrent reads;
 cache insertions are idempotent.
@@ -88,9 +91,9 @@ from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import FormalGroupLaw
 from .tseries import TruncatedSeries, _degree_monomials
 
-# In log coordinates op_i(u) = [u kappa_i +] (+-d_i)(u) r(+-L_i); op -> (column of
-# the table (s_i, d_i, -d_i) it convolves with, sign in r(+-L_i)).
-_LOG_OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, 1), "cc_neg": (1, -1)}
+# In log coordinates op_i(u) = (+-d_i)(u) r(+-L_i) for delta, (+-d_i)(u r(+-L_i)) for cc;
+# op -> (column of the table (s_i, d_i, -d_i) it convolves with, sign in r(+-L_i)).
+_LOG_OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, -1), "cc_neg": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ class FormalGroupRing:
         self.n = datum.rank
         self.log_coords = law.log is not None
         # y_j = exp(z_j); None where the coordinates are y, or z = y (the
-        # additive law, where also r = 1 and kappa = 0)
+        # additive law, where also r = 1)
         self._exp = law.exp
         if not self.log_coords or law.exp == TruncatedSeries.variable(law.ring, 1, law.trunc, 0):
             self._exp = None
@@ -270,20 +273,22 @@ class FormalGroupRing:
         return (xp + xm).exact_divide(xp).exact_divide(xm)
 
     def cc(self, i, u):
-        """cc_i(u) = u * kappa_i - delta_i(u)."""
-        self.require_valid(u, 1, "cc")
-        valid = min(u.valid_degree - 1, self.kappa_element(i).valid_degree)
-        return self._apply("cc", i, u, valid)
+        """cc_i(u) = u * kappa_i - delta_i(u), or -d_i(u r(-L_i)) in log coordinates."""
+        return self._apply("cc", i, u, self._cc_valid(i, u))
 
     def cc_neg(self, i, u):
-        """The push-pull operator at the negative simple root.
+        """u * kappa_i - delta_{-alpha_i}(u), or d_i(u r(L_i)) in log coordinates."""
+        return self._apply("cc_neg", i, u, self._cc_valid(i, u))
 
-        kappa is symmetric in its two slots, so only the difference-operator
-        part changes: cc_{-alpha}(u) = u * kappa_i - delta_{-alpha}(u).
+    def _cc_valid(self, i, u):
+        """min(u's valid degree - 1, kappa_i's): in log coordinates, d_i(u r)'s.
+
+        There kappa = (r(t) - r(-t))/t, so r's valid degree counts also where r = 1.
         """
         self.require_valid(u, 1, "cc")
-        valid = min(u.valid_degree - 1, self.kappa_element(i).valid_degree)
-        return self._apply("cc_neg", i, u, valid)
+        if self.log_coords:
+            return min(u.valid_degree, self.law.log_ratio().valid_degree) - 1
+        return min(u.valid_degree - 1, self.kappa_element(i).valid_degree)
 
     def cc_root(self, root, coroot, u):
         self.require_valid(u, 1, "cc")
@@ -298,14 +303,12 @@ class FormalGroupRing:
         """
         if not self.log_coords:
             return u.convolve_split(i - 1, lambda k, need: self._entry(op, i, k, need)[1], valid)
-        column, root_sign = _LOG_OPS[op]
+        column, sign = _LOG_OPS[op]
+        if op.startswith("cc") and self._exp is not None:
+            u = u.mul_prefixes(self._ratio(i, sign), valid + 1)
         out = u.convolve_split(i - 1, lambda k, need: self._log_entry(i, k)[2][column], valid)
-        if op == "s":
-            return out
-        if self._exp is not None:
-            out = out.mul_prefixes(self._factor(("r", i, root_sign)), valid)
-        if op.startswith("cc") and not self.kappa_element(i).is_zero():
-            out = u.mul_prefixes(self._factor(("kappa", i)), valid) + out
+        if op.startswith("delta") and self._exp is not None:
+            out = out.mul_prefixes(self._ratio(i, sign), valid)
         return out
 
     def _log_entry(self, i, k):
@@ -328,21 +331,17 @@ class FormalGroupRing:
             got = self._tables[key] = (s, d, prefixes)
         return got
 
-    def _factor(self, key):
-        """``prefixes`` of kappa_i (key ("kappa", i)) or of r(+-L_i) (key ("r", i, +-1)).
+    def _ratio(self, i, sign):
+        """``prefixes`` of r(+-L_i) = +-L_i / x_{+-alpha_i}, for sign +-1.
 
-        r(+-L_i) = +-L_i / x_{+-alpha_i}.  Built on first use and kept in
-        degree order, since every call multiplies by the same series.
+        Built on first use and kept in degree order, since every call
+        multiplies by the same series.
         """
+        key = ("r", i, sign)
         got = self._tables.get(key)
         if got is None:
-            if key[0] == "kappa":
-                value = self.kappa_element(key[1])
-            else:
-                _, i, sign = key
-                root = self.datum.simple_roots[i - 1]
-                lin = self._linear(tuple(sign * c for c in root))
-                value = self.law.log_ratio().substitute([lin])
+            lin = self._linear(tuple(sign * c for c in self.datum.simple_roots[i - 1]))
+            value = self.law.log_ratio().substitute([lin])
             got = self._tables[key] = value.prefixes(value.valid_degree)
         return got
 

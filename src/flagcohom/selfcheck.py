@@ -428,7 +428,8 @@ def check_simple_operators_by_substitution(ctx):
     # the divided differences and r(+-L_i) in log coordinates (additive,
     # universal, twisted), their values on y_i^k in y coordinates
     # (multiplicative).  reflection_act, delta_root and cc_root substitute
-    # into u and divide instead.
+    # into u and divide instead.  The first input keeps full precision, where
+    # kappa bounds cc's valid degree (also over the additive law, r = 1).
     rational = CoeffRing((), True)
     t1 = CoeffRing((("t1", 1),), True)
     x = TruncatedSeries.variable(t1, 1, 6, 0)
@@ -444,9 +445,9 @@ def check_simple_operators_by_substitution(ctx):
         roots = dict(datum.all_roots())
         for law in laws:
             fgr = FormalGroupRing(datum, law)
-            for _ in range(ctx.samples // 10 + 1):
+            for k in range(ctx.samples // 10 + 2):
                 u = ctx.random_series_element(fgr)
-                u = u.restrict(ctx.rng.randint(1, fgr.trunc))
+                u = u.restrict(ctx.rng.randint(1, fgr.trunc) if k else fgr.trunc)
                 for i, alpha in enumerate(datum.simple_roots, start=1):
                     coroot = roots[alpha]
                     nalpha = tuple(-c for c in alpha)

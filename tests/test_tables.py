@@ -1,11 +1,16 @@
 """Table assembly, rendering, theory specializations."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
 
+from flagcohom import cli
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
+from flagcohom.fgring import FormalGroupRing
 from flagcohom.flagring import FlagBasis, default_truncation
 from flagcohom.reference import REFERENCE_TABLES, parse_poly
 from flagcohom.rootdata import RootDatum
@@ -187,3 +192,21 @@ def test_make_theory_names():
     assert law.ring.names == ("q",)
     with pytest.raises(ValueError):
         make_theory("nonsense", 5)
+
+
+def test_log_law_table_builds_no_kappa(monkeypatch):
+    # In log coordinates the push-pull operators are divided differences of
+    # u r(-+L_i) (fgring's quotient identity): a table never builds kappa.
+    def refuse(*args):
+        raise AssertionError("kappa built")
+
+    monkeypatch.setattr(FormalGroupLaw, "log_kappa", refuse)
+    monkeypatch.setattr(FormalGroupRing, "kappa_element", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["table", "--type", "A3", "--theory", "universal"])
+    assert rc == 0
+    # the digest of test_cli.test_table_a3_universal_bytes
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"
+    )

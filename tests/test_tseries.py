@@ -241,6 +241,41 @@ def compositions(draw):
     return s, f, g
 
 
+@PROPERTY
+@given(st.data())
+def test_mul_prefixes_property(data):
+    ring, n = data.draw(SHAPES)
+    a = data.draw(series(ring, n))
+    b = data.draw(series(ring, n))
+    p = data.draw(st.integers(0, TRUNC))
+    prefixes = b.prefixes(p)
+    for v in range(min(p, a.valid_degree, b.valid_degree) + 1):
+        got = a.mul_prefixes(prefixes, v)
+        want = (a * b).restrict(v)
+        assert got.valid_degree == want.valid_degree == v
+        assert got.coeffs == want.coeffs
+
+
+@PROPERTY
+@given(st.data())
+def test_convolve_split_property(data):
+    # y_i -> y_i + y_j fixes the series free of y_i, so it is linear over them.
+    ring, n = data.draw(SHAPES)
+    u = data.draw(series(ring, n))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    images = [TruncatedSeries.variable(ring, n, TRUNC, k) for k in range(n)]
+    images[i] = images[i] + images[j]
+
+    def image(k, need):
+        return (images[i] ** k).prefixes(need)
+
+    for v in range(u.valid_degree + 1):
+        got = u.convolve_split(i, image, v)
+        want = u.substitute(images).restrict(v)
+        assert got.valid_degree == want.valid_degree == v
+        assert got.coeffs == want.coeffs
+
+
 _x7, _y7 = xy(7)
 
 
