@@ -189,11 +189,11 @@ MAX_BS_WORD = 11
 
 # A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
 # universal theory took 6.8-7.1 s and 122 MB at B3 (|W| = 48, two runs) and
-# 237 s and 1.2 GB at A4 (120, one run); the theories with at most one
-# generator are far cheaper: chow took 0.3 s at B3, 13 s at D4 (192) and
-# 226 s at B4 (384), and F4 (1152) would take about an hour.  |W| comes
-# from the roots (``RootDatum.order_from_roots``), so a refusal enumerates
-# nothing.
+# 215-278 s and 1.2 GB at A4 (120, two runs); the theories with at most one
+# generator are far cheaper: chow took 0.2 s at B3, 6.1-6.4 s at D4 (192,
+# two runs) and 110 s at B4 (384, one run), and F4 (1152) has nine times
+# B4's products.  |W| comes from the roots (``RootDatum.order_from_roots``),
+# so a refusal enumerates nothing.
 MAX_TABLE_WEYL_ORDER = {"universal": 120, "other": 384}
 
 

@@ -19,6 +19,16 @@ wrap.  :func:`convolve` is the one monomial product, for polynomials and
 series alike.  Exponent tuples appear only at the edges that print, parse or
 index by generator, through :meth:`CoeffRing.exponents` and the public
 ``CoeffPoly(ring, {exponent tuple: scalar})`` constructor.
+
+A table of many polynomials, one per column, packs in the same layout: the
+key of term m^a of column j is j << m_bits | (key of m^a), with the column
+index in the field above the m-fields (``_Layout.m_bits``, the y-part of a
+series key being one such index).  Convolving a column table with plain
+polynomials under the ring layout's ``guard`` adds m-keys only: an m-field
+that would carry into the column field reaches its guard bit first and
+raises, so the column index comes out as it went in, and one convolution
+serves every column.  ``FormalGroupRing.functionals`` and the
+characteristic map of ``flagring`` keep their tables so.
 """
 
 from __future__ import annotations

@@ -68,9 +68,9 @@ cache insertions are idempotent.
 
 ``functionals`` tabulates eps op_word, for an operator family op and a
 prefix-closed set of words, as R-linear functionals of the coordinate
-monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one column op_i(t^e) per
-letter and monomial.  The characteristic map of ``flagring`` is built on
-it.
+monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one convolution per word
+against the values op_i(t^e), each computed once.  The characteristic map
+of ``flagring`` is built on it.
 
 The torsion index and its witness u0 are computed in the additive model:
 the operators induce the classical divided differences on the associated
@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeffring import CoeffRing
+from .coeffring import CoeffRing, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import FormalGroupLaw
 from .tseries import TruncatedSeries, _degree_monomials
@@ -415,41 +415,54 @@ class FormalGroupRing:
 
     # -- functionals of operator words -------------------------------------------
 
-    def functionals(self, op, words, homogeneous=False):
-        """{word: {exponent e: eps op_word(t^e)}} for each word in ``words``.
+    def functionals(self, op, words):
+        """{word: the functional t^e -> eps op_word(t^e)} for each word in ``words``.
 
-        t^e is the ``coordinate_monomial`` e, in z or y coordinates.
+        A functional is kept as {y-key of t^e: [(m-key, scalar)]}, the
+        layout of ``TruncatedSeries.grouped``; t^e is the
+        ``coordinate_monomial`` e, in z or y coordinates, and a monomial on
+        which it vanishes has no entry.
 
         op(i, u) is an R-linear operator taking I^d into I^(d-1) (I the
         augmentation ideal), applied rightmost letter first.  So eps op_word
         vanishes on the monomials of degree > |word|, and op_i(t^e) is needed
         only modulo degree > max |word| - 1.  The words and their prefixes
-        are folded by length, f_word = f_{word[:-1]} o op_{word[-1]}, each
-        column op_i(t^e) computed once.  When op is homogeneous of degree -1
-        (the additive law), eps op_word also vanishes below degree |word|:
-        the words of length k are evaluated on the monomials of degree k
-        only, and their columns are dropped once the fold passes length k.
+        are folded by length, f_word = f_{word[:-1]} o op_{word[-1]}.  The
+        values op_i(t^e) are computed once per letter and monomial degree
+        and kept by the monomial t^e2 of each term, as
+        [(y-key of t^e | m-key, scalar)]: the y-key of t^e is a column field
+        above the m-fields (see ``coeffring``), so a fold step is one
+        convolution of f_{word[:-1]} against them.  Over the additive law
+        (z = y, no ``exp``) the operators are homogeneous of degree -1, so
+        eps op_word also vanishes below degree |word|: the words of length
+        k are evaluated on the monomials of degree k only, and the values
+        of lower degree are dropped once the fold passes length k.
         """
+        homogeneous = self.log_coords and self._exp is None
         top = max(map(len, words), default=0)
-        monomials = [_degree_monomials(self.n, d) for d in range(top + 1)]
-        memo = {(): {(0,) * self.n: self.ring.one()}}
+        key = self.one().y_key
+        low = (1 << self.ring.layout.m_bits) - 1
+        memo = {(): {0: [(0, 1)]}}  # eps(t^e) = [e = 0]; the key of 1 is 0
         columns, length = {}, 0
         for word in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=len):
             if homogeneous and len(word) > length:
                 columns.clear()
             length = len(word)
             prev, i = memo[word[:-1]], word[-1]
-            got = {}
-            for d in (len(word),) if homogeneous else range(len(word) + 1):
-                for e in monomials[d]:
-                    col = columns.get((i, e))
-                    if col is None:
-                        mono = self.coordinate_monomial(e, top)
-                        col = columns[i, e] = op(i, mono).coeffs
-                    acc = self.ring.dot((prev[e2], c) for e2, c in col.items() if e2 in prev)
-                    if not acc.is_zero():
-                        got[e] = acc
-            memo[word] = got
+            pairs = []
+            for d in (length,) if homogeneous else range(length + 1):
+                col = columns.get((i, d))
+                if col is None:
+                    col = columns[i, d] = {}
+                    for e in _degree_monomials(self.n, d):
+                        y = key(e)
+                        value = op(i, self.coordinate_monomial(e, top))
+                        for y2, terms in value.grouped(top).items():
+                            col.setdefault(y2, []).extend((y | m, c) for m, c in terms)
+                pairs += ((terms, col[y2]) for y2, terms in prev.items() if y2 in col)
+            got = memo[word] = {}
+            for k, c in convolve(pairs, self.ring.layout.guard).items():
+                got.setdefault(k & ~low, []).append((k & low, c))
         return {word: memo[word] for word in words}
 
     # -- torsion index ---------------------------------------------------------
@@ -557,11 +570,11 @@ def torsion_bezout(datum):
     law = FormalGroupLaw.additive(N + 1, ring)
     fgr = FormalGroupRing(datum, law)
     word = datum.longest_element().canonical_word
-    f = fgr.functionals(fgr.delta, [word], homogeneous=True)[word]
+    f, key = fgr.functionals(fgr.delta, [word])[word], fgr.one().y_key
     basis = sorted(_degree_monomials(datum.rank, N))
     values = []
     for mono in basis:
-        c = f[mono].constant_term() if mono in f else 0
+        c = dict(f.get(key(mono), ())).get(0, 0)  # no generators: the one m-key is 0
         assert c == int(c), "additive divided difference must be integral"
         values.append(int(c))
     g = 0

@@ -16,11 +16,13 @@ is never inverted: ``class_of`` is one back substitution, dividing only by t.
 c is R-linear, so in the b-basis it is one sparse table K: K[e] holds the
 b-coordinates of c(t^e) for each monomial t^e of degree <= N that the
 functionals read, t the coordinates of the formal group ring (z = log y
-when the law has a logarithm, else y).  K is built by one back substitution
-per monomial.  ``dual_class`` starts from a-coordinates and solves once;
-every other class (unit, products, word classes, operators) is one pass over
-the terms of u, grouped by the rows of K, with one convolution per
-coordinate.
+when the law has a logarithm, else y).  K and the functionals are packed
+column tables (see ``coeffring``'s layout), {y-key of t^e: [(word index <<
+m_bits | m-key, scalar)]}, so ``eps_vector`` and ``class_from`` are one
+convolution of the terms of u, grouped by y-part, with a table.  K is built
+by one back substitution over all monomials at once, the y-key of t^e as
+the column index; ``class_of`` (and ``dual_class``, from a-coordinates) is
+the same back substitution on one column.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import CoeffPoly, CoeffRing, assert_integer
+from .coeffring import CoeffPoly, CoeffRing, _fold, assert_integer, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import revert
 from .fgring import FormalGroupRing
@@ -64,6 +66,7 @@ class FlagBasis:
         self._products = {}
         self._eps_tables = {}
         self._table = None
+        self._words = [w.canonical_word for w in self.elements]
 
     # -- cached operator chains ------------------------------------------
 
@@ -101,16 +104,38 @@ class FlagBasis:
             )
 
     def _functionals(self, variant):
-        """{canonical word w: {exponent e: eps Op_{I_w}(t^e)}}, built once.
+        """eps Op_{I_w} on the monomials t^e, built once, as a packed table.
 
-        t^e is a monomial of the formal group ring's coordinates.
+        {y-key of t^e: [(word index << m_bits | m-key, scalar)]}, in the
+        layout of ``coeffring``; t^e is a monomial of the formal group ring's
+        coordinates.
         """
         table = self._eps_tables.get(variant)
         if table is None:
             op = {"Cs": self.cs, "C": self.fgr.cc, "D": self.fgr.delta}[variant]
-            words = [w.canonical_word for w in self.elements]
-            table = self._eps_tables[variant] = self.fgr.functionals(op, words)
+            functionals = self.fgr.functionals(op, self._words)
+            m_bits = self.ring.layout.m_bits
+            table = self._eps_tables[variant] = {}
+            for index, word in enumerate(self._words):
+                for y, terms in functionals[word].items():
+                    table.setdefault(y, []).extend((index << m_bits | m, c) for m, c in terms)
         return table
+
+    def _read(self, table, u):
+        """{word index: {m-key: scalar}} of sum_e u_e table[t^e], one convolution.
+
+        ``table`` is packed as in ``_functionals``; the terms of u of degree
+        <= N are grouped by y-part, so u_e meets the row of t^e.  u must be
+        valid to degree N.
+        """
+        self._require_degree_n(u)
+        pairs = ((terms, table[y]) for y, terms in u.grouped(self.N).items() if y in table)
+        m_bits = self.ring.layout.m_bits
+        low = (1 << m_bits) - 1
+        out = {}
+        for k, c in convolve(pairs, self.ring.layout.guard).items():
+            out.setdefault(k >> m_bits, {})[k & low] = c
+        return out
 
     def eps_vector(self, u, variant="Cs"):
         """(eps Op_{I_w}(u))_w as {canonical word: CoeffPoly}.
@@ -121,13 +146,9 @@ class FlagBasis:
         degree <= N (see ``FormalGroupRing.functionals``); u must be valid to
         degree N.
         """
-        self._require_degree_n(u)
-        coeffs = u.restrict(self.N).coeffs
-        out = {}
-        for word, f in self._functionals(variant).items():
-            small, big = (f, coeffs) if len(f) < len(coeffs) else (coeffs, f)
-            out[word] = self.ring.dot((c, big[e]) for e, c in small.items() if e in big)
-        return out
+        parts = self._read(self._functionals(variant), u)
+        wrap = CoeffPoly._wrap
+        return {word: wrap(self.ring, parts.get(i, {})) for i, word in enumerate(self._words)}
 
     # -- transition matrix --------------------------------------------------
 
@@ -135,7 +156,7 @@ class FlagBasis:
         """P with P[v][w] = eps Cs_{I_v}(Cs_{I_w^rev}(u0)), checked triangular."""
         if self._P is not None:
             return self._P
-        words = [w.canonical_word for w in self.elements]
+        words = self._words
         P = {}
         for w in self.elements:
             column = self.eps_vector(self.c_of_u0(w))
@@ -151,93 +172,95 @@ class FlagBasis:
                 raise AssertionError("transition matrix diagonal is not t")
             if any(not P[(vr, words[c])].is_zero() for c in range(r)):
                 raise AssertionError("transition matrix is not triangular")
-            # The upper entries, kept divided by -t as class_of uses them.
+            # The upper entries as term lists, kept divided by -t as
+            # _back_substitute uses them.
             scale = Fraction(-1, self.t)
             upper = [(c, P[(vr, words[c])].scale(scale)) for c in range(r + 1, len(words))]
-            rows.append((vr, [(c, q) for c, q in upper if not q.is_zero()]))
+            rows.append((vr, [(c, list(q.terms.items())) for c, q in upper if not q.is_zero()]))
         self._P, self._rows = P, rows
         return P
+
+    def _back_substitute(self, rhs):
+        """x with P x = rhs, one convolution per paired row.
+
+        ``rhs`` maps a word v to the packed terms of its entry, and x_r =
+        (rhs_r - sum_c P_rc x_c) / t over the paired rows, dividing only by
+        t.  A key may carry a column index above its m-fields (the layout of
+        ``coeffring``): the convolution adds m-keys and leaves that field as
+        it is, so many right-hand sides are solved at once.  Returns {r: the
+        packed terms of x_r} for the nonzero x_r.
+        """
+        self.transition_matrix()
+        inv_t = [(0, _fold(Fraction(1, self.t)))]
+        guard = self.ring.layout.guard
+        x = {}
+        for r in range(len(self.elements) - 1, -1, -1):
+            vr, upper = self._rows[r]
+            pairs = [(q, x[c].items()) for c, q in upper if c in x]
+            a = rhs.get(vr)
+            if a:
+                pairs.append((a, inv_t))
+            xr = convolve(pairs, guard)
+            if xr:
+                x[r] = xr
+        return x
 
     def class_of(self, avec, k):
         """The class with c(u) = t^k * class, from avec = eps_vector(u).
 
-        Solves P x = avec by back substitution over the paired rows,
-        dividing only by t: x_r = (avec_r - sum_c P_rc x_c) / t, one
-        convolution per row that has a nonzero input, so a call costs its
-        nonzeros.  c(u) = t * sum_w x_w b_w, so the class is t^(1-k) x.  Its
+        Solves P x = avec by back substitution (``_back_substitute``, one
+        column); c(u) = t * sum_w x_w b_w, so the class is t^(1-k) x.  Its
         coordinates must be integral in a rational ring.
         """
-        return self._flag_class(self._solve(avec, k))
+        x = self._back_substitute({w: p.terms.items() for w, p in avec.items()})
+        return self._flag_class(x, Fraction(self.t) ** (1 - k))
 
-    def _solve(self, avec, k):
-        """The b-coordinates of t^(-k) c(u) for avec = eps_vector(u), unchecked."""
-        self.transition_matrix()
-        inv_t = self.ring.const(Fraction(1, self.t))
-        x = [None] * len(self.elements)
-        for r in range(len(x) - 1, -1, -1):
-            vr, upper = self._rows[r]
-            pairs = [(q, x[c]) for c, q in upper if x[c] is not None]
-            a = avec.get(vr)
-            if a is not None and not a.is_zero():
-                pairs.append((a, inv_t))
-            if pairs:
-                xr = self.ring.dot(pairs)
-                if not xr.is_zero():
-                    x[r] = xr
-        factor = Fraction(self.t) ** (1 - k)
-        return {
-            w.canonical_word: c.scale(factor) for w, c in zip(self.elements, x) if c is not None
-        }
-
-    def _flag_class(self, coords):
-        """FlagClass of nonzero b-coordinates, each integral in a rational ring."""
-        if self.ring.rational_mode:
-            for word, c in coords.items():
+    def _flag_class(self, parts, factor):
+        """FlagClass with coordinate factor * parts[i] at word i, integral in a rational ring."""
+        coords = {}
+        for i in sorted(parts):
+            word = self._words[i]
+            c = CoeffPoly._wrap(self.ring, {m: _fold(v * factor) for m, v in parts[i].items()})
+            if self.ring.rational_mode:
                 assert_integer(c, f"b-coordinate at {word}")
+            coords[word] = c
         return FlagClass(self, coords)
 
     def _class_table(self):
-        """{key of t^e: b-coordinates of c(t^e)}, the characteristic map in the b-basis.
+        """The characteristic map in the b-basis: the b-coordinates of each c(t^e).
 
-        t^e is a monomial of the ring's coordinates (``functionals``).  One
-        back substitution per monomial e in the support of the Cs
-        functionals, on the column {w: eps Cs_{I_w}(t^e)}; keyed as
-        ``packed_coeffs``.  In log coordinates t^e = (log y)^e may have
-        fractional coefficients, so an entry need not be integral: only the
-        classes that ``class_from`` sums from them are checked.
+        t^e is a monomial of the ring's coordinates (``functionals``).  The
+        right-hand side of row v is the functional eps Cs_{I_v} in series
+        layout, [(y-key of t^e | m-key, scalar)], so one back substitution
+        solves every monomial at once, the y-part as the column index.  The
+        table is packed as the functionals are (``_functionals``).  In log
+        coordinates t^e = (log y)^e may have fractional coefficients, so an
+        entry need not be integral: only the classes that ``class_from``
+        sums from them are checked.
         """
         if self._table is None:
-            columns = {}
-            for word, f in self._functionals("Cs").items():
-                for e, c in f.items():
-                    columns.setdefault(e, {})[word] = c
-            key = self.fgr.one().y_key
-            self._table = {key(e): self._solve(col, 0) for e, col in columns.items()}
+            m_bits = self.ring.layout.m_bits
+            low = (1 << m_bits) - 1
+            rhs = {}
+            for y, terms in self._functionals("Cs").items():
+                for k, c in terms:
+                    rhs.setdefault(self._words[k >> m_bits], []).append((y | k & low, c))
+            table = self._table = {}
+            for r, x in self._back_substitute(rhs).items():
+                for k, c in x.items():
+                    entry = (r << m_bits | k & low, _fold(c * self.t))
+                    table.setdefault(k & ~low, []).append(entry)
         return self._table
 
     def class_from(self, u, k):
         """The class with c(u) = t^k * class; equal to class_of(eps_vector(u), k).
 
         c is R-linear and reads only the terms of u of degree <= N, so
-        c(u) = sum_e u_e c(t^e): the terms of u are grouped by the rows of
-        the class table and each b-coordinate is one convolution, scaled by
-        t^(-k).  u must be valid to degree N.
+        c(u) = sum_e u_e c(t^e): one convolution of the terms of u with the
+        class table (``_read``), scaled by t^(-k).  u must be valid to
+        degree N.
         """
-        self._require_degree_n(u)
-        table = self._class_table()
-        rows = {}
-        for y, p in u.restrict(self.N).packed_coeffs().items():
-            for word, c in table.get(y, {}).items():
-                rows.setdefault(word, []).append((p, c))
-        factor = Fraction(1, self.t ** k)
-        coords = {}
-        for w in self.elements:
-            pairs = rows.get(w.canonical_word)
-            if pairs:
-                c = self.ring.dot(pairs)
-                if not c.is_zero():
-                    coords[w.canonical_word] = c.scale(factor)
-        return self._flag_class(coords)
+        return self._flag_class(self._read(self._class_table(), u), Fraction(1, self.t**k))
 
     # -- distinguished classes -----------------------------------------------
 

@@ -19,7 +19,7 @@ A series is one flat sparse map from monomials y^e m^a to exact scalars
 y-part, and their low (m-) part is the :class:`CoeffPoly` key as it is: no
 coefficient is unpacked or repacked on its way in or out, through
 ``from_terms``, ``const``, ``scale``, ``coefficient``, ``constant_term`` and
-the ``coeffs`` view.
+the ``coeffs`` and ``grouped`` views.
 """
 
 from __future__ import annotations
@@ -129,20 +129,30 @@ class TruncatedSeries:
     @property
     def coeffs(self):
         """Read-only view {y-exponent tuple: CoeffPoly}: a new dict on each access."""
-        unpack = self._lay.unpack
-        return {unpack(y, True): p for y, p in self.packed_coeffs().items()}
+        unpack, wrap = self._lay.unpack, CoeffPoly._wrap
+        return {
+            unpack(y, True): wrap(self.ring, dict(terms))
+            for y, terms in self.grouped(self.valid_degree).items()
+        }
 
-    def packed_coeffs(self):
-        """``coeffs`` keyed by packed y-monomials (``y_key``): no key is unpacked."""
-        low = (1 << self._lay.m_bits) - 1
+    def grouped(self, degree):
+        """The terms of degree <= ``degree`` as {packed y-key: [(m-key, scalar)]}.
+
+        y-keys are those of ``y_key`` and m-keys those of ``CoeffPoly``; no
+        key is unpacked.
+        """
+        lay = self._lay
+        low, ds = (1 << lay.m_bits) - 1, lay.deg_shift
+        terms = self._terms.items()
+        if degree < self.valid_degree:
+            terms = [(k, c) for k, c in terms if k >> ds <= degree]
         groups = {}
-        for k, c in self._terms.items():
-            groups.setdefault(k & ~low, {})[k & low] = c
-        wrap = CoeffPoly._wrap
-        return {y: wrap(self.ring, t) for y, t in groups.items()}
+        for k, c in terms:
+            groups.setdefault(k & ~low, []).append((k & low, c))
+        return groups
 
     def y_key(self, exps):
-        """The packed key of y^exps, as ``packed_coeffs`` uses it."""
+        """The packed key of y^exps, as ``grouped`` uses it."""
         return self._lay.pack(exps, True)
 
     def _shape_check(self, other):

@@ -137,6 +137,22 @@ def test_coefficient_law_bytes(args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["table", "--type", "B3", "--theory", "chow"],
+         "395b959ffc2ad7ec005eeff2a4572e3e5bf29b367160185ac40db5650affe25c"),
+        (["table", "--type", "B3", "--theory", "ktheory"],
+         "0dd45f19a4c01b31a5060392aac16ae2aecbe570bd9630e881a95511112fef81"),
+    ],
+)
+def test_rank3_table_bytes(args, digest):
+    # Every entry goes through the packed class table of the characteristic map.
+    rc, out, _ = run_cli(args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_table_deterministic():
     runs = [run_cli(["table", "--type", "A2", "--theory", "universal",
                      "--format", "json"]) for _ in range(2)]

@@ -1,5 +1,6 @@
 """The truncated series kernel: arithmetic, substitution, exact division."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,23 @@ def test_convolve_split_property(data):
         want = u.substitute(images).restrict(v)
         assert got.valid_degree == want.valid_degree == v
         assert got.coeffs == want.coeffs
+
+
+@PROPERTY
+@given(st.data())
+def test_grouped_property(data):
+    # grouped(d) is restrict(d).coeffs keyed by packed y-monomials, one m-key per term.
+    ring, n = data.draw(SHAPES)
+    u = data.draw(series(ring, n))
+    d = data.draw(st.integers(0, TRUNC))
+    got = u.grouped(d)
+    assert all(len(terms) == len(dict(terms)) for terms in got.values())
+    got = {y: dict(terms) for y, terms in got.items()}
+    assert got == {u.y_key(e): p.terms for e, p in u.restrict(d).coeffs.items()}
+    top = min(d, u.valid_degree)
+    for e in itertools.product(range(top + 1), repeat=n):
+        if sum(e) <= top:
+            assert got.get(u.y_key(e), {}) == u.coefficient(e).terms
 
 
 _x7, _y7 = xy(7)
