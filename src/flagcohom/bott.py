@@ -34,8 +34,6 @@ y_j, and no two-variable series evaluated in the tower ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .tseries import TruncatedSeries
 
@@ -59,12 +57,12 @@ def bs_pushforward(fgr, word, u):
     return u.constant_term()
 
 
-@dataclass(frozen=True)
 class BSPresentation:
     """Relation data of a tower: coefficients of xi_j^2 over xi_K xi_j."""
 
-    word: tuple
-    relations: tuple  # relations[j-1] = {K: CoeffPoly} with K in [1, j-1]
+    def __init__(self, word, relations):
+        self.word = word
+        self.relations = relations  # relations[j-1] = {K: CoeffPoly} with K in [1, j-1]
 
     def relation(self, j):
         return self.relations[j - 1]

@@ -305,7 +305,7 @@ def cmd_ln(args):
             cls = ops[texp]
             parts = []
             for w, c in sorted(cls.coords.items(), key=lambda kv: (-len(kv[0]), kv[0])):
-                coeff = laz.to_a_basis(c, datum.N)
+                coeff = laz.to_a_basis(c)
                 name = word_name(w)
                 cs = str(coeff)
                 if coeff == 1:

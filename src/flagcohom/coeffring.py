@@ -33,12 +33,11 @@ characteristic map of ``flagring`` keep their tables so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import or_
 
-from .errors import IntegralityError, RingMismatchError, SpecializationError
+from .errors import IntegralityError, NotInImageError, RingMismatchError, SpecializationError
 
 Scalar = "int | Fraction"
 
@@ -105,41 +104,37 @@ def convolve(pairs, guard):
     return out
 
 
-@dataclass(frozen=True)
 class CoeffRing:
     """A weighted polynomial ring QQ[g1, ..., gk] (or ZZ[...] if not rational).
 
     ``generators`` is a tuple of (name, weight) pairs with unique names and
     weights >= 1.  When ``rational_mode`` is False every stored polynomial
     must have integer coefficients; violations raise IntegralityError.
+    Rings are equal when their generators and modes are.
     """
 
-    generators: tuple
-    rational_mode: bool = True
-
-    def __post_init__(self):
-        names = [g[0] for g in self.generators]
-        if len(set(names)) != len(names):
+    def __init__(self, generators, rational_mode=True):
+        self.generators = generators
+        self.rational_mode = rational_mode
+        self.names = tuple(g[0] for g in generators)
+        self.weights = tuple(g[1] for g in generators)
+        self.ngens = len(generators)
+        if len(set(self.names)) != self.ngens:
             raise ValueError("generator names must be unique")
-        if any(g[1] < 1 for g in self.generators):
+        if any(w < 1 for w in self.weights):
             raise ValueError("generator weights must be >= 1")
+        self.layout = _layout(self.ngens, 0)  # the packed layout of its monomials
 
-    @property
-    def names(self):
-        return tuple(g[0] for g in self.generators)
+    def __eq__(self, other):
+        if not isinstance(other, CoeffRing):
+            return NotImplemented
+        return (self.generators, self.rational_mode) == (other.generators, other.rational_mode)
 
-    @property
-    def weights(self):
-        return tuple(g[1] for g in self.generators)
+    def __hash__(self):
+        return hash((self.generators, self.rational_mode))
 
-    @property
-    def ngens(self):
-        return len(self.generators)
-
-    @cached_property
-    def layout(self):
-        """The packed layout of this ring's monomials (no y-part)."""
-        return _layout(self.ngens, 0)
+    def __repr__(self):
+        return f"CoeffRing({self.generators!r}, {self.rational_mode!r})"
 
     def exponents(self, key):
         """The exponent tuple of a packed monomial."""
@@ -174,6 +169,55 @@ class CoeffRing:
                 yield p.terms.items(), q.terms.items()
 
         return CoeffPoly._wrap(self, convolve(terms(), self.layout.guard))
+
+    def morphism(self, assignment, target=None, max_weight=None):
+        """The ring morphism sending each generator to its assigned value, as a map.
+
+        ``assignment`` maps generator names to rationals or to CoeffPoly
+        values in ``target`` (by default the ring of the polynomial values,
+        else this ring).  The image of each monomial is built once, from the
+        monomial with its lowest nonzero exponent one less, and kept; the
+        image of a polynomial is one convolution over those images.  Mapping
+        a monomial raises SpecializationError when it uses an unassigned
+        generator and NotInImageError when its weight exceeds ``max_weight``.
+        """
+        if target is None:
+            target = next((v.ring for v in assignment.values() if isinstance(v, CoeffPoly)), self)
+        values = {}
+        for name, v in assignment.items():
+            if not isinstance(v, CoeffPoly):
+                v = target.const(v)
+            elif v.ring != target:
+                raise RingMismatchError("assignment value in the wrong ring")
+            values[name] = tuple(v.terms.items())
+        guard = target.layout.guard
+        images = {0: ((0, 1),)}  # packed monomial -> terms of its image
+
+        def image(key):
+            path = []
+            while key not in images:
+                i = ((key & -key).bit_length() - 1) // _BITS  # lowest nonzero field
+                path.append((key, i))
+                key -= 1 << _BITS * i
+            if path and max_weight is not None:
+                weight = self.term_weight(path[0][0])
+                if weight > max_weight:
+                    raise NotInImageError(f"weight {weight} exceeds degree bound {max_weight}")
+            terms = images[key]
+            for key, i in reversed(path):
+                name = self.names[i]
+                if name not in values:
+                    raise SpecializationError(f"no assignment for generator {name}")
+                terms = images[key] = tuple(convolve([(terms, values[name])], guard).items())
+            return terms
+
+        def apply(poly):
+            if poly.ring is not self and poly.ring != self:
+                raise RingMismatchError("polynomial is not over the morphism's source ring")
+            pairs = ((((0, c),), image(k)) for k, c in poly.terms.items())
+            return CoeffPoly._wrap(target, convolve(pairs, guard))
+
+        return apply
 
     def term_weight(self, key):
         """Weighted degree of a packed monomial."""
@@ -334,39 +378,8 @@ class CoeffPoly:
     # -- morphisms -------------------------------------------------------
 
     def specialize(self, assignment, target=None):
-        """Apply the ring morphism sending each generator to its assigned value.
-
-        ``assignment`` maps generator names to rationals or to CoeffPoly
-        values in the target ring.  Every generator actually appearing in
-        ``self`` must be covered.
-        """
-        if target is None:
-            for v in assignment.values():
-                if isinstance(v, CoeffPoly):
-                    target = v.ring
-                    break
-            else:
-                target = self.ring
-        images = {}
-        for name, v in assignment.items():
-            if isinstance(v, CoeffPoly):
-                if v.ring != target:
-                    raise RingMismatchError("assignment value in the wrong ring")
-                images[name] = v
-            else:
-                images[name] = target.const(v)
-        names = self.ring.names
-        result = target.zero()
-        for key, c in self.terms.items():
-            term = target.const(c)
-            for name, e in zip(names, self.ring.exponents(key)):
-                if e == 0:
-                    continue
-                if name not in images:
-                    raise SpecializationError(f"no assignment for generator {name}")
-                term = term * images[name] ** e
-            result = result + term
-        return result
+        """Image under the ring morphism ``self.ring.morphism(assignment, target)``."""
+        return self.ring.morphism(assignment, target)(self)
 
     # -- printing --------------------------------------------------------
 

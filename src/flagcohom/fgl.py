@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .coeffring import CoeffPoly, CoeffRing
+from .coeffring import CoeffRing
 from .errors import AssociativityError, RingMismatchError
 from .tseries import TruncatedSeries
 
@@ -338,7 +338,11 @@ class FormalGroupLaw:
         lin = lam.coefficient((1,))
         if not lin.is_constant() or lin.is_zero():
             raise ValueError("twist requires a unit linear coefficient")
-        incl = ring_inclusion(self.ring, target)
+        weights = dict(target.generators)
+        for name, weight in self.ring.generators:
+            if weights.get(name, weight) != weight:
+                raise RingMismatchError(f"generator {name} changes weight")
+        incl = self.ring.morphism({name: target.gen(name) for name in self.ring.names}, target)
         lam_inv = revert(lam)
         if self.log is not None:
             log2 = self.log.map_coefficients(incl, target).substitute([lam_inv])
@@ -354,7 +358,7 @@ class FormalGroupLaw:
 
     def specialize(self, assignment, target_ring):
         """Push the law through a coefficient specialization."""
-        func = lambda p: p.specialize(assignment, target_ring)
+        func = self.ring.morphism(assignment, target_ring)
         if self.log is not None:
             return FormalGroupLaw(
                 target_ring,
@@ -373,27 +377,6 @@ class FormalGroupLaw:
 
     def __repr__(self):
         return f"FormalGroupLaw({self.tag}, trunc={self.trunc})"
-
-
-def ring_inclusion(src, dst):
-    """Coefficient morphism matching generators of ``src`` by name in ``dst``."""
-    positions = []
-    for name, weight in src.generators:
-        idx = dst.names.index(name)
-        if dst.weights[idx] != weight:
-            raise RingMismatchError(f"generator {name} changes weight")
-        positions.append(idx)
-
-    def func(p):
-        terms = {}
-        for key, c in p.terms.items():
-            out = [0] * dst.ngens
-            for i, k in enumerate(src.exponents(key)):
-                out[positions[i]] = k
-            terms[tuple(out)] = c
-        return CoeffPoly(dst, terms)
-
-    return func
 
 
 def _log_from_coeffs(ring, trunc, coeffs):

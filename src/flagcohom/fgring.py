@@ -84,8 +84,6 @@ torsion index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeffring import CoeffRing, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import FormalGroupLaw
@@ -96,13 +94,13 @@ from .tseries import TruncatedSeries, _degree_monomials
 _LOG_OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, -1), "cc_neg": (1, 1)}
 
 
-@dataclass(frozen=True)
 class TorsionData:
     """Torsion index t with a degree-N witness u0 (eps delta_{I0}(u0) = t)."""
 
-    t: int
-    u0: TruncatedSeries
-    monomials: tuple  # ((exponent tuple, integer coefficient), ...)
+    def __init__(self, t, u0, monomials):
+        self.t = t
+        self.u0 = u0
+        self.monomials = monomials  # ((exponent tuple, integer coefficient), ...)
 
 
 class FormalGroupRing:

@@ -27,7 +27,6 @@ the same back substitution on one column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffring import CoeffPoly, CoeffRing, _fold, assert_integer, convolve
@@ -402,8 +401,8 @@ class FlagBasis:
         lam = TruncatedSeries.from_terms(ext, 1, D, lam_terms)
         lam_inv = revert(lam)
         # Coefficient morphism: m_i -> [x^{i+1}] log(lam_inv(x)).
-        incl = {name: ext.gen(name) for name in mring.names}
-        log_ext = self.law.log.map_coefficients(lambda p: p.specialize(incl, ext), ext)
+        incl = mring.morphism({name: ext.gen(name) for name in mring.names}, ext)
+        log_ext = self.law.log.map_coefficients(incl, ext)
         log_tw = log_ext.substitute([lam_inv])
         m_images = {}
         for idx, name in enumerate(mring.names, start=1):
@@ -419,7 +418,7 @@ class FlagBasis:
         # c reads only degrees <= N, and the substitution keeps degree; it
         # acts on y_i, so it runs in y coordinates.
         u = self.fgr.y_series(u.restrict(self.N))
-        u_ext = u.map_coefficients(lambda p: p.specialize(m_images, ext), ext)
+        u_ext = u.map_coefficients(mring.morphism(m_images, ext), ext)
         images = [
             lam.substitute([TruncatedSeries.variable(ext, self.datum.rank, D, i)])
             for i in range(self.datum.rank)
@@ -442,12 +441,20 @@ class FlagBasis:
         return out
 
 
-@dataclass
 class FlagClass:
-    """Coordinate vector over the b-basis {b_{I_w}} of a FlagBasis."""
+    """Coordinate vector over the b-basis {b_{I_w}} of a FlagBasis.
 
-    basis: FlagBasis
-    coords: dict
+    Classes are equal when they share the basis and their coordinates agree.
+    """
+
+    def __init__(self, basis, coords):
+        self.basis = basis
+        self.coords = coords
+
+    def __eq__(self, other):
+        if not isinstance(other, FlagClass):
+            return NotImplemented
+        return self.basis is other.basis and self.coords == other.coords
 
     def _check(self, other):
         if self.basis is not other.basis:
@@ -496,8 +503,6 @@ class FlagClass:
         if not isinstance(other, FlagClass):
             return NotImplemented
         return self.basis is other.basis and self.coords == other.coords
-
-    __hash__ = None
 
     def is_zero(self):
         return not self.coords

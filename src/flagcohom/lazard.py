@@ -16,9 +16,15 @@ Up to weight 5 lam is the paper's combination:
 From weight 6 on it is the extended gcd of the binomials folded left to
 right (``lazard_combination``): a6 = a16, a7 = 51 a17 - 17 a26 + a44, ...
 Other choices differ by decomposables, so the printed coefficients of a6
-and beyond depend on this one.  Conversion of an m-polynomial into the
-a-basis is a per-weight exact linear solve, required to exist
-(NotInImageError otherwise) and to be integral (IntegralityError).
+and beyond depend on this one.
+
+So a_d = -g_d m_d + R_d(m_1, ..., m_{d-1}), and up to the bound b the map
+m_d -> (R_d(images of m_1, ..., m_{d-1}) - a_d) / g_d, built in weight
+order, is the inverse of a_d -> (its m-expansion): the two ring maps
+QQ[m_1..m_b] <-> QQ[a_1..a_b] are mutually inverse isomorphisms.  Conversion
+of an m-polynomial into the a-basis applies the first; it raises
+NotInImageError above weight b and IntegralityError when the result is not
+integral.
 """
 
 from __future__ import annotations
@@ -26,8 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .coeffring import CoeffPoly, CoeffRing
-from .errors import IntegralityError, NotInImageError, RingMismatchError
+from .coeffring import CoeffRing, assert_integer
 
 PAPER_COMBOS = {
     1: (((1, 1), 1),),
@@ -104,119 +109,27 @@ class LazardBasis:
         # the a_ij of weight <= bound, from x +F y built only to degree bound + 1
         table = law.log_sum(bound + 1).coeffs
         self.expansions = {}  # generator name -> CoeffPoly over m_ring
-        self._solvers = {}
+        m_images = {}  # m_d -> (a_d - R_d) / c_d, as a_d = c_d m_d + R_d(m_<d), c_d = -g_d
         for d in range(1, bound + 1):
-            self.expansions[f"a{d}"] = self._build_generator(table, d)
+            a_d = self.m_ring.zero()
+            for (i, j), c in PAPER_COMBOS.get(d) or lazard_combination(d):
+                a_d = a_d + table[(i, j)].scale(c)
+            self.expansions[f"a{d}"] = a_d
+            m_d = self.m_ring.gen(f"m{d}")
+            c_d = a_d.terms[next(iter(m_d.terms))]
+            rest = self.m_ring.morphism(m_images, self.a_ring)(a_d - m_d.scale(c_d))
+            m_images[f"m{d}"] = (self.a_ring.gen(f"a{d}") - rest).scale(Fraction(1, c_d))
+        self._to_a = self.m_ring.morphism(m_images, self.a_ring, max_weight=bound)
+        self._from_a = self.a_ring.morphism(self.expansions, self.m_ring)
 
-    # -- construction -----------------------------------------------------
-
-    def _m_coordinates(self, poly, weight):
-        monos = weighted_monomials(self.m_ring.weights, weight)
-        index = {e: k for k, e in enumerate(monos)}
-        vec = [0] * len(monos)
-        for k, c in poly.terms.items():
-            vec[index[poly.ring.exponents(k)]] = c
-        return vec
-
-    def _build_generator(self, table, d):
-        p = self.m_ring.zero()
-        for (i, j), c in PAPER_COMBOS.get(d) or lazard_combination(d):
-            p = p + table[(i, j)].scale(c)
-        return p
-
-    # -- conversion ----------------------------------------------------------
-
-    def to_a_basis(self, poly, degree_bound=None):
+    def to_a_basis(self, poly):
         """Rewrite an m-polynomial integrally in the a-generators.
 
-        Solved weight by weight by exact linear algebra; raises
-        NotInImageError when no rational solution exists and
-        IntegralityError when the solution is not integral.
+        Raises NotInImageError above the basis's weight bound and
+        IntegralityError when the image is not integral.
         """
-        bound = self.bound if degree_bound is None else degree_bound
-        if bound > self.bound:
-            raise ValueError(f"basis built only up to weight {self.bound}")
-        if poly.ring != self.m_ring:
-            raise RingMismatchError("polynomial is not over the universal ring")
-        if poly.max_weight() > bound:
-            raise NotInImageError(
-                f"weight {poly.max_weight()} exceeds degree bound {bound}"
-            )
-        out = self.a_ring.zero()
-        const = poly.constant_term()
-        out = out + self.a_ring.const(const)
-        for d in range(1, bound + 1):
-            part = poly.homogeneous_part(d)
-            if part.is_zero():
-                continue
-            out = out + self._solve_weight(part, d)
-        return out
-
-    def _solver(self, d):
-        cached = self._solvers.get(d)
-        if cached is not None:
-            return cached
-        cols = weighted_monomials(self.a_ring.weights, d)
-        monos = weighted_monomials(self.m_ring.weights, d)
-        mat = []
-        for exps in cols:
-            p = self.m_ring.one()
-            for name, e in zip(self.a_ring.names, exps):
-                for _ in range(e):
-                    p = p * self.expansions[name]
-            mat.append(self._m_coordinates(p, d))
-        cached = (cols, monos) + _solve_structure(mat, len(monos))
-        self._solvers[d] = cached
-        return cached
-
-    def _solve_weight(self, part, d):
-        cols, monos, left_inverse, checks = self._solver(d)
-        index = {e: k for k, e in enumerate(monos)}
-        target = [(index[part.ring.exponents(k)], c) for k, c in part.terms.items()]
-        for row in checks:
-            if sum(row[k] * v for k, v in target) != 0:
-                raise NotInImageError(f"no a-basis expression at weight {d}")
-        terms = {}
-        for exps, row in zip(cols, left_inverse):
-            c = sum(row[k] * v for k, v in target)
-            if c != 0:
-                if c.denominator != 1:
-                    raise IntegralityError(
-                        f"a-basis coefficient {c} is not an integer at weight {d}"
-                    )
-                terms[exps] = int(c)
-        return CoeffPoly(self.a_ring, terms)
+        return assert_integer(self._to_a(poly), "a-basis conversion")
 
     def from_a_basis(self, poly):
         """Substitute the m-expansions back (inverse of to_a_basis)."""
-        assignment = {name: self.expansions[name] for name in self.a_ring.names}
-        return poly.specialize(assignment, self.m_ring)
-
-
-def _solve_structure(columns, nrows):
-    """Prepare exact solving of sum_c x_c columns[c] = target.
-
-    One Gauss-Jordan pass over [A | I], where A has the given columns:
-    the transform rows that end beside the pivots form a left inverse of
-    A, and those beside zero rows are functionals that vanish exactly on
-    the span of the columns.  Returns (left inverse, span checks).  The
-    columns must be linearly independent.
-    """
-    ncols = len(columns)
-    aug = [
-        [Fraction(columns[c][r]) for c in range(ncols)]
-        + [Fraction(int(r == k)) for k in range(nrows)]
-        for r in range(nrows)
-    ]
-    for c in range(ncols):
-        pr = next((r for r in range(c, nrows) if aug[r][c] != 0), None)
-        if pr is None:
-            raise NotInImageError("generator expansions are linearly dependent")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(nrows):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    return [row[ncols:] for row in aug[:ncols]], [row[ncols:] for row in aug[ncols:]]
+        return self._from_a(poly)

@@ -10,7 +10,6 @@ word (the lexicographically smallest one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -134,15 +133,26 @@ def _validate_cartan(cartan):
             work[r] = [a - f * b for a, b in zip(work[r], work[k])]
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """One Weyl group element with its canonical reduced word.
 
     ``matrix`` acts on weight coordinates: (w @ lam)_i = sum_j matrix[i][j] lam_j.
+    Elements are equal when their words and matrices are.
     """
 
-    canonical_word: tuple
-    matrix: tuple
+    __slots__ = ("canonical_word", "matrix")
+
+    def __init__(self, canonical_word, matrix):
+        self.canonical_word = canonical_word
+        self.matrix = matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
+        return (self.canonical_word, self.matrix) == (other.canonical_word, other.matrix)
+
+    def __hash__(self):
+        return hash((self.canonical_word, self.matrix))
 
     @property
     def length(self):

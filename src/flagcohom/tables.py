@@ -176,7 +176,7 @@ class MultiplicationTable:
 
     def _convert(self, poly):
         if self.lazard is not None:
-            out = self.lazard.to_a_basis(poly, self.datum.N)
+            out = self.lazard.to_a_basis(poly)
         else:
             out = poly
         if self.integral_output:

@@ -91,6 +91,19 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout == f"{REFERENCE_TORSION['B3']}\n"
 
 
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Both cost startup time on every run; no module of the package needs them.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flagcohom.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, flagcohom.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_table_a2_chow_text():
     rc, out, _ = run_cli(["table", "--type", "A2", "--theory", "chow"])
     assert rc == 0
@@ -148,6 +161,23 @@ def test_coefficient_law_bytes(args, digest):
 )
 def test_rank3_table_bytes(args, digest):
     # Every entry goes through the packed class table of the characteristic map.
+    rc, out, _ = run_cli(args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["ln", "--type", "A2"],
+         "7b16a8ca13782ebf8ec849756b4a11bc461c09a9c0f9bc60f67e1417cc2303e2"),
+        (["ln", "--type", "B2", "--bound", "3"],
+         "a17ea3a179aba756889bacad9dc9e108af7409945d6ac1fbcfc175460f590f17"),
+    ],
+)
+def test_ln_bytes(args, digest):
+    # The operations map coefficients through the twist and print them in
+    # the a-basis, the second consumer of the Lazard conversion.
     rc, out, _ = run_cli(args)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -133,6 +133,35 @@ def test_specialize_is_morphism(p, q, assign):
     assert spec(RING.one()) == TARGET.one()
 
 
+def naive_specialize(p, assign):
+    """sum c * prod value^e over the terms, read through the printing edge."""
+    out = TARGET.zero()
+    for exps, c in p.sorted_terms():
+        term = TARGET.const(c)
+        for name, e in zip(RING.names, exps):
+            value = assign[name]
+            term = term * (value if isinstance(value, CoeffPoly) else TARGET.const(value)) ** e
+        out = out + term
+    return out
+
+
+@PROPERTY
+@given(
+    polys(RING),
+    st.fixed_dictionaries({name: st.one_of(SCALARS, polys(TARGET)) for name in RING.names}),
+)
+def test_specialize_matches_naive_reference(p, assign):
+    mapped = RING.morphism(assign, TARGET)
+    assert p.specialize(assign, TARGET) == mapped(p) == naive_specialize(p, assign)
+    assert mapped(p * p) == mapped(p) * mapped(p)  # the kept monomial images are reused
+    partial = {k: v for k, v in assign.items() if k != "a3"}
+    if any(e[2] for e, _ in p.sorted_terms()):
+        with pytest.raises(SpecializationError):
+            p.specialize(partial, TARGET)
+    else:
+        assert p.specialize(partial, TARGET) == naive_specialize(p, assign)
+
+
 def test_integral_mode_rejects_fractions():
     ring = CoeffRing((("a", 1),), rational_mode=False)
     with pytest.raises(IntegralityError):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from flagcohom.coeffring import CoeffRing
-from flagcohom.errors import AssociativityError, DegreeValidityError
-from flagcohom.fgl import FormalGroupLaw, embed, revert, ring_inclusion
+from flagcohom.errors import AssociativityError, DegreeValidityError, RingMismatchError
+from flagcohom.fgl import FormalGroupLaw, embed, revert
 from flagcohom.selfcheck import CheckContext, check_fgl_axioms
 from flagcohom.tseries import TruncatedSeries
 
@@ -159,7 +159,7 @@ def test_log_laws_build_sum_and_inverse_on_read(universal8):
         assert law.F == law.exp.substitute([s]) and law.F.valid_degree == 8
         assert law.inverse == law.exp.substitute([-law.log]) and law.inverse.valid_degree == 8
     lam_inv = revert(lam)
-    F = from_log.F.map_coefficients(ring_inclusion(rational, t1), t1)
+    F = from_log.F.map_coefficients(rational.morphism({}, t1), t1)
     assert twisted.F == lam.substitute([F.substitute([embed(lam_inv, 2, [0]), embed(lam_inv, 2, [1])])])
     spec = lambda p: p.specialize(assignment, rational)
     assert specialized.F == universal8.F.map_coefficients(spec, rational)
@@ -265,3 +265,12 @@ def test_revert_against_sympy_reversion():
     with pytest.raises(DegreeValidityError):
         g.coefficient((10,))
     assert _series_coeffs(g, 9) == _sympy_coeffs(rs_series_reversion(s_sympy, y, 10, y), 1)
+
+
+def test_twist_keeps_generator_weights():
+    t1 = CoeffRing((("t1", 1),), True)
+    heavy = CoeffRing((("t1", 2),), True)
+    x = TruncatedSeries.variable(heavy, 1, 6, 0)
+    law = FormalGroupLaw.from_log(t1, 6, [t1.gen("t1")])
+    with pytest.raises(RingMismatchError):
+        law.twist(x)

@@ -3,16 +3,12 @@
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagcohom.errors import IntegralityError, NotInImageError
+from flagcohom.coeffring import CoeffPoly, CoeffRing
+from flagcohom.errors import IntegralityError, NotInImageError, RingMismatchError
 from flagcohom.fgl import FormalGroupLaw
-from flagcohom.lazard import (
-    PAPER_COMBOS,
-    LazardBasis,
-    _solve_structure,
-    lazard_combination,
-    weighted_monomials,
-)
+from flagcohom.lazard import PAPER_COMBOS, LazardBasis, lazard_combination, weighted_monomials
 from flagcohom.selfcheck import CheckContext, check_lazard_roundtrip
 
 
@@ -77,6 +73,10 @@ def test_exceeding_bound_raises(universal8, lazard6):
     p = universal8.a_table[(1, 1)] ** 7  # weight 7 > 6
     with pytest.raises(NotInImageError):
         lazard6.to_a_basis(p)
+    with pytest.raises(NotInImageError):  # m7 has no image, and weight 7
+        lazard6.to_a_basis(universal8.ring.gen("m7"))
+    with pytest.raises(RingMismatchError):
+        lazard6.to_a_basis(lazard6.a_ring.gen("a1"))
 
 
 def _g(d):
@@ -108,13 +108,19 @@ def test_lazard_combination_pinned():
     assert lazard_combination(9) == (((1, 9), -404), ((2, 8), 101), ((5, 5), -2))
 
 
-def test_a6_leading_term(lazard6):
-    # Every generator, paper or not, has m_d coefficient exactly -g_d;
-    # for a6 that is -7.
-    for d in range(1, 7):
-        m_index = lazard6.m_ring.names.index(f"m{d}")
-        e = tuple(int(k == m_index) for k in range(lazard6.m_ring.ngens))
-        assert dict(lazard6.expansions[f"a{d}"].sorted_terms())[e] == -_g(d), d
+@pytest.fixture(scope="module")
+def lazard10():
+    # The bound of A4, the largest universal table the CLI builds.
+    return LazardBasis(FormalGroupLaw.universal(11), 10)
+
+
+def test_a6_leading_term(lazard10):
+    # Every generator, paper or not, has m_d coefficient exactly -g_d (for a6
+    # that is -7); the inverse map divides by it.
+    for d in range(1, 11):
+        m_index = lazard10.m_ring.names.index(f"m{d}")
+        e = tuple(int(k == m_index) for k in range(lazard10.m_ring.ngens))
+        assert dict(lazard10.expansions[f"a{d}"].sorted_terms())[e] == -_g(d), d
 
 
 def test_weighted_monomials():
@@ -122,15 +128,24 @@ def test_weighted_monomials():
     assert len(weighted_monomials((1, 2, 3, 4, 5, 6), 6)) == 11
 
 
-def test_solve_structure_left_inverse_and_span_checks():
-    # Universal weights give square systems, so the span checks are empty
-    # there; a tall system exercises them.
-    columns = [[1, 2, 0], [0, 3, 1]]
-    left_inverse, checks = _solve_structure(columns, 3)
-    for row, want in zip(left_inverse, ((1, 0), (0, 1))):
-        assert tuple(sum(r * col[k] for k, r in enumerate(row)) for col in columns) == want
-    assert len(checks) == 1 and any(checks[0])
-    assert all(sum(r * col[k] for k, r in enumerate(checks[0])) == 0 for col in columns)
-    assert sum(r * v for r, v in zip(checks[0], (0, 0, 1))) != 0
-    with pytest.raises(NotInImageError):
-        _solve_structure([[1, 2], [2, 4]], 2)
+@pytest.fixture(scope="module")
+def lazard9():
+    return LazardBasis(FormalGroupLaw.universal(10), 9)
+
+
+A9 = CoeffRing(tuple((f"a{d}", d) for d in range(1, 10)), rational_mode=True)
+A9_POLYS = st.dictionaries(
+    st.sampled_from([e for w in range(10) for e in weighted_monomials(A9.weights, w)]),
+    st.integers(-50, 50),
+    max_size=6,
+).map(lambda t: CoeffPoly(A9, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(A9_POLYS)
+def test_roundtrip_integral_a_polynomials(lazard9, p):
+    # Weights 6-9 use lazard_combination; no table byte pin reaches weights 7-9.
+    assert lazard9.a_ring == A9
+    m = lazard9.from_a_basis(p)
+    assert m.ring == lazard9.m_ring
+    assert lazard9.to_a_basis(m) == p
