@@ -151,8 +151,8 @@ class _trunc_context:
 
 
 # The torsion index is one fold over the C(N + rank, rank) monomials of
-# degree <= N in rank variables.  On 2 cores F4 (20,475 monomials) took 5 s
-# and B5 (142,506, the most of any rank-5 type) 37 s; E6 needs 5.2 M.
+# degree <= N in rank variables.  On 2 cores F4 (20,475 monomials) took 1 s
+# and B5 (142,506, the most of any rank-5 type) 10-11 s; E6 needs 5.2 M.
 MAX_TORSION_MONOMIALS = 150_000
 
 
@@ -188,12 +188,13 @@ MAX_BS_WORD = 11
 
 
 # A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
-# universal theory took 6.8-7.1 s and 122 MB at B3 (|W| = 48, two runs) and
-# 215-278 s and 1.2 GB at A4 (120, two runs); the theories with at most one
-# generator are far cheaper: chow took 0.2 s at B3, 6.1-6.4 s at D4 (192,
-# two runs) and 110 s at B4 (384, one run), and F4 (1152) has nine times
-# B4's products.  |W| comes from the roots (``RootDatum.order_from_roots``),
-# so a refusal enumerates nothing.
+# universal theory took 0.3-0.6 s and 20 MB at B3 and C3 (|W| = 48) and
+# 2-4 s and 38 MB at A4 (120); ktheory took 7.5-13 s and 43 MB at D4 (192),
+# and chow 5.8-6.5 s at D4 and 103-113 s and 99 MB at B4 (384), where F4
+# (1152) has nine times B4's products.  A table past these caps, D4 universal first,
+# would be an output of the Chow model alone, with no second route to check
+# it against.  |W| comes from the roots (``RootDatum.order_from_roots``), so
+# a refusal enumerates nothing.
 MAX_TABLE_WEYL_ORDER = {"universal": 120, "other": 384}
 
 

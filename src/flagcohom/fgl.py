@@ -1,27 +1,30 @@
-"""Formal group laws as truncated bivariate series.
+"""Formal group laws as truncated bivariate series, each with its logarithm.
+
+Every law here lives over a Q-algebra R, so it has a unique logarithm with
+log'(x) = 1/d_2F(x, 0) (Hazewinkel, "Formal Groups and Applications",
+1978), its exponential is the compositional reverse, and F(x, y) =
+exp(log x + log y).  A law is held by log and exp; F and the formal inverse
+exp(-log) are built only when something reads them.
 
 The universal law is built over QQ[m1, m2, ...] from its logarithm
-log(x) = x + sum m_i x^(i+1): the exponential is the compositional reverse
-of the logarithm and F(x, y) = exp(log x + log y).  ``revert`` is Lagrange
-inversion: writing the series as c*x*(1 + B), the coefficient of x^k in
-its reverse is read off the powers of B, one product each.  Reversion keeps
-all coefficients in ZZ[m], so the whole universal apparatus stays exact and
-denominator free.
+log(x) = x + sum m_i x^(i+1).  ``revert`` is Lagrange inversion: writing
+the series as c*x*(1 + B), the coefficient of x^k in its reverse is read
+off the powers of B, one product each.  Reversion keeps all coefficients in
+ZZ[m], so the whole universal apparatus stays exact and denominator free.
 
-A law built from a logarithm (``universal``, ``from_log``), the additive
-law, and the laws that ``twist`` and ``specialize`` derive from such a law
-keep the logarithm and its exponential, and build F and the formal inverse
-exp(-log) from them only when something reads them.  These laws satisfy the
-axioms by construction and are not checked again.  Only a law given by
-explicit coefficients (``from_coefficients``, which also builds the
-multiplicative and connective laws) can fail them, so only it is validated
-against unit, commutativity, associativity and its inverse on construction.
+A law given by explicit coefficients (``from_coefficients``, which also
+builds the multiplicative and connective laws) is validated against unit,
+commutativity, associativity and its inverse on construction; after that
+check its logarithm is the integral of 1/d_2F(x, 0).  For x + y - beta*x*y
+this is -ln(1 - beta*x)/beta = sum beta^k x^(k+1)/(k + 1).  Every other
+constructor (``universal``, ``from_log``, ``additive``, ``twist``,
+``specialize``) gives a law that satisfies the axioms by construction;
 ``selfcheck.check_fgl_axioms`` validates every constructor.
 
-The formal group ring of a law with a logarithm works in log coordinates
-(``fgring``); there c_1 x_1 +F ... +F c_n x_n is
-exp(c_1 log x_1 + ... + c_n log x_n).  For a law given by coefficients
-``combination`` substitutes formal multiples into the n-fold sum.
+The formal group ring of every law works in log coordinates (``fgring``):
+there c_1 x_1 +F ... +F c_n x_n is exp(c_1 log x_1 + ... + c_n log x_n),
+and the characteristic map of ``flagring`` reads the law only through the
+coefficients of r(t) = t/exp(t) (``log_ratio``).
 """
 
 from __future__ import annotations
@@ -79,23 +82,23 @@ def revert(series):
 class FormalGroupLaw:
     """A one-dimensional commutative formal group law over a CoeffRing.
 
-    Fields: ``F`` the 2-variable sum series, ``inverse`` the 1-variable
-    formal inverse with F(x, inverse(x)) = 0, ``log`` the logarithm when the
-    backend has one with ``exp`` its compositional inverse, and ``tag``
-    naming the backend.  A law is given either by F and inverse or by log
-    and exp; in the second case F and inverse are built on first read.
+    Fields: ``log`` the logarithm, ``exp`` its compositional inverse, ``F``
+    the 2-variable sum series, ``inverse`` the 1-variable formal inverse
+    with F(x, inverse(x)) = 0, and ``tag`` naming the backend.  F, when not
+    given, and the inverse are built on first read.  ``integral`` tells
+    whether the coefficients of F are integral polynomials.
     """
 
-    def __init__(self, ring, trunc, tag, F=None, inverse=None, log=None, exp=None):
+    def __init__(self, ring, trunc, tag, log, exp, F=None, integral=None):
         self.ring = ring
         self.trunc = trunc
         self._F = F
-        self._inverse = inverse
+        self._inverse = None
+        self._integral = integral
         self.tag = tag
         self.log = log
         self.exp = exp
         self._mult = {}
-        self._nary = {}
         self._kappa = None
         self._log_kappa = None
         self._log_ratio = None
@@ -110,7 +113,8 @@ class FormalGroupLaw:
         gens = tuple((f"m{i}", i) for i in range(1, trunc))
         ring = CoeffRing(gens, rational_mode=True)
         log = _log_from_coeffs(ring, trunc, [ring.gen(f"m{i}") for i in range(1, trunc)])
-        return FormalGroupLaw(ring, trunc, "universal", log=log, exp=revert(log))
+        # exp(log x + log y) has its coefficients in ZZ[m], as revert keeps them
+        return FormalGroupLaw(ring, trunc, "universal", log, revert(log), integral=True)
 
     @staticmethod
     def from_log(ring, trunc, coefficients):
@@ -121,13 +125,13 @@ class FormalGroupLaw:
         while len(coeffs) < trunc - 1:
             coeffs.append(ring.zero())
         log = _log_from_coeffs(ring, trunc, coeffs)
-        return FormalGroupLaw(ring, trunc, "custom", log=log, exp=revert(log))
+        return FormalGroupLaw(ring, trunc, "custom", log, revert(log))
 
     @staticmethod
     def additive(trunc, ring=None):
         ring = ring or CoeffRing((), rational_mode=True)
         x = TruncatedSeries.variable(ring, 1, trunc, 0)
-        return FormalGroupLaw(ring, trunc, "additive", log=x, exp=x)
+        return FormalGroupLaw(ring, trunc, "additive", x, x, integral=True)
 
     @staticmethod
     def multiplicative(trunc, name="beta"):
@@ -151,11 +155,12 @@ class FormalGroupLaw:
 
     @staticmethod
     def from_coefficients(ring, trunc, coefficients, tag="custom"):
-        """Build F = x + y + sum a_ij x^i y^j and validate it.
+        """Build F = x + y + sum a_ij x^i y^j, validate it, and take its logarithm.
 
         ``coefficients`` maps (i, j) with i, j >= 1 to CoeffPoly or scalar;
         missing mirror entries are filled symmetrically, conflicting ones
-        rejected.
+        rejected.  The logarithm is the integral of 1/d_2F(x, 0), d_2F(x, 0)
+        = 1 + sum_i a_i1 x^i; the axioms are checked against F itself.
         """
         table = {}
         for (i, j), c in coefficients.items():
@@ -171,7 +176,11 @@ class FormalGroupLaw:
             if i + j <= trunc:
                 terms[(i, j)] = p
         F = TruncatedSeries.from_terms(ring, 2, trunc, terms)
-        law = FormalGroupLaw(ring, trunc, tag, F=F, inverse=_solve_inverse(F))
+        slope = {(i,): p for (i, j), p in terms.items() if j == 1}
+        dlog = TruncatedSeries.from_terms(ring, 1, trunc, slope, trunc - 1).invert_unit()
+        antiderivative = {(k + 1,): p.scale(Fraction(1, k + 1)) for (k,), p in dlog.coeffs.items()}
+        log = TruncatedSeries.from_terms(ring, 1, trunc, antiderivative)
+        law = FormalGroupLaw(ring, trunc, tag, log, revert(log), F=F)
         law._validate()
         return law
 
@@ -190,12 +199,19 @@ class FormalGroupLaw:
         return self._inverse
 
     @property
+    def integral(self):
+        """Whether every coefficient of F is an integral polynomial; read off F if not given."""
+        if self._integral is None:
+            self._integral = all(p.is_integer() for p in self.a_table.values())
+        return self._integral
+
+    @property
     def a_table(self):
         """{(i, j): a_ij}: the coefficients of F, a new dict on each access."""
         return self.F.coeffs
 
     def log_sum(self, valid):
-        """x +F y valid to degree ``valid``, as exp(log x + log y); needs a log.
+        """x +F y valid to degree ``valid``, as exp(log x + log y).
 
         Below the truncation this is the sum's low part, built without F.
         """
@@ -261,37 +277,8 @@ class FormalGroupLaw:
         """k .F s for a series s with zero constant term."""
         return self.multiple_series(k).substitute([s])
 
-    def nary_sum(self, n):
-        """The n-variable series x_1 +F x_2 +F ... +F x_n, cached."""
-        cached = self._nary.get(n)
-        if cached is not None:
-            return cached
-        ring, D = self.ring, self.trunc
-        if n == 0:
-            s = TruncatedSeries.zero(ring, 1, D)
-        elif n == 1:
-            s = TruncatedSeries.variable(ring, 1, D, 0)
-        elif n == 2:
-            s = self.F
-        else:
-            rest = embed(self.nary_sum(n - 1), n, list(range(1, n)))
-            s = self.F.substitute([TruncatedSeries.variable(ring, n, D, 0), rest])
-        self._nary[n] = s
-        return s
-
-    def combination(self, coeffs, xs):
-        """c_1 .F x_1 +F ... +F c_n .F x_n for integers c_i and series x_i.
-
-        The formal multiples substituted into ``nary_sum``.  A term with
-        c_i = 0 is the zero series, so the validity of its x_i does not
-        bound the result's.  (A ring over a law with a logarithm forms
-        x_lambda as exp(lambda.z) in log coordinates instead.)
-        """
-        images = [self.multiple(c, x) for c, x in zip(coeffs, xs)]
-        return self.nary_sum(len(images)).substitute(images)
-
     def log_kappa(self):
-        """k(t) = g(exp t, exp(-t)) for the kappa series g; cached, needs a log.
+        """k(t) = g(exp t, exp(-t)) for the kappa series g; cached.
 
         x = exp(L) has formal inverse exp(-L), so g(x, inverse(x)) = k(L);
         by the quotient identity of ``fgring``, k(t) = (r(t) - r(-t))/t for
@@ -307,7 +294,7 @@ class FormalGroupLaw:
         return self._log_kappa
 
     def log_ratio(self):
-        """r(t) = t / exp(t); cached, needs a log.
+        """r(t) = t / exp(t); cached.
 
         x = exp(L), so L / x = r(L): dividing by x_alpha is multiplying by
         one substitution into r.
@@ -332,7 +319,7 @@ class FormalGroupLaw:
 
         ``lam`` must live over a ring extending self.ring (same generator
         names present); returns the law lam(F(lam^-1 x, lam^-1 y)) over
-        lam's ring, with the transported logarithm when one exists.
+        lam's ring, with logarithm log(lam^-1 x) and exponential lam(exp x).
         """
         target = lam.ring
         lin = lam.coefficient((1,))
@@ -343,36 +330,19 @@ class FormalGroupLaw:
             if weights.get(name, weight) != weight:
                 raise RingMismatchError(f"generator {name} changes weight")
         incl = self.ring.morphism({name: target.gen(name) for name in self.ring.names}, target)
-        lam_inv = revert(lam)
-        if self.log is not None:
-            log2 = self.log.map_coefficients(incl, target).substitute([lam_inv])
-            exp2 = lam.substitute([self.exp.map_coefficients(incl, target)])
-            return FormalGroupLaw(target, self.trunc, "twisted", log=log2, exp=exp2)
-        F = self.F.map_coefficients(incl, target)
-        inverse = self.inverse.map_coefficients(incl, target)
-        lx = embed(lam_inv, 2, [0])
-        ly = embed(lam_inv, 2, [1])
-        F2 = lam.substitute([F.substitute([lx, ly])])
-        inv2 = lam.substitute([inverse.substitute([lam_inv])])
-        return FormalGroupLaw(target, self.trunc, "twisted", F=F2, inverse=inv2)
+        log2 = self.log.map_coefficients(incl, target).substitute([revert(lam)])
+        exp2 = lam.substitute([self.exp.map_coefficients(incl, target)])
+        return FormalGroupLaw(target, self.trunc, "twisted", log2, exp2)
 
     def specialize(self, assignment, target_ring):
         """Push the law through a coefficient specialization."""
         func = self.ring.morphism(assignment, target_ring)
-        if self.log is not None:
-            return FormalGroupLaw(
-                target_ring,
-                self.trunc,
-                "specialized",
-                log=self.log.map_coefficients(func, target_ring),
-                exp=self.exp.map_coefficients(func, target_ring),
-            )
         return FormalGroupLaw(
             target_ring,
             self.trunc,
             "specialized",
-            F=self.F.map_coefficients(func, target_ring),
-            inverse=self.inverse.map_coefficients(func, target_ring),
+            self.log.map_coefficients(func, target_ring),
+            self.exp.map_coefficients(func, target_ring),
         )
 
     def __repr__(self):
@@ -385,16 +355,3 @@ def _log_from_coeffs(ring, trunc, coeffs):
         if i + 1 <= trunc and not c.is_zero():
             terms[(i + 1,)] = c
     return TruncatedSeries.from_terms(ring, 1, trunc, terms)
-
-
-def _solve_inverse(F):
-    """Solve F(x, i(x)) = 0 degree by degree."""
-    ring, D = F.ring, F.trunc
-    x = TruncatedSeries.variable(ring, 1, D, 0)
-    inv = -x
-    for k in range(2, D + 1):
-        r = F.substitute([x, inv])
-        c = r.coefficient((k,))
-        if not c.is_zero():
-            inv = inv - TruncatedSeries.from_terms(ring, 1, D, {(k,): c})
-    return inv

@@ -12,12 +12,11 @@ where g is the law's kappa series.  x_alpha +_F x_{-alpha} = 0 implies the
 quotient identity kappa_alpha = 1/x_alpha + 1/x_{-alpha}, by which kappa
 is computed, not by substituting into g.
 
-A ring holds its elements in one of two coordinate systems, chosen by the
-law.  When the law has a logarithm (universal, ``from_log``, additive,
-twisted and specialized laws) the coordinates are z_j = log y_j: the
-series are in R[[z_1..z_n]], and x_lambda = exp(lambda.z) for the linear
-form lambda.z = sum c_j z_j.  There the Weyl group acts linearly, s_i(z_i)
-= z_i - L_i with L_i = alpha_i.z, as in Demazure's additive case, so
+Every law has a logarithm (``fgl``), and a ring holds its elements in log
+coordinates z_j = log y_j: the series are in R[[z_1..z_n]], and x_lambda =
+exp(lambda.z) for the linear form lambda.z = sum c_j z_j.  The Weyl group
+acts linearly, s_i(z_i) = z_i - L_i with L_i = alpha_i.z, as in Demazure's
+additive case, so
 
     u - s_i(u) = L_i * d_i(u),   delta_{+-alpha_i}(u) = +-d_i(u) * r(+-L_i),
 
@@ -28,49 +27,34 @@ as s_i(L_i) = -L_i, the quotient identity reads
     cc_{+-alpha_i}(u) = -+d_i(u * r(-+L_i)),   kappa_alpha = k(L), k(t) = (r(t) - r(-t))/t.
 
 For the additive law z = y and r = 1, and no product with r is made.
-A law given only by coefficients (multiplicative, connective, ``custom``
-with "coefficients") has no logarithm free of denominators: its ring keeps
-y coordinates, x_lambda is the law's ``combination`` and the Weyl group
-acts by substitution.  A measurement decided this split as well: for the
-multiplicative law over QQ[beta], the B3 chains and transition matrix took
-0.3 s in y coordinates and 2.1 s in log coordinates (the law built by its
-logarithm) on 2 cores, since there exp, r and kappa are dense series in
-beta while the y route's powers stay sparse.
 
-The constructors mean the same element in both systems: ``variable(i)`` is
-y_i, ``from_monomials`` takes y-monomials and ``x_lambda_series`` is
-x_lambda, so ``==``, the augmentation (the constant term) and valid degrees
-do not depend on the coordinates (y = exp(z) keeps the degree filtration).
-What does depend on them is the monomial basis: ``functionals`` tabulates
-on the monomials of the ring's own coordinates, ``coordinate_monomial``,
-and ``y_series``/``from_y_series`` cross to y coordinates and back.
+``variable(i)`` is y_i = exp(z_i), ``from_monomials`` takes y-monomials and
+``x_lambda_series`` is x_lambda, so ``==``, the augmentation (the constant
+term) and valid degrees mean what they mean in y (y = exp(z) keeps the
+degree filtration).  ``coordinate_monomial`` is a monomial in z, and
+``y_series``/``from_y_series`` cross to y coordinates and back.
 
 The simple operators s_i, delta_i, delta_{-alpha_i}, cc_i and cc_{-alpha_i}
 never substitute or divide per call.  s_i(omega_j) = omega_j for j != i, so
-s_i fixes every series free of the i-th coordinate and all five are linear
-over such series: writing u = sum_k u_k t^k for the i-th coordinate t,
-op_i(u) = sum_k u_k op_i(t^k), one convolution against a table of values
-kept as term lists ordered by degree, so that a product reads a prefix.
-In log coordinates the tables are the integer polynomials s_i(z_i^k) =
+s_i fixes every series free of z_i and all five are linear over such
+series: writing u = sum_k u_k z_i^k, op_i(u) = sum_k u_k op_i(z_i^k), one
+convolution against a table of the integer polynomials s_i(z_i^k) =
 (z_i - L_i)^k and +-d_i(z_i^k) = +-sum_j z_i^j (z_i - L_i)^(k-1-j), exact
-at every degree, built once per letter; delta then makes one product with
-r(+-L_i) after the convolution, and cc one with r(-+L_i) before it.  In
-y coordinates a table entry holds op_i(y_i^k) itself; it, the powers of
-x_{s_i(omega_i)} and the x_lambda it divides by are built only to the
-degree their callers read (the output's valid degree minus the lowest
-degree of u_k) and rebuilt when a caller asks for more.  Either way the
-output keeps the valid degree of the defining formula.  The operators at
-an arbitrary root (``reflection_act``, ``delta_root``, ``cc_root``)
-substitute and divide and serve as their oracle.  Apart from these tables, x_lambda values and
-kappa elements (cached, replaced only by more precise values) every
-operation is pure, so shared instances are safe under concurrent reads;
-cache insertions are idempotent.
+at every degree, built once per letter and kept as term lists ordered by
+degree, so that a product reads a prefix.  delta then makes one product
+with r(+-L_i) after the convolution, and cc one with r(-+L_i) before it.
+The output keeps the valid degree of the defining formula.  The operators
+at an arbitrary root (``reflection_act``, ``delta_root``, ``cc_root``)
+substitute and divide and serve as their oracle.  Apart from these tables,
+x_lambda values and kappa elements (cached) every operation is pure, so
+shared instances are safe under concurrent reads; cache insertions are
+idempotent.
 
-``functionals`` tabulates eps op_word, for an operator family op and a
-prefix-closed set of words, as R-linear functionals of the coordinate
-monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one convolution per word
-against the values op_i(t^e), each computed once.  The characteristic map
-of ``flagring`` is built on it.
+``functionals`` tabulates eps op_word over the additive law, for an
+operator family op and a prefix-closed set of words, as linear functionals
+of the monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one convolution
+per word against the values op_i(y^e), each computed once.  The Chow core
+of ``flagring`` and the torsion index are built on it.
 
 The torsion index and its witness u0 are computed in the additive model:
 the operators induce the classical divided differences on the associated
@@ -89,9 +73,9 @@ from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import FormalGroupLaw
 from .tseries import TruncatedSeries, _degree_monomials
 
-# In log coordinates op_i(u) = (+-d_i)(u) r(+-L_i) for delta, (+-d_i)(u r(+-L_i)) for cc;
+# op_i(u) = (+-d_i)(u) r(+-L_i) for delta, (+-d_i)(u r(+-L_i)) for cc;
 # op -> (column of the table (s_i, d_i, -d_i) it convolves with, sign in r(+-L_i)).
-_LOG_OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, -1), "cc_neg": (1, 1)}
+_OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, -1), "cc_neg": (1, 1)}
 
 
 class TorsionData:
@@ -104,7 +88,7 @@ class TorsionData:
 
 
 class FormalGroupRing:
-    """R[[M]]_F for a fixed root datum, in log coordinates when the law has a log."""
+    """R[[M]]_F for a fixed root datum, in log coordinates."""
 
     def __init__(self, datum, law):
         self.datum = datum
@@ -112,11 +96,9 @@ class FormalGroupRing:
         self.ring = law.ring
         self.trunc = law.trunc
         self.n = datum.rank
-        self.log_coords = law.log is not None
-        # y_j = exp(z_j); None where the coordinates are y, or z = y (the
-        # additive law, where also r = 1)
+        # y_j = exp(z_j); None where z = y (the additive law, where also r = 1)
         self._exp = law.exp
-        if not self.log_coords or law.exp == TruncatedSeries.variable(law.ring, 1, law.trunc, 0):
+        if law.exp == TruncatedSeries.variable(law.ring, 1, law.trunc, 0):
             self._exp = None
         self._variables = None
         self._x_lambda = {}
@@ -145,7 +127,7 @@ class FormalGroupRing:
         )
 
     def coordinate_monomial(self, e, valid_degree=None):
-        """The monomial with exponents e in the ring's own coordinates (z or y)."""
+        """The monomial z^e in the ring's own coordinates."""
         return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, {e: 1}, valid_degree)
 
     def from_y_series(self, s):
@@ -174,7 +156,7 @@ class FormalGroupRing:
         return self._variables
 
     def _linear(self, lam):
-        """The linear form lam.z = sum c_j z_j of a weight (log coordinates)."""
+        """The linear form lam.z = sum c_j z_j of a weight."""
         terms = {tuple(int(j == k) for k in range(self.n)): c for j, c in enumerate(lam) if c}
         return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, terms)
 
@@ -183,8 +165,6 @@ class FormalGroupRing:
     def x_lambda_series(self, lam):
         """x_lambda for a weight lam in fundamental-weight coordinates, cached."""
         lam = tuple(int(c) for c in lam)
-        if not self.log_coords:
-            return self._x_lambda_at(lam, self.trunc)
         got = self._x_lambda.get(lam)
         if got is None:
             got = self._linear(lam)
@@ -193,19 +173,10 @@ class FormalGroupRing:
             self._x_lambda[lam] = got
         return got
 
-    def _x_lambda_at(self, lam, need):
-        """x_lambda valid to degree ``need``, from ``combination`` on restricted variables."""
-
-        def build(d):
-            return self.law.combination(lam, [y.restrict(d) for y in self._y_variables()])
-
-        return _on_demand(self._x_lambda, lam, need, build)
-
     def s_act(self, i, u):
         """Action of the simple reflection s_i (1-based index).
 
-        s_i fixes every coordinate but the i-th, which goes to z_i - L_i in
-        log coordinates and to x_{s_i(omega_i)} in y coordinates.
+        s_i fixes every coordinate but the i-th, which goes to z_i - L_i.
         """
         return self._apply("s", i, u, u.valid_degree)
 
@@ -225,7 +196,7 @@ class FormalGroupRing:
         for j in range(self.n):
             om = self.datum.fundamental_weight(j)
             lam = tuple(om[k] - coroot[j] * root[k] for k in range(self.n))
-            images.append(self._linear(lam) if self.log_coords else self.x_lambda_series(lam))
+            images.append(self._linear(lam))
         return u.substitute(images)
 
     # -- operators ------------------------------------------------------------
@@ -263,30 +234,24 @@ class FormalGroupRing:
         return cached
 
     def _kappa_for_root(self, root):
-        if self.log_coords:
-            # x_{+-alpha} = exp(+-L) for L = alpha.z
-            return self.law.log_kappa().substitute([self._linear(root)])
-        xp = self.x_lambda_series(root)
-        xm = self.x_lambda_series(tuple(-c for c in root))
-        return (xp + xm).exact_divide(xp).exact_divide(xm)
+        # x_{+-alpha} = exp(+-L) for L = alpha.z
+        return self.law.log_kappa().substitute([self._linear(root)])
 
     def cc(self, i, u):
-        """cc_i(u) = u * kappa_i - delta_i(u), or -d_i(u r(-L_i)) in log coordinates."""
-        return self._apply("cc", i, u, self._cc_valid(i, u))
+        """cc_i(u) = u * kappa_i - delta_i(u) = -d_i(u r(-L_i))."""
+        return self._apply("cc", i, u, self._cc_valid(u))
 
     def cc_neg(self, i, u):
-        """u * kappa_i - delta_{-alpha_i}(u), or d_i(u r(L_i)) in log coordinates."""
-        return self._apply("cc_neg", i, u, self._cc_valid(i, u))
+        """u * kappa_i - delta_{-alpha_i}(u) = d_i(u r(L_i))."""
+        return self._apply("cc_neg", i, u, self._cc_valid(u))
 
-    def _cc_valid(self, i, u):
-        """min(u's valid degree - 1, kappa_i's): in log coordinates, d_i(u r)'s.
+    def _cc_valid(self, u):
+        """min(u's valid degree - 1, kappa_i's), which is d_i(u r)'s.
 
-        There kappa = (r(t) - r(-t))/t, so r's valid degree counts also where r = 1.
+        kappa = (r(t) - r(-t))/t, so r's valid degree counts also where r = 1.
         """
         self.require_valid(u, 1, "cc")
-        if self.log_coords:
-            return min(u.valid_degree, self.law.log_ratio().valid_degree) - 1
-        return min(u.valid_degree - 1, self.kappa_element(i).valid_degree)
+        return min(u.valid_degree, self.law.log_ratio().valid_degree) - 1
 
     def cc_root(self, root, coroot, u):
         self.require_valid(u, 1, "cc")
@@ -295,16 +260,14 @@ class FormalGroupRing:
     # -- the simple operators as tables of their values on t^k ----------------
 
     def _apply(self, op, i, u, valid):
-        """op_i(u) = sum_k u_k op_i(t^k) for u = sum_k u_k t^k, t the i-th coordinate.
+        """op_i(u) = sum_k u_k op_i(z_i^k) for u = sum_k u_k z_i^k.
 
         s_i fixes the u_k, so all five simple operators are linear over them.
         """
-        if not self.log_coords:
-            return u.convolve_split(i - 1, lambda k, need: self._entry(op, i, k, need)[1], valid)
-        column, sign = _LOG_OPS[op]
+        column, sign = _OPS[op]
         if op.startswith("cc") and self._exp is not None:
             u = u.mul_prefixes(self._ratio(i, sign), valid + 1)
-        out = u.convolve_split(i - 1, lambda k, need: self._log_entry(i, k)[2][column], valid)
+        out = u.convolve_split(i - 1, lambda k: self._log_entry(i, k)[2][column], valid)
         if op.startswith("delta") and self._exp is not None:
             out = out.mul_prefixes(self._ratio(i, sign), valid)
         return out
@@ -342,39 +305,6 @@ class FormalGroupRing:
             value = self.law.log_ratio().substitute([lin])
             got = self._tables[key] = value.prefixes(value.valid_degree)
         return got
-
-    def _entry(self, op, i, k, need):
-        """(op_i(y_i^k), its ``prefixes``) valid to degree ``need``, in y coordinates.
-
-        Kept at the highest degree asked for so far, and rebuilt when a
-        caller needs more.  With X = x_{s_i(omega_i)}: s(y^k) = X^k,
-        delta(y^k) = (y^k - X^k) / x_{+-alpha_i} and C(y^k) = y^k kappa_i -
-        delta(y^k), the matching delta for C at -alpha_i.
-        """
-
-        def build(d):
-            root = self.datum.simple_roots[i - 1]
-            yk = self.coordinate_monomial(tuple(k * (j == i - 1) for j in range(self.n)))
-            if op == "s" and k <= 1:
-                X = self.datum.reflect(i - 1, self.datum.fundamental_weight(i - 1))
-                value = self._x_lambda_at(X, d) if k else self.one()
-            elif op == "s":
-                value = self._s_power(i, k - 1, d) * self._s_power(i, 1, d)
-            elif op.startswith("delta") and not k:
-                value = self.zero()
-            elif op.startswith("delta"):
-                den = self._x_lambda_at(root if op == "delta" else tuple(-c for c in root), d + 1)
-                value = (yk.restrict(d + 1) - self._s_power(i, k, d + 1)).exact_divide(den)
-            else:
-                delta = self._entry(op.replace("cc", "delta"), i, k, d)[0]
-                value = yk.restrict(d) * self.kappa_element(i) - delta
-            return value, value.prefixes(d)
-
-        return _on_demand(self._tables, (op, i, k), need, build)
-
-    def _s_power(self, i, k, need):
-        """x_{s_i(omega_i)}^k valid to degree ``need``: the s table's entry."""
-        return self._entry("s", i, k, need)[0]
 
     def delta_word(self, word, u):
         """Composite delta along a word, leftmost operator applied last."""
@@ -414,50 +344,44 @@ class FormalGroupRing:
     # -- functionals of operator words -------------------------------------------
 
     def functionals(self, op, words):
-        """{word: the functional t^e -> eps op_word(t^e)} for each word in ``words``.
+        """{word: the functional y^e -> eps op_word(y^e)} for each word in ``words``.
 
-        A functional is kept as {y-key of t^e: [(m-key, scalar)]}, the
-        layout of ``TruncatedSeries.grouped``; t^e is the
-        ``coordinate_monomial`` e, in z or y coordinates, and a monomial on
-        which it vanishes has no entry.
+        Over the additive law only (z = y), where the simple operators are
+        homogeneous of degree -1.  A functional is kept as {y-key of y^e:
+        [(m-key, scalar)]}, the layout of ``TruncatedSeries.grouped``, and a
+        monomial on which it vanishes has no entry.
 
-        op(i, u) is an R-linear operator taking I^d into I^(d-1) (I the
-        augmentation ideal), applied rightmost letter first.  So eps op_word
-        vanishes on the monomials of degree > |word|, and op_i(t^e) is needed
-        only modulo degree > max |word| - 1.  The words and their prefixes
+        op(i, u) is an R-linear operator taking the degree-d monomials to
+        degree d - 1, applied rightmost letter first, so eps op_word vanishes
+        off the monomials of degree |word|.  The words and their prefixes
         are folded by length, f_word = f_{word[:-1]} o op_{word[-1]}.  The
-        values op_i(t^e) are computed once per letter and monomial degree
-        and kept by the monomial t^e2 of each term, as
-        [(y-key of t^e | m-key, scalar)]: the y-key of t^e is a column field
-        above the m-fields (see ``coeffring``), so a fold step is one
-        convolution of f_{word[:-1]} against them.  Over the additive law
-        (z = y, no ``exp``) the operators are homogeneous of degree -1, so
-        eps op_word also vanishes below degree |word|: the words of length
-        k are evaluated on the monomials of degree k only, and the values
-        of lower degree are dropped once the fold passes length k.
+        values op_i(y^e) on the monomials of degree k are computed once per
+        letter when the fold reaches length k, and kept by the monomial y^e2
+        of each term, as [(y-key of y^e | m-key, scalar)]: the y-key of y^e
+        is a column field above the m-fields (see ``coeffring``), so a fold
+        step is one convolution of f_{word[:-1]} against them.
         """
-        homogeneous = self.log_coords and self._exp is None
+        if self._exp is not None:
+            raise RingMismatchError("functionals need the additive law")
         top = max(map(len, words), default=0)
         key = self.one().y_key
         low = (1 << self.ring.layout.m_bits) - 1
-        memo = {(): {0: [(0, 1)]}}  # eps(t^e) = [e = 0]; the key of 1 is 0
+        memo = {(): {0: [(0, 1)]}}  # eps(y^e) = [e = 0]; the key of 1 is 0
         columns, length = {}, 0
         for word in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=len):
-            if homogeneous and len(word) > length:
+            if len(word) > length:
                 columns.clear()
-            length = len(word)
+                length = len(word)
             prev, i = memo[word[:-1]], word[-1]
-            pairs = []
-            for d in (length,) if homogeneous else range(length + 1):
-                col = columns.get((i, d))
-                if col is None:
-                    col = columns[i, d] = {}
-                    for e in _degree_monomials(self.n, d):
-                        y = key(e)
-                        value = op(i, self.coordinate_monomial(e, top))
-                        for y2, terms in value.grouped(top).items():
-                            col.setdefault(y2, []).extend((y | m, c) for m, c in terms)
-                pairs += ((terms, col[y2]) for y2, terms in prev.items() if y2 in col)
+            col = columns.get(i)
+            if col is None:
+                col = columns[i] = {}
+                for e in _degree_monomials(self.n, length):
+                    y = key(e)
+                    value = op(i, self.coordinate_monomial(e, top))
+                    for y2, terms in value.grouped(top).items():
+                        col.setdefault(y2, []).extend((y | m, c) for m, c in terms)
+            pairs = ((terms, col[y2]) for y2, terms in prev.items() if y2 in col)
             got = memo[word] = {}
             for k, c in convolve(pairs, self.ring.layout.guard).items():
                 got.setdefault(k & ~low, []).append((k & low, c))
@@ -528,14 +452,6 @@ class FormalGroupRing:
         for k, w in enumerate(cols):
             out[w.canonical_word] = rhs[k] * mat[k][k].invert_unit()
         return out
-
-
-def _on_demand(cache, key, need, build):
-    """cache[key] = build(d) for the highest degree d asked for so far."""
-    got = cache.get(key)
-    if got is None or got[0] < need:
-        got = cache[key] = (need, build(need))
-    return got[1]
 
 
 def _ext_gcd(a, b):

@@ -94,8 +94,6 @@ class LazardBasis:
     """Integral a-basis attached to a universal formal group law."""
 
     def __init__(self, law, bound):
-        if law.log is None:
-            raise ValueError("law has no logarithm")
         if bound + 1 > law.trunc:
             raise ValueError(
                 f"truncation {law.trunc} too small for a-basis up to weight {bound}"

@@ -286,7 +286,9 @@ def check_coroot_identity(ctx):
 def check_fgl_axioms(ctx):
     # Only from_coefficients validates on construction; every other
     # constructor gives a law that satisfies the axioms by construction,
-    # which is checked here.
+    # which is checked here.  Every law works in log coordinates, so exp must
+    # invert log and F = exp(log x + log y), also for the multiplicative and
+    # connective laws, whose log is computed from their coefficients.
     universal = FormalGroupLaw.universal(7)
     rational = CoeffRing((), True)
     t1 = CoeffRing((("t1", 1),), True)
@@ -298,14 +300,16 @@ def check_fgl_axioms(ctx):
         FormalGroupLaw.additive(7),
         from_log.twist(x + (x * x).scale(t1.gen("t1"))),
         universal.specialize({f"m{i}": i * (-1) ** i for i in range(1, 7)}, rational),
+        FormalGroupLaw.multiplicative(7),
+        FormalGroupLaw.connective(7),
     ]
     for law in laws:
         law._validate()
-        # Rings over these laws work in log coordinates, so exp must invert log.
-        if law.log is not None:
-            t = TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
-            if not (law.exp.substitute([law.log]) == t == law.log.substitute([law.exp])):
-                return False, f"exp of the {law.tag} law does not invert its log"
+        t = TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
+        if not (law.exp.substitute([law.log]) == t == law.log.substitute([law.exp])):
+            return False, f"exp of the {law.tag} law does not invert its log"
+        if not (law.F == law.log_sum(law.trunc)):
+            return False, f"the {law.tag} law is not exp(log x + log y)"
     return True, ""
 
 
@@ -424,11 +428,11 @@ def check_operator_identities_cc(ctx):
 
 
 def check_simple_operators_by_substitution(ctx):
-    # s_act, delta, delta_neg, cc and cc_neg convolve with per-letter tables:
-    # the divided differences and r(+-L_i) in log coordinates (additive,
-    # universal, twisted), their values on y_i^k in y coordinates
-    # (multiplicative).  reflection_act, delta_root and cc_root substitute
-    # into u and divide instead.  The first input keeps full precision, where
+    # s_act, delta, delta_neg, cc and cc_neg convolve with per-letter tables
+    # of divided differences and multiply by r(+-L_i), in log coordinates for
+    # every law (the multiplicative one through its computed log).
+    # reflection_act, delta_root and cc_root substitute into u and divide
+    # instead.  The first input keeps full precision, where
     # kappa bounds cc's valid degree (also over the additive law, r = 1).
     rational = CoeffRing((), True)
     t1 = CoeffRing((("t1", 1),), True)
@@ -558,6 +562,28 @@ def check_eps_functionals(ctx):
                         v = op(i, v)
                     if v.constant_term() != value:
                         return False, f"{label}: eps_vector({variant}) != chain at {word}"
+    return True, ""
+
+
+def check_chow_model(ctx):
+    # The identity behind every table (flagring): Phi(Cs_i(u)) = T_i(Phi(u)),
+    # whose sides are class_from(Cs_i(u), 0) and a_operator(i, class_from(u,
+    # 0)).  Both solve against the beta_w, which raises unless each beta_w is
+    # e_w plus terms of shorter words.
+    t1 = CoeffRing((("t1", 1),), True)
+    for typ in ("A2", "B2", "G2"):
+        datum = ctx.datum(typ)
+        trunc = default_truncation(datum)
+        x = TruncatedSeries.variable(t1, 1, trunc, 0)
+        from_log = FormalGroupLaw.from_log(CoeffRing((), True), trunc, [Fraction(1, 2), 3])
+        twisted = from_log.twist(x + (x * x).scale(t1.gen("t1")))
+        for law in (FormalGroupLaw.universal(trunc), FormalGroupLaw.multiplicative(trunc), twisted):
+            fb = FlagBasis(datum, law)
+            for _ in range(ctx.samples // 25 + 1):
+                u = ctx.random_series_element(fb.fgr, max_deg=fb.N + 1, nterms=6)
+                for i in range(1, datum.rank + 1):
+                    if fb.a_operator(i, fb.class_from(u, 0)) != fb.class_from(fb.cs(i, u), 0):
+                        return False, f"Phi Cs_{i} != T_{i} Phi at {typ} over the {law.tag} law"
     return True, ""
 
 
@@ -910,6 +936,7 @@ CHECKS = [
     ("decomposition dependence witness", check_dependence_witness),
     ("eps C vs eps delta on u0", check_eps_c_vs_delta),
     ("characteristic-map functionals", check_eps_functionals),
+    ("Chow model intertwines the push-pull operators", check_chow_model),
     ("operator specialization functoriality", check_operator_specialization),
     ("torsion indices", check_torsion_reference),
     ("rank-2 reference tables", check_golden_tables),

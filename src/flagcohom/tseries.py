@@ -248,7 +248,7 @@ class TruncatedSeries:
         a, b = self._graded(v), other._graded(v)
         if sum(map(len, a)) > sum(map(len, b)):
             a, b = b, a
-        return self._like(_convolve_graded(a, _flatten(b), v, self._lay.guard), v)
+        return self._like(convolve_graded(a, _flatten(b), v, self._lay.guard), v)
 
     def prefixes(self, valid):
         """(flat, ends): the terms of degree <= ``valid`` in degree order.
@@ -259,6 +259,11 @@ class TruncatedSeries:
         """
         return _flatten(self._graded(valid))
 
+    def buckets(self, valid):
+        """(graded, prefixes) of the terms of degree <= ``valid``, for ``convolve_graded``."""
+        graded = self._graded(valid)
+        return graded, _flatten(graded)
+
     def mul_prefixes(self, prefixes, valid):
         """self * f, valid to ``valid``, for f given by ``prefixes`` = f.prefixes(p).
 
@@ -266,18 +271,18 @@ class TruncatedSeries:
         once.  The caller vouches that valid <= p, f's and self's valid
         degrees.
         """
-        terms = _convolve_graded(self._graded(valid), prefixes, valid, self._lay.guard)
+        terms = convolve_graded(self._graded(valid), prefixes, valid, self._lay.guard)
         return self._like(terms, valid)
 
     def convolve_split(self, index, image, valid):
         """sum_k p_k * f(y_index^k) for self = sum_k y_index^k p_k, valid to ``valid``.
 
         For a map f that is linear over the series free of y_index.
-        ``image(k, need)`` gives the ``prefixes`` of f(y_index^k) through
-        degree ``need``, asked for need = valid - (lowest degree of p_k); a
-        term of p_k of degree d meets the prefix through degree valid - d.
-        The caller vouches that f takes terms above self's valid degree
-        above ``valid``.  One convolution over all k.
+        ``image(k)`` gives the ``prefixes`` of f(y_index^k), through degree
+        ``valid`` at least; a term of p_k of degree d meets the prefix
+        through degree valid - d.  The caller vouches that f takes terms
+        above self's valid degree above ``valid``.  One convolution over all
+        k.
         """
         lay = self._lay
         shift, unit, ds = lay.y_shift[index], lay.y_unit[index], lay.deg_shift
@@ -290,7 +295,7 @@ class TruncatedSeries:
                 parts.setdefault(k, {}).setdefault(d, []).append((rest, c))
         pairs = []
         for k, by_degree in parts.items():
-            flat, ends = image(k, valid - min(by_degree))
+            flat, ends = image(k)
             if flat:
                 pairs += ((terms, flat[: ends[valid - d]]) for d, terms in by_degree.items())
         return self._like(convolve(pairs, lay.guard), valid)
@@ -473,7 +478,7 @@ class TruncatedSeries:
         )
 
 
-def _convolve_graded(graded, prefixes, valid, guard):
+def convolve_graded(graded, prefixes, valid, guard):
     """Packed terms of (graded terms) * (prefixes' series) through degree ``valid``."""
     flat, ends = prefixes
     pairs = ((terms, flat[: ends[valid - d]]) for d, terms in enumerate(graded) if terms)

@@ -55,8 +55,8 @@ def lazard6(universal8):
 def multiplicative_by_log():
     """Law factory: x + y - beta*x*y given by its logarithm sum beta^(k-1) x^k / k.
 
-    The law of ``FormalGroupLaw.multiplicative``, built so that its ring
-    takes log coordinates while the multiplicative law's keeps y.
+    The law of ``FormalGroupLaw.multiplicative``, given by its logarithm
+    -ln(1 - beta x)/beta instead of its coefficients.
     """
 
     def build(trunc):

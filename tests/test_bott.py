@@ -37,11 +37,12 @@ def rand_elt(fgr, rng):
 
 
 def test_multiplicative_law_by_its_log_gives_the_ktheory_presentation(multiplicative_by_log):
-    # The log-coordinate and the y-coordinate route of one law.
+    # One law given by its logarithm and by its coefficients, whose logarithm
+    # is computed as the integral of 1/d_2F(x, 0).
     datum, word, trunc = RootDatum.build("A2"), (1, 2, 1, 2), 6
     by_log = BSRing(FormalGroupRing(datum, multiplicative_by_log(trunc)), word)
     by_coefficients = BSRing(FormalGroupRing(datum, FormalGroupLaw.multiplicative(trunc)), word)
-    assert by_log.fgr.log_coords and not by_coefficients.fgr.log_coords
+    assert by_coefficients.fgr.law.log == by_log.fgr.law.log
 
     def text(ring):
         relations = [{K: str(c) for K, c in rel.items()} for rel in ring.presentation.relations]

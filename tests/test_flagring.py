@@ -5,13 +5,13 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagcohom.coeffring import CoeffPoly
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.flagring import FlagBasis, default_truncation
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import (
     CheckContext,
+    check_chow_model,
     check_eps_functionals,
     check_table_ring_axioms,
 )
@@ -144,15 +144,23 @@ def test_product_shortcuts(a2_universal):
     assert a2_universal.basis_product(W[(1,)], W[(2, 1)]).is_zero()
 
 
+def series_chain(fb, w):
+    """Cs_{I_w^rev}(u0) by series operators over the basis' own law."""
+    u = fb.torsion.u0
+    for i in w.canonical_word:
+        u = fb.cs(i, u)
+    return u
+
+
 def test_duality_shortcut_matches_algorithm(b2_universal):
-    # Recompute length-sum-N products through the characteristic map and
-    # compare with the duality rule the shortcut implements.
+    # Recompute length-sum-N products through the characteristic map of the
+    # series chains and compare with the duality rule the shortcut implements.
     fb = b2_universal
     for w1 in fb.elements:
         for w2 in fb.elements:
             if w1.length + w2.length != fb.N:
                 continue
-            u = fb.c_of_u0(w1).restrict(fb.N) * fb.c_of_u0(w2).restrict(fb.N)
+            u = series_chain(fb, w1).restrict(fb.N) * series_chain(fb, w2).restrict(fb.N)
             got = fb.class_of(fb.eps_vector(u), 2)
             want = fb.basis_product(w1, w2)
             assert got == want, (w1.canonical_word, w2.canonical_word)
@@ -166,22 +174,20 @@ def table_basis(typ, theory):
 
 
 @functools.lru_cache(maxsize=None)
-def cs_functionals(typ, theory):
-    fb = table_basis(typ, theory)
-    return fb.fgr.functionals(fb.cs, [w.canonical_word for w in fb.elements])
+def table_chain(typ, theory, w):
+    return series_chain(table_basis(typ, theory), w).restrict(table_basis(typ, theory).N)
 
 
-def reference_eps(fb, functionals, u):
-    """{word: eps Cs_{I_w}(u)}, one ring.dot per word over exponent tuples."""
-    key, coeffs = fb.fgr.one().y_key, u.restrict(fb.N).coeffs
+def reference_eps(fb, u):
+    """{word: eps Cs_{I_w}(u)} by series operator chains, shared by suffix."""
+    memo = {(): u.restrict(fb.N)}
 
-    def value(f, e):
-        return CoeffPoly(fb.ring, {fb.ring.exponents(m): c for m, c in f[key(e)]})
+    def chain(word):
+        if word not in memo:
+            memo[word] = fb.cs(word[0], chain(word[1:]))
+        return memo[word]
 
-    return {
-        word: fb.ring.dot((p, value(f, e)) for e, p in coeffs.items() if key(e) in f)
-        for word, f in functionals.items()
-    }
+    return {word: chain(word).constant_term() for word in fb.by_word}
 
 
 @pytest.mark.parametrize(
@@ -190,9 +196,9 @@ def reference_eps(fb, functionals, u):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_class_table_matches_back_substitution(typ, theory, data):
-    # eps_vector and class_from each read a packed table in one convolution.
-    # The reference dots each word's functional with u.coeffs, and class_of
-    # solves P x = eps(u) for that one column.
+    # eps_vector and class_from each read Phi(u) in the Chow model.  The
+    # reference runs the series operator chains over the law's own ring, and
+    # class_of solves P x = eps(u) for that one column.
     fb = table_basis(typ, theory)
     ring, rank = fb.ring, fb.datum.rank
     coefficients = [ring.one()] + [ring.gen(name) for name in ring.names[:2]]
@@ -201,11 +207,11 @@ def test_class_table_matches_back_substitution(typ, theory, data):
     terms = data.draw(st.dictionaries(exponent, scalar, max_size=8))
     u = fb.fgr.from_monomials({e: c * p for e, (c, p) in terms.items()}).restrict(fb.N)
     w1, w2 = data.draw(st.lists(st.sampled_from(fb.elements), min_size=2, max_size=2))
-    product = fb.c_of_u0(w1).restrict(fb.N) * fb.c_of_u0(w2).restrict(fb.N)
+    product = table_chain(typ, theory, w1) * table_chain(typ, theory, w2)
     for k in (1, 2):
         # t^k u has an integral class; the product is t^2 b_w1 b_w2.
         for v in (u.scale(fb.t ** k), product):
-            eps = reference_eps(fb, cs_functionals(typ, theory), v)
+            eps = reference_eps(fb, v)
             assert fb.eps_vector(v) == eps
             assert fb.class_from(v, k) == fb.class_of(eps, k)
 
@@ -287,9 +293,10 @@ def test_homogeneity_of_products(b2_universal):
 
 @pytest.mark.parametrize("name", ["a2_universal", "b2_universal"])
 def test_operators_on_top_class_at_default_truncation(name, request):
-    # At truncation 2N + 1 the top coordinate goes through the unit class.  At
-    # 2N + 3, sum_w coords_w Cs_{I_w^rev}(u0) is valid to degree N + 2, enough
-    # for one more operator and the characteristic map, so it is the reference.
+    # The model applies T_i to the image of the class.  At truncation 2N + 3,
+    # sum_w coords_w Cs_{I_w^rev}(u0) by series chains is valid to degree
+    # N + 2, enough for one more series operator and the characteristic map,
+    # so it is the reference.
     fb = request.getfixturevalue(name)
     wide = FlagBasis(fb.datum, FormalGroupLaw.universal(2 * fb.N + 3))
 
@@ -297,7 +304,7 @@ def test_operators_on_top_class_at_default_truncation(name, request):
         u = wide.fgr.zero()
         for w in wide.elements:
             if w.canonical_word in cls.coords:
-                u = u + wide.c_of_u0(w) * cls.coords[w.canonical_word]
+                u = u + series_chain(wide, w) * cls.coords[w.canonical_word]
         u = {"a_operator": wide.cs, "b_operator": wide.fgr.delta}[op](i, u)
         return wide.class_of(wide.eps_vector(u), 1)
 
@@ -309,3 +316,8 @@ def test_operators_on_top_class_at_default_truncation(name, request):
             for op in ("a_operator", "b_operator"):
                 got = getattr(fb, op)(i, make(fb))
                 assert text(got) == text(direct(op, i, make(wide)))
+
+
+def test_chow_model_intertwines_the_push_pull_operators():
+    ok, detail = check_chow_model(CheckContext(seed=3, fast=True))
+    assert ok, detail

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -104,13 +105,13 @@ def test_ktheory_table(b2):
 
 @pytest.mark.parametrize("typ", ["A2", "B2"])
 def test_multiplicative_law_by_its_log_renders_the_ktheory_table(typ, multiplicative_by_log):
-    # One law on both routes: by its logarithm the ring takes log
-    # coordinates, by its coefficients y coordinates.
+    # One law given by its logarithm -ln(1 - beta x)/beta and by its
+    # coefficients, whose logarithm is computed from d_2F(x, 0) = 1 - beta x.
     datum = RootDatum.build(typ)
     trunc = default_truncation(datum)
     by_log = FlagBasis(datum, multiplicative_by_log(trunc))
     by_coefficients = FlagBasis(datum, FormalGroupLaw.multiplicative(trunc))
-    assert by_log.fgr.log_coords and not by_coefficients.fgr.log_coords
+    assert by_coefficients.law.log == by_log.law.log
     got = MultiplicationTable(datum, "ktheory", basis=by_log).render_text()
     want = MultiplicationTable(datum, "ktheory", basis=by_coefficients).render_text()
     assert got == want
@@ -210,3 +211,51 @@ def test_log_law_table_builds_no_kappa(monkeypatch):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"
     )
+
+
+@pytest.mark.parametrize(
+    "theory, digest",
+    [
+        ("universal", "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"),
+        ("ktheory", "e3788edb318af8948af8a94d01bc4095fa2928380a016fb10d228c705989820a"),
+        ("connective", None),
+    ],
+)
+def test_tables_run_series_operators_only_over_the_additive_law(theory, digest, monkeypatch):
+    # The Chow model reads a law only through r(t) = t/exp(t): the series
+    # chains a table runs are the Chow core's, where r = 1.
+    cc_neg = FormalGroupRing.cc_neg
+
+    def additive_only(fgr, i, u):
+        r = fgr.law.log_ratio()
+        if not (r == r.const(r.ring, 1, r.trunc, 1)):
+            raise AssertionError(f"Cs over the {fgr.law.tag} law")
+        return cc_neg(fgr, i, u)
+
+    monkeypatch.setattr(FormalGroupRing, "cc_neg", additive_only)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["table", "--type", "A3", "--theory", theory])
+    assert rc == 0
+    if digest is not None:
+        # the digests of test_cli's byte pins
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_custom_laws_with_fractional_coefficients(tmp_path, a2, b2):
+    # x + y - xy/2 is the multiplicative law at beta = 1/2: its b-coordinates
+    # lie in ZZ[1/2], not in ZZ, and are not checked for integrality.
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"coefficients": {"1,1": "-1/2"}}))
+    table = build_table(b2, f"custom:{path}")
+    ktable = build_table(b2, "ktheory")
+    ring = table.out_ring
+    want = []
+    for e in ktable.lines:
+        coords = {n: c.specialize({"beta": Fraction(1, 2)}, ring) for n, c in e.coords.items()}
+        want.append((e.left, e.right, {n: c for n, c in coords.items() if not c.is_zero()}))
+    assert [(e.left, e.right, e.coords) for e in table.lines] == want
+    assert "Z_212^2 = 2*Z_12 + -1/2*Z_2" in table.render_text()
+    # a log law whose a_11 = -2/3 is not integral either
+    path.write_text(json.dumps({"log": ["1/3"]}))
+    assert build_table(a2, f"custom:{path}").lines

@@ -267,8 +267,8 @@ def test_convolve_split_property(data):
     images = [TruncatedSeries.variable(ring, n, TRUNC, k) for k in range(n)]
     images[i] = images[i] + images[j]
 
-    def image(k, need):
-        return (images[i] ** k).prefixes(need)
+    def image(k):
+        return (images[i] ** k).prefixes(TRUNC)
 
     for v in range(u.valid_degree + 1):
         got = u.convolve_split(i, image, v)
