@@ -71,7 +71,7 @@ class BSPresentation:
 def bs_presentation(fgr, word):
     word = tuple(word)
     xs = [fgr.x_lambda_series(tuple(-c for c in fgr.datum.simple_roots[i - 1])) for i in word]
-    # Checked up front so the error names the deficit of the longest prefix.
+    # Checked up front, against the longest prefix, before any chain runs.
     if xs:
         fgr.require_valid(xs[-1], len(word) - 1, f"a length-{len(word)} presentation")
     rels = [theta_coefficients(fgr, word[:j], x) for j, x in enumerate(xs)]
@@ -222,10 +222,7 @@ class BSRing:
         while not powers[-1].is_zero() and len(powers) <= d + 1:
             powers.append(powers[-1] * a)
         if not powers[-1].is_zero():
-            raise InsufficientPrecisionError(
-                "nilpotency exceeds the series truncation",
-                deficit=1,
-            )
+            raise InsufficientPrecisionError("nilpotency exceeds the series truncation")
         dot = self.coeff_ring.dot
         values = []
         for s in series:

@@ -8,9 +8,12 @@ Rank-2 labeling: for B2 the SECOND simple root is short, for G2 the FIRST
 simple root is short; basis classes are named Z_<word> by their canonical
 reduced word and pt is the class of a point.
 
+Every command works out its series truncation from its input: 2N + 1 for
+``table`` and ``ln`` (N positive roots), max(l + 2, N + 1) for ``bs`` at a
+length-l word.  Outputs print it but do not depend on it.
+
 Data goes to stdout (or --out), diagnostics to stderr.  Exit codes:
-0 success, 1 bad input or check failure, 2 integrality violation,
-3 insufficient precision (the message suggests a --trunc value).
+0 success, 1 bad input or check failure, 2 integrality violation.
 """
 
 from __future__ import annotations
@@ -21,13 +24,10 @@ import math
 import sys
 
 from .bott import BSRing
-from .errors import (
-    FlagCohomError,
-    InsufficientPrecisionError,
-    IntegralityError,
-)
+from .errors import FlagCohomError, IntegralityError
 from .fgring import FormalGroupRing
-from .flagring import default_truncation
+from .flagring import FlagBasis, default_truncation
+from .lazard import LazardBasis
 from .rootdata import RootDatum
 from .tables import MultiplicationTable, make_theory, word_name
 
@@ -50,7 +50,6 @@ def build_parser():
                 default="universal",
                 help="universal | chow | ktheory[:gen] | connective[:gen] | custom:FILE",
             )
-        p.add_argument("--trunc", type=int, help="series truncation override")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_table = sub.add_parser("table", help="multiplication table")
@@ -104,13 +103,6 @@ def emit(args, text):
         sys.stdout.write(text)
 
 
-def effective_trunc(args, datum):
-    trunc = args.trunc if args.trunc is not None else default_truncation(datum)
-    if trunc < datum.N + 1:
-        raise ValueError(f"--trunc must be at least N+1 = {datum.N + 1}")
-    return trunc
-
-
 def admit_table(datum, theory):
     """Refuse a table whose Weyl group is too large for ``theory``, before enumerating W."""
     bound = MAX_TABLE_WEYL_ORDER["universal" if theory == "universal" else "other"]
@@ -125,29 +117,12 @@ def admit_table(datum, theory):
 def cmd_table(args):
     datum = load_datum(args)
     admit_table(datum, args.theory)
-    trunc = effective_trunc(args, datum)
-    with _trunc_context(trunc):
-        table = MultiplicationTable(datum, args.theory, trunc, raw=args.raw_basis)
-        if args.format == "json":
-            emit(args, json.dumps(table.render_json(), indent=2) + "\n")
-        else:
-            emit(args, table.render_text())
+    table = MultiplicationTable(datum, args.theory, default_truncation(datum), raw=args.raw_basis)
+    if args.format == "json":
+        emit(args, json.dumps(table.render_json(), indent=2) + "\n")
+    else:
+        emit(args, table.render_text())
     return 0
-
-
-class _trunc_context:
-    """Attach the truncation in use to precision errors for the CLI hint."""
-
-    def __init__(self, trunc):
-        self.trunc = trunc
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, InsufficientPrecisionError):
-            exc.used_trunc = self.trunc
-        return False
 
 
 # The torsion index is one fold over the C(N + rank, rank) monomials of
@@ -205,12 +180,11 @@ def cmd_bs(args):
         raise ValueError(
             f"a word of length {len(word)} is too long for bs (at most {MAX_BS_WORD} letters)"
         )
-    trunc = args.trunc if args.trunc is not None else max(len(word) + 2, datum.N + 1)
-    with _trunc_context(trunc):
-        law, theory = make_theory(args.theory, trunc)
-        fgr = FormalGroupRing(datum, law)
-        ring = BSRing(fgr, word)
-        tangent = ring.tangent_chern_class()
+    trunc = max(len(word) + 2, datum.N + 1)
+    law, theory = make_theory(args.theory, trunc)
+    fgr = FormalGroupRing(datum, law)
+    ring = BSRing(fgr, word)
+    tangent = ring.tangent_chern_class()
     if args.format == "json":
         obj = {
             "root_system": {"type": datum.label or "custom", "rank": datum.rank},
@@ -272,20 +246,44 @@ def _index_name(texp):
     return "*".join(parts)
 
 
+def _index_count(bound):
+    """The number of t-indices of weight <= bound: p(0) + ... + p(bound) partitions."""
+    counts = [1] + [0] * bound
+    for part in range(1, bound + 1):
+        for n in range(part, bound + 1):
+            counts[n] += counts[n - part]
+    return sum(counts)
+
+
+# ln prints one class per (word, t-index of weight <= bound) pair.  On 2
+# cores A2 (5 words) took 0.44 s at bound 16 (4,575 pairs), 1.8 s at 21
+# (17,530), 3.0 s at 24 (36,690) and 7.1 s at 28 (92,300), about 2.7x per
+# +4; at the cap's edge G2 at 18 (17,567) took 2.2 s, B2 at 20 (18,998)
+# 1.4 s and A3 at 15 (15,732) 2.7 s.  Weight 40 alone has 37,338 indices,
+# so bounds past it are counted as 40.
+MAX_LN_PAIRS = 20_000
+
+
 def cmd_ln(args):
     datum = load_datum(args)
     if args.theory != "universal":
         raise ValueError("operations are defined over the universal theory")
     admit_table(datum, "universal")
-    trunc = effective_trunc(args, datum)
     if args.word:
         word = _parse_word(args.word, datum)
         if datum.element_of_word(word).canonical_word != word:
             raise ValueError(f"{args.word} is not the canonical word of a Weyl element")
-    with _trunc_context(trunc):
-        table = MultiplicationTable(datum, "universal", trunc)
-    fb = table.basis
-    laz = table.lazard
+    n_words = 1 if args.word else datum.order_from_roots() - 1
+    pairs = n_words * _index_count(min(args.bound, 40))
+    if pairs > MAX_LN_PAIRS:
+        raise ValueError(
+            f"ln --bound {args.bound} needs at least {pairs:,} classes, one per basis word "
+            f"and t-index of weight <= {args.bound}, over the bound of {MAX_LN_PAIRS:,}"
+        )
+    trunc = default_truncation(datum)
+    law, _ = make_theory(args.theory, trunc)
+    fb = FlagBasis(datum, law)
+    laz = LazardBasis(law, datum.N)
     words = (
         [word]
         if args.word
@@ -373,15 +371,6 @@ def main(argv=None):
     except IntegralityError as exc:
         print(f"integrality error: {exc}", file=sys.stderr)
         return 2
-    except InsufficientPrecisionError as exc:
-        trunc = getattr(exc, "used_trunc", None)
-        hint = (
-            f"; retry with --trunc {trunc + exc.deficit}"
-            if trunc is not None
-            else f"; retry with a larger --trunc (missing {exc.deficit} degrees)"
-        )
-        print(f"insufficient precision: {exc}{hint}", file=sys.stderr)
-        return 3
     except (FlagCohomError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,13 +39,9 @@ class AssociativityError(FlagCohomError):
 class InsufficientPrecisionError(FlagCohomError):
     """An operation needs more valid degrees than the operand carries.
 
-    Recoverable by recomputing the inputs at a larger truncation; ``deficit``
-    is how many degrees were missing when the error was raised.
+    The CLI builds every law at a truncation worked out from its input, so
+    this signals a library call made with too small a truncation.
     """
-
-    def __init__(self, message, deficit=0):
-        self.deficit = deficit
-        super().__init__(message)
 
 
 class DegreeValidityError(AssertionError):

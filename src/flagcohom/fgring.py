@@ -204,8 +204,7 @@ class FormalGroupRing:
     def require_valid(self, u, need, what):
         if u.valid_degree < need:
             raise InsufficientPrecisionError(
-                f"{what} needs valid degree {need}, element has {u.valid_degree}",
-                deficit=need - u.valid_degree,
+                f"{what} needs valid degree {need}, element has {u.valid_degree}"
             )
 
     def delta(self, i, u):

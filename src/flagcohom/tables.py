@@ -14,7 +14,6 @@ import json
 from fractions import Fraction
 
 from .coeffring import CoeffRing, assert_integer
-from .errors import InsufficientPrecisionError
 from .fgl import FormalGroupLaw
 from .flagring import FlagBasis, default_truncation
 from .lazard import LazardBasis
@@ -63,17 +62,33 @@ def custom_law(data, trunc):
     "coefficients" law is checked for unit, commutativity, associativity and
     its inverse on load; a "log" law satisfies them by construction.
     """
+    if not isinstance(data, dict):
+        raise ValueError("a custom law file must hold a JSON object")
     ring = CoeffRing((), rational_mode=True)
     if "log" in data:
-        coeffs = [Fraction(str(c)) for c in data["log"]]
+        if not isinstance(data["log"], list):
+            raise ValueError('custom law "log" must be a list of rationals')
+        coeffs = [_rational(c) for c in data["log"]]
         return FormalGroupLaw.from_log(ring, trunc, coeffs)
     if "coefficients" in data:
+        if not isinstance(data["coefficients"], dict):
+            raise ValueError('custom law "coefficients" must map "i,j" keys to rationals')
         table = {}
         for key, val in data["coefficients"].items():
-            i, j = (int(p) for p in key.split(","))
-            table[(i, j)] = Fraction(str(val))
+            try:
+                i, j = (int(p) for p in key.split(","))
+            except ValueError:
+                raise ValueError(f'custom law coefficient key {key!r} is not "i,j"') from None
+            table[(i, j)] = _rational(val)
         return FormalGroupLaw.from_coefficients(ring, trunc, table)
     raise ValueError('custom law needs a "log" or "coefficients" entry')
+
+
+def _rational(value):
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"custom law value {value!r} is not a rational number") from None
 
 
 class MultiplicationTable:
@@ -85,23 +100,12 @@ class MultiplicationTable:
 
     def __init__(self, datum, theory_spec, trunc=None, raw=False, basis=None):
         self.datum = datum
-        self.trunc = trunc or default_truncation(datum)
         self.raw = raw
-        # Products against a length-N basis element consume N valid degrees
-        # before the N-step coordinate chains run: tables need the default.
-        need = default_truncation(datum)
-        if self.trunc < need:
-            raise InsufficientPrecisionError(
-                f"tables for {datum.label or 'this datum'} need truncation >= {need}",
-                deficit=need - self.trunc,
-            )
-        if basis is not None:
-            self.law, self.theory = basis.law, theory_spec
-            self.basis = basis
-            self.trunc = basis.law.trunc
-        else:
-            self.law, self.theory = make_theory(theory_spec, self.trunc)
-            self.basis = FlagBasis(datum, self.law)
+        if basis is None:
+            law, theory_spec = make_theory(theory_spec, trunc or default_truncation(datum))
+            basis = FlagBasis(datum, law)
+        self.basis, self.law, self.theory = basis, basis.law, theory_spec
+        self.trunc = basis.law.trunc
         self.is_universal = self.theory == "universal"
         self.integral_output = self.theory.split(":")[0] in (
             "universal", "chow", "ktheory", "connective"
@@ -317,10 +321,10 @@ class TableEntry:
         self.coords = coords
 
 
-def build_table(type_or_datum, theory="universal", trunc=None, raw=False):
+def build_table(type_or_datum, theory="universal", raw=False):
     datum = (
         type_or_datum
         if isinstance(type_or_datum, RootDatum)
         else RootDatum.build(type_or_datum)
     )
-    return MultiplicationTable(datum, theory, trunc, raw=raw)
+    return MultiplicationTable(datum, theory, raw=raw)

@@ -240,8 +240,6 @@ def test_bad_input_exit_code(tmp_path):
     assert "error" in err
     rc, _, _ = run_cli(["table"])
     assert rc == 1
-    rc, _, _ = run_cli(["table", "--type", "A2", "--trunc", "2"])
-    assert rc == 1
     for args in (["bs", "--type", "A2", "--word", "1,2,3"],
                  ["ln", "--type", "A2", "--word", "3"],
                  ["ln", "--type", "A2", "--word", "2,1,2"],
@@ -260,14 +258,40 @@ def test_bad_input_exit_code(tmp_path):
             assert err.startswith("error: ")
 
 
-def test_insufficient_precision_exit_code():
-    rc, _, err = run_cli(["table", "--type", "B2", "--trunc", "6"])
-    assert rc == 3
-    assert "--trunc 9" in err
-    rc, _, err = run_cli(["bs", "--type", "A2", "--word", "1,2,1,2,1,2",
-                          "--trunc", "3"])
-    assert rc == 3
-    assert "--trunc 5" in err
+@pytest.mark.parametrize("command", ["table", "bs", "ln", "torsion"])
+def test_trunc_is_refused(command, monkeypatch):
+    from flagcohom import cli
+
+    def boom(args):
+        raise AssertionError("the root datum was built")
+
+    monkeypatch.setattr(cli, "load_datum", boom)
+    word = ["--word", "1,2,1"] if command == "bs" else []
+    rc, out, err = run_cli([command, "--type", "A2", *word, "--trunc", "60"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "--trunc" in err
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        {"log": ["1/0"]},
+        {"coefficients": {"1,1": "1/0"}},
+        {"log": 5},
+        {"log": "12"},
+        "log",
+        {"coefficients": [1]},
+        {"coefficients": {"1": "-1"}},
+    ],
+)
+def test_malformed_custom_law_is_refused(law, tmp_path):
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps(law))
+    rc, out, err = run_cli(["table", "--type", "A2", "--theory", f"custom:{path}"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_bs_command():
@@ -347,3 +371,52 @@ def test_bs_refuses_long_words_before_building_a_tower(monkeypatch):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: ") and "at most" in err
+
+
+@pytest.mark.parametrize("args", [["--bound", "22"], ["--word", "1,2", "--bound", "1000000000"]])
+def test_ln_refuses_large_bounds_before_building_the_law(args, monkeypatch):
+    from flagcohom import cli
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a law was built")
+
+    monkeypatch.setattr(cli, "make_theory", boom)
+    rc, out, err = run_cli(["ln", "--type", "A2", *args])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ") and "over the bound of 20,000" in err
+
+
+def test_ln_counts_its_indices_as_partitions():
+    from flagcohom.cli import _index_count
+    from flagcohom.lazard import weighted_monomials
+
+    for bound in range(13):
+        weights = tuple(range(1, bound + 1))
+        want = sum(len(weighted_monomials(weights, w)) for w in range(bound + 1))
+        assert _index_count(bound) == want
+    # A2 has 5 words besides w0: bound 21 is the last one under the cap
+    assert 5 * _index_count(21) == 17_530
+
+
+def test_readme_documents_every_cli_option():
+    import argparse
+    import re
+
+    from flagcohom.cli import build_parser
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for parser in sub.choices.values()
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert options - documented == set(), "options missing from the README"
+    assert documented - options == set(), "README options the CLI does not have"

@@ -184,7 +184,28 @@ def test_raw_basis_table(a2):
 
 def test_low_truncation_rejected(a2):
     with pytest.raises(InsufficientPrecisionError):
-        build_table(a2, "universal", trunc=5)
+        FlagBasis(a2, FormalGroupLaw.universal(a2.N))
+    assert FlagBasis(a2, FormalGroupLaw.universal(a2.N + 1)).N == a2.N
+
+
+@pytest.mark.parametrize(
+    "typ, theory",
+    [("A2", "universal"), ("B2", "universal"), ("G2", "universal"),
+     ("B2", "ktheory"), ("B2", "connective")],
+)
+def test_table_body_does_not_depend_on_the_truncation(typ, theory):
+    # A table reads the law only through degrees <= N: a law built at N + 1
+    # renders the default table, the truncation in the header aside.
+    datum = RootDatum.build(typ)
+    law, _ = make_theory(theory, datum.N + 1)
+    head, body = MultiplicationTable(
+        datum, theory, basis=FlagBasis(datum, law)
+    ).render_text().split("\n", 1)
+    want_head, want_body = MultiplicationTable(datum, theory).render_text().split("\n", 1)
+    assert body == want_body
+    assert head == want_head.replace(
+        f"truncation {default_truncation(datum)},", f"truncation {datum.N + 1},"
+    )
 
 
 def test_make_theory_names():
