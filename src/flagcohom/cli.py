@@ -164,12 +164,12 @@ MAX_BS_WORD = 11
 
 # A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
 # universal theory took 0.3-0.6 s and 20 MB at B3 and C3 (|W| = 48) and
-# 2-4 s and 38 MB at A4 (120); ktheory took 7.5-13 s and 43 MB at D4 (192),
-# and chow 5.8-6.5 s at D4 and 103-113 s and 99 MB at B4 (384), where F4
-# (1152) has nine times B4's products.  A table past these caps, D4 universal first,
-# would be an output of the Chow model alone, with no second route to check
-# it against.  |W| comes from the roots (``RootDatum.order_from_roots``), so
-# a refusal enumerates nothing.
+# 1.5-2.4 s and 37 MB at A4 (120); ktheory took 3.6-6.2 s and 41 MB at D4
+# (192), and chow 0.64-0.75 s at D4 and 2.5-3.1 s and 89 MB at B4 (384),
+# where F4 (1152) has nine times B4's products.  A table past these caps, D4
+# universal first, would be an output of the Chow model alone, with no second
+# route to check it against.  |W| comes from the roots
+# (``RootDatum.order_from_roots``), so a refusal enumerates nothing.
 MAX_TABLE_WEYL_ORDER = {"universal": 120, "other": 384}
 
 

@@ -53,8 +53,10 @@ idempotent.
 ``functionals`` tabulates eps op_word over the additive law, for an
 operator family op and a prefix-closed set of words, as linear functionals
 of the monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one convolution
-per word against the values op_i(y^e), each computed once.  The Chow core
-of ``flagring`` and the torsion index are built on it.
+per word against the values op_i(y^e), each computed once.  It serves the
+torsion fold (``torsion_bezout``), which reads the w0 functional of delta.
+The tables of ``flagring`` do not use it: their Chow core, torsion index
+included, comes from the Bruhat graph.
 
 The torsion index and its witness u0 are computed in the additive model:
 the operators induce the classical divided differences on the associated
@@ -345,8 +347,9 @@ class FormalGroupRing:
     def functionals(self, op, words):
         """{word: the functional y^e -> eps op_word(y^e)} for each word in ``words``.
 
-        Over the additive law only (z = y), where the simple operators are
-        homogeneous of degree -1.  A functional is kept as {y-key of y^e:
+        The torsion fold's source of eps delta_{I0}.  Over the additive law
+        only (z = y), where the simple operators are homogeneous of degree
+        -1.  A functional is kept as {y-key of y^e:
         [(m-key, scalar)]}, the layout of ``TruncatedSeries.grouped``, and a
         monomial on which it vanishes has no entry.
 

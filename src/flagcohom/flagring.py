@@ -13,35 +13,45 @@ coordinates z read as y: the W-invariants are power series in the basic
 invariants, which do not depend on the law.  So Phi(u) = sum_e u_e
 c_chow(y^e) identifies H_F (x) Q with R (x) CH(G/B)_Q, written in the Chow
 b-basis e_w; Phi reads the terms of u of degree <= N.  Elements of the model
-("images") are vectors over the e_w.  The Chow side is read once per basis
-from the Chow core (:class:`_Chow`, the series pipeline of the additive
-law): the Chow product, D_i e_w = e_{w s_i} when w s_i is longer (else 0),
-and multiplication by L_i = alpha_i.z.  The law enters only through the
-coefficients r_k, k <= N, of r(t) = t/exp(t): Cs_i(u) = d_i(u r(L_i))
-(``fgring``), so Phi(Cs_i(u)) = T_i(Phi(u)) with
+("images") are vectors over the e_w.
 
-    T_i = D_i o sum_k r_k L_i^k,      beta_w = T_{i_l} ... T_{i_1} [pt]
+The Chow side needs no series (Demazure, "Desingularisation des varietes
+de Schubert generalisees", 1974).  The Chow core (:class:`_Chow`) is read
+off the Bruhat graph: D_i e_w = e_{w s_i} when w s_i is longer (else 0),
+multiplication M_lam by a weight is Chevalley's formula over the covers
+w -> w s_beta, the class table Phi(y^e) iterates M_{omega_j} from the unit
+e_{w0}, the torsion index t is the gcd of its [pt]-coefficients at degree
+N, and each Chow product comes from Leibniz's rule for D_i, in integers.
+The law enters only through the coefficients r_k, k <= N, of r(t) =
+t/exp(t): Cs_i(u) = d_i(u r(L_i)) (``fgring``), so Phi(Cs_i(u)) =
+T_i(Phi(u)) with M = M_{alpha_i}, the class of L_i = alpha_i.z, and
+
+    T_i = D_i o sum_k r_k M^k,      beta_w = T_{i_l} ... T_{i_1} [pt]
 
 the image of b_w for I_w = (i_1, ..., i_l), as Phi(u0) = t [pt].  beta_w is
 e_w plus terms of shorter words, so the b-coordinates of an image are one
 back substitution against the beta_w, with no division.  A product b_v b_w
 is beta_v * beta_w (the Chow product, extended R-bilinearly) solved, the
 unit is e_{w0} solved, and the class of a series u is Phi(u) solved.  Over
-the additive law r = 1 and beta_w = e_w.  No series chain runs over the
-law's ring.  The a-coordinates eps Op_{I_w}(u) are the e_{w0}-coordinates of
-operator chains on Phi(u) (``eps_vector``).
+the additive law r = 1 and beta_w = e_w.  No series chain runs on the
+table route; the witness u0 (``torsion``) and its additive chains are built
+on demand for ``ln_operation``, which needs a series representative.  The
+a-coordinates eps Op_{I_w}(u) are the e_{w0}-coordinates of operator chains
+on Phi(u) (``eps_vector``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from .coeffring import CoeffPoly, CoeffRing, _fold, _layout, assert_integer, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import FormalGroupLaw, revert
 from .fgring import FormalGroupRing, TorsionData, torsion_bezout
 from .lazard import weighted_monomials
-from .tseries import TruncatedSeries, convolve_graded
+from .tseries import TruncatedSeries, _degree_monomials
 
 _ONE = ((0, 1),)  # the terms of the scalar 1
 
@@ -57,87 +67,142 @@ def default_truncation(datum):
 
 
 class _Chow:
-    """The characteristic map of the additive law, by series chains over QQ.
+    """The Chow ring of G/B in the Schubert basis e_w, from the Bruhat graph.
 
-    chain_w = Cs_{I_w^rev}(u0), with Cs_i = d_i as r = 1, has c(chain_w) = t
-    e_w.  The operators are homogeneous of degree -1, so eps Cs_{I_v}(chain_w)
-    is t when the word (I_v, I_w^rev) is a reduced word of w0, that is v = w0
-    w, and 0 otherwise: the e_w-coordinate of c(u) is eps Cs_{I_{w0 w}}(u), a
-    functional of the monomials of degree N - l(w) (``functionals``).  The
-    ring has no generators, so a term's key is its y-key.  The class table
-    and the products are packed with the element index shifted by ``shift``,
-    above the m-fields of the basis that reads them.
+    e_{w0} is the unit, e_1 = [pt] (1 the identity of W), and e_w has
+    codimension N - l(w).  D_i e_w = e_{w s_i} when w s_i is longer, else 0,
+    and multiplication by a weight lam is Chevalley's formula over the
+    covers w -> w s_beta, beta > 0 with l(w s_beta) = l(w) - 1:
+
+        M_lam e_w = sum <lam, beta^vee> e_{w s_beta}.
+
+    The class table is Phi(y^e) = M_{omega_j} Phi(y^e / y_j) from Phi(1) =
+    e_{w0}, and t is the gcd of its [pt]-coefficients at degree N, the
+    values eps d_{w0}(y^e) that ``torsion_bezout`` folds.  A product e_a e_b
+    is built by Leibniz's rule for the divided differences,
+
+        D_i(x y) = D_i x y + x D_i y - M_{alpha_i}(D_i x D_i y),
+
+    as the coefficient of e_w in x y is that of e_{w s_i} in D_i(x y) at an
+    ascent i of w: every product is an integer combination of products of
+    longer factors, down to e_{w0} e_b = e_b.  Vectors are {index << shift:
+    integer}, the index above the m-fields of the basis that reads them.
     """
 
-    def __init__(self, datum, elements, t, monomials, shift):
+    def __init__(self, datum, elements, shift):
+        self.datum = datum
         self.N = datum.N
-        self.t = t
         self.shift = shift
-        self.elements = elements
-        self.fgr = FormalGroupRing(datum, FormalGroupLaw.additive(default_truncation(datum)))
-        self.guard = _layout(0, datum.rank).guard  # the series' exponent fields
-        self._chains = {(): self.fgr.from_monomials(dict(monomials))}
-        self._buckets = {}
-        self._table = None
+        self.top = len(elements) - 1
+        self.lengths = [w.length for w in elements]
+        index = {w.matrix: x for x, w in enumerate(elements)}
+        positive = datum.positive_roots()
+        roots, simple = dict(datum.all_roots()), {r: i for i, r in enumerate(datum.simple_roots)}
+        n, size = datum.rank, len(elements)
+        # up[i][x]: the index of w_x s_i when it is longer, down[i][x] when shorter
+        self.up = [[None] * size for _ in range(n)]
+        self.down = [[None] * size for _ in range(n)]
+        self.covers = []
+        for x, w in enumerate(elements):
+            covers = []
+            for beta in positive:
+                image = w.apply(beta)
+                if image in positive:
+                    continue
+                cv = roots[beta]  # w s_beta = w - (w beta) cv
+                matrix = tuple(tuple(m - b * c for m, c in zip(row, cv))
+                               for row, b in zip(w.matrix, image))
+                y = index[matrix]
+                if self.lengths[y] == self.lengths[x] - 1:
+                    covers.append((y, cv))
+                    if beta in simple:
+                        self.down[simple[beta]][x], self.up[simple[beta]][y] = y, x
+            self.covers.append(covers)
+        self.ascent = [next((i for i, u in enumerate(ups) if u is not None), None)
+                       for ups in zip(*self.up)]  # the first ascent of each w
+        self._multipliers = {}
         self._products = {}
+        self._table = None
 
-    def chain(self, index):
-        """chain_w for the element of that index."""
-        return self._chain(tuple(reversed(self.elements[index].canonical_word)))
-
-    def _chain(self, word):
-        """Cs_word(u0) with shared suffix caching (word applied right to left)."""
-        got = self._chains.get(word)
+    def multiplier(self, lam):
+        """M_lam as {index: [(packed index of w s_beta, <lam, beta^vee>)]}, cached."""
+        got = self._multipliers.get(lam)
         if got is None:
-            got = self._chains[word] = self.fgr.cc_neg(word[0], self._chain(word[1:]))
+            got = self._multipliers[lam] = {}
+            for x, covers in enumerate(self.covers):
+                row = [(y << self.shift, sum(map(mul, cv, lam))) for y, cv in covers]
+                row = [(k, c) for k, c in row if c]
+                if row:
+                    got[x] = row
         return got
+
+    def multiply(self, lam, vector):
+        """M_lam of a vector."""
+        op, shift, out = self.multiplier(lam), self.shift, {}
+        for k, c in vector.items():
+            for y, m in op.get(k >> shift, ()):
+                out[y] = out.get(y, 0) + m * c
+        return {y: c for y, c in out.items() if c}
 
     def table(self):
-        """The class table: entry (w, eps Cs_{I_{w0 w}}(y^e)) at y^e."""
+        """The class table: Phi(y^e) as [(packed index, scalar)] at the y-key of y^e."""
         if self._table is None:
-            w0 = self.elements[-1]
-            paired = [self.fgr.datum.multiply(w0, w).canonical_word for w in self.elements]
-            functionals = self.fgr.functionals(self.fgr.cc_neg, paired)
-            table = self._table = {}
-            for r, v in enumerate(paired):
-                for y, terms in functionals[v].items():
-                    table.setdefault(y, []).extend((r << self.shift, c) for _, c in terms)
+            layout = _layout(0, self.datum.rank)
+            omegas = [self.datum.fundamental_weight(j) for j in range(self.datum.rank)]
+            table = {0: {self.top << self.shift: 1}}
+            for degree in range(1, self.N + 1):
+                for e in _degree_monomials(self.datum.rank, degree):
+                    j = next(j for j, k in enumerate(e) if k)
+                    y = layout.pack(e, True)
+                    below = table.get(y - layout.y_unit[j])
+                    image = self.multiply(omegas[j], below) if below else None
+                    if image:
+                        table[y] = image
+            self._t = gcd(*(image[0] for image in table.values() if 0 in image))
+            self._table = {y: list(image.items()) for y, image in table.items()}
         return self._table
 
-    def image(self, u):
-        """Phi(u) = the e-coordinates of c(u), as {index << shift: scalar}."""
-        table = self.table()
-        return convolve(((t, table[y]) for y, t in u.grouped(self.N).items() if y in table), 0)
+    @property
+    def t(self):
+        """The torsion index: the gcd of the [pt]-coefficients of the class table."""
+        self.table()
+        return self._t
 
     def product(self, a, b):
-        """e_a e_b as [(index << shift, scalar)], memoized; element indices a <= b.
-
-        Below total length N the product vanishes, at N it is the duality
-        rule; else c(chain_a chain_b) = t^2 e_a e_b, read to degree N, with
-        each chain put in degree order once (``TruncatedSeries.buckets``).
-        """
+        """e_a e_b as {packed index: integer}, memoized."""
+        if a > b:
+            a, b = b, a
         got = self._products.get((a, b))
         if got is None:
-            wa, wb = self.elements[a], self.elements[b]
-            total = wa.length + wb.length
-            if total < self.N:
-                got = ()
-            elif total == self.N:
-                w0wb = self.fgr.datum.multiply(self.elements[-1], wb)
-                got = ((0, 1),) if wa.matrix == w0wb.matrix else ()
-            else:
-                terms = convolve_graded(self._bucket(a)[0], self._bucket(b)[1], self.N, self.guard)
-                table, scale = self.table(), Fraction(1, self.t**2)
-                pairs = ((((0, c),), table[y]) for y, c in terms.items() if y in table)
-                got = tuple((k, _fold(c * scale)) for k, c in convolve(pairs, 0).items())
-            self._products[a, b] = got
+            got = self._products[a, b] = self._leibniz(a, b)
         return got
 
-    def _bucket(self, index):
-        got = self._buckets.get(index)
-        if got is None:
-            got = self._buckets[index] = self.chain(index).buckets(self.N)
-        return got
+    def _leibniz(self, a, b):
+        if a == self.top or b == self.top:
+            return {(b if a == self.top else a) << self.shift: 1}
+        if self.lengths[a] + self.lengths[b] < self.N:
+            return {}
+        out, shift, ascent = {}, self.shift, self.ascent
+        for i, (up, down) in enumerate(zip(self.up, self.down)):
+            ua, ub = up[a], up[b]
+            if ua is None and ub is None:
+                continue
+            if ub is None:
+                derivative = self.product(ua, b)
+            elif ua is None:
+                derivative = self.product(a, ub)
+            else:
+                derivative = dict(self.product(ua, b))
+                for k, c in self.product(a, ub).items():
+                    derivative[k] = derivative.get(k, 0) + c
+                square = self.product(ua, ub)
+                for k, c in self.multiply(self.datum.simple_roots[i], square).items():
+                    derivative[k] = derivative.get(k, 0) - c
+            for k, c in derivative.items():
+                x = down[k >> shift]
+                if c and ascent[x] == i:
+                    out[x << shift] = c
+        return out
 
 
 class FlagBasis:
@@ -153,24 +218,27 @@ class FlagBasis:
         self.elements = datum.weyl_elements()
         self.by_word = {w.canonical_word: w for w in self.elements}
         self.w0 = datum.longest_element()
-        self.t, self._monomials = torsion_bezout(datum)
         self.ring = law.ring
         self._words = [w.canonical_word for w in self.elements]
-        self._index = {word: x for x, word in enumerate(self._words)}
         self._lengths = [w.length for w in self.elements]
         self._m_bits = self.ring.layout.m_bits
         self._guard = self.ring.layout.guard
-        self._torsion = self._chow = self._phi = self._beta_rows = None
+        self._torsion = self._chow = self._phi = self._beta_rows = self._chains = None
         self._P = self._rows = self._unit = None
-        self._succ, self._ops, self._eps_tables, self._products = {}, {}, {}, {}
+        self._ops, self._eps_tables, self._products = {}, {}, {}
         self._beta = {(): {0: _ONE}}  # the identity, of canonical word (), is element 0
+
+    @property
+    def t(self):
+        """The torsion index, read off the Chow core's class table."""
+        return self._core().t
 
     @property
     def torsion(self):
         """TorsionData: t and the witness u0 in this ring's coordinates."""
         if self._torsion is None:
-            u0 = self.fgr.from_monomials(dict(self._monomials))
-            self._torsion = TorsionData(self.t, u0, self._monomials)
+            t, monomials = torsion_bezout(self.datum)
+            self._torsion = TorsionData(t, self.fgr.from_monomials(dict(monomials)), monomials)
         return self._torsion
 
     # The basis pipeline runs through the push-pull operator at the
@@ -190,7 +258,7 @@ class FlagBasis:
 
     def _core(self):
         if self._chow is None:
-            self._chow = _Chow(self.datum, self.elements, self.t, self._monomials, self._m_bits)
+            self._chow = _Chow(self.datum, self.elements, self._m_bits)
         return self._chow
 
     def _split(self, packed):
@@ -218,7 +286,7 @@ class FlagBasis:
         core, N, lengths = self._core(), self.N, self._lengths
         pairs = []
         for x, p in a.items():
-            inner = [(q, core.product(*sorted((x, y)))) for y, q in b.items()
+            inner = [(q, core.product(x, y).items()) for y, q in b.items()
                      if lengths[x] + lengths[y] >= N]
             row = convolve(inner, self._guard)
             if row:
@@ -228,47 +296,37 @@ class FlagBasis:
     def _operator(self, variant, i):
         """{v: packed image of Op_i e_v} for Op = Cs (T_i), C (cc_i) or D (delta_i), cached.
 
-        With R = sum_k r_k M^k and M^k e_v = Phi(L_i^k) * e_v: Cs_i = D_i o R,
-        cc_i = -D_i o sum_k (-1)^k r_k M^k and delta_i = R o D_i.
+        With R = sum_k r_k M^k for M = M_{alpha_i} (Chevalley's formula):
+        Cs_i = D_i o R, cc_i = -D_i o sum_k (-1)^k r_k M^k and delta_i = R o D_i.
         """
         got = self._ops.get((variant, i))
         if got is None:
-            succ, core = self._successors(i), self._core()
+            core, shift = self._core(), self._m_bits
+            up, alpha = core.up[i - 1], self.datum.simple_roots[i - 1]
             ratio = self.law.log_ratio()
             ratio = [(k, ratio.coefficient((k,)).terms.items()) for k in range(self.N + 1)]
             ratio = [(k, rk) for k, rk in ratio if rk]
-            lin = core.fgr.x_lambda_series(self.datum.simple_roots[i - 1]).restrict(self.N)
-            powers, power = [], core.fgr.one()  # Phi(L_i^k) up to the last nonzero r_k
-            while len(powers) <= ratio[-1][0]:
-                powers.append(self._split(core.image(power)))
-                power = power * lin
             got = self._ops[variant, i] = {}
             for v in range(len(self.elements)):
-                source = succ[v] if variant == "D" else v
+                source = up[v] if variant == "D" else v
                 if source is None:
                     continue
+                powers = [{source << shift: 1}]  # M^k e_source, packed with m-key 0
+                while len(powers) <= ratio[-1][0] and powers[-1]:
+                    powers.append(core.multiply(alpha, powers[-1]))
                 pairs = []
                 for k, rk in ratio:
-                    image = self._star(powers[k], {source: _ONE}) if k else {source: _ONE}
+                    if k >= len(powers):
+                        break
+                    image = powers[k]
                     if variant != "D":
                         sign = (-1) ** (k + 1) if variant == "C" else 1
-                        image = {succ[x]: [(m, sign * c) for m, c in terms]
-                                 for x, terms in image.items() if succ[x] is not None}
-                    pairs.append((rk, self._packed(image)))
+                        image = {up[x >> shift] << shift: sign * c
+                                 for x, c in image.items() if up[x >> shift] is not None}
+                    pairs.append((rk, image.items()))
                 column = convolve(pairs, self._guard)
                 if column:
                     got[v] = list(column.items())
-        return got
-
-    def _successors(self, i):
-        """D_i as a map: the index of w s_i when it is longer than w, else None."""
-        got = self._succ.get(i)
-        if got is None:
-            s_i = self.datum.simple_reflection(i)
-            got = self._succ[i] = []
-            for w in self.elements:
-                ws = self.datum.multiply(w, s_i)
-                got.append(self._index[ws.canonical_word] if ws.length > w.length else None)
         return got
 
     def _apply(self, variant, i, image):
@@ -488,6 +546,22 @@ class FlagBasis:
 
     # -- Landweber-Novikov ---------------------------------------------------------
 
+    def _additive_chain(self, index):
+        """Cs_{I_w^rev}(u0) over the additive law, a series of Chow image t e_w.
+
+        Built on first use, with shared suffixes (a word applied right to left).
+        """
+        if self._chains is None:
+            law = FormalGroupLaw.additive(default_truncation(self.datum))
+            additive = FormalGroupRing(self.datum, law)
+            self._chains = additive, {(): additive.from_monomials(dict(self.torsion.monomials))}
+        additive, chains = self._chains
+        word = tuple(reversed(self._words[index]))
+        for k in range(len(word) - 1, -1, -1):
+            if word[k:] not in chains:
+                chains[word[k:]] = additive.cc_neg(word[k], chains[word[k + 1:]])
+        return chains[word]
+
     def ln_operation(self, weight_bound, cls):
         """Coefficient classes of the total twisted-coordinate operation.
 
@@ -512,10 +586,10 @@ class FlagBasis:
         # u = sum_x image_x chain_x, with the Chow chains read in z: Phi(u) =
         # t * image, so c(u) = t * cls.  c reads only degrees <= N, and the
         # substitution keeps degree; it acts on y_i, so it runs in y coordinates.
-        core, m_bits = self._core(), self._m_bits
+        m_bits = self._m_bits
         pairs = []
         for x, terms in self._lift(cls).items():
-            chain = core.chain(x).grouped(self.N)
+            chain = self._additive_chain(x).grouped(self.N)
             pairs.append((terms, [(y << m_bits, c) for y, ts in chain.items() for _, c in ts]))
         n = self.datum.rank
         u = self.fgr.y_series(TruncatedSeries(mring, n, D, self.N, convolve(pairs, self._guard)))

@@ -186,7 +186,7 @@ class RootDatum:
         self._elements = None
         self._by_matrix = None
         self._reduced_words = {}
-        self._roots = None
+        self._roots = self._coordinates = None
 
     @staticmethod
     def build(kind, rank=None):
@@ -324,21 +324,24 @@ class RootDatum:
         """All roots as (root in weight coords, coroot pairing row) pairs.
 
         The pairing row ``cv`` represents beta^vee: beta^vee(lam) = cv . lam.
+        Each root's coordinates in the simple roots are tracked as it is
+        reflected: s_i(beta) = beta - beta_i alpha_i, with beta_i its i-th
+        weight coordinate, lowers the i-th simple-root coordinate by beta_i.
         """
         if self._roots is not None:
             return self._roots
         n = self.rank
         found = {}
+        coordinates = {}
         frontier = []
         for i in range(n):
             root = self.simple_roots[i]
-            cv = tuple(int(k == i) for k in range(n))
-            found[root] = cv
+            found[root] = coordinates[root] = tuple(int(k == i) for k in range(n))
             frontier.append(root)
         while frontier:
             nxt = []
             for root in frontier:
-                cv = found[root]
+                cv, co = found[root], coordinates[root]
                 for i in range(n):
                     new_root = self.reflect(i, root)
                     if new_root in found:
@@ -349,24 +352,19 @@ class RootDatum:
                         sum(cv[k] * s[k][c] for k in range(n)) for c in range(n)
                     )
                     found[new_root] = new_cv
+                    coordinates[new_root] = co[:i] + (co[i] - root[i],) + co[i + 1:]
                     nxt.append(new_root)
             frontier = nxt
         self._roots = tuple(sorted(found.items()))
+        self._coordinates = coordinates
         return self._roots
 
     def positive_roots(self):
-        """Positive roots in weight coordinates.
-
-        A root is positive iff it is a nonnegative combination of simple
-        roots; we test by solving the (invertible) Cartan system exactly.
-        """
-        out = []
-        for root, _ in self.all_roots():
-            coords = self._root_coordinates(root)
-            if all(c >= 0 for c in coords):
-                out.append(root)
-        assert len(out) == self.N
-        return tuple(out)
+        """Positive roots in weight coordinates: the nonnegative combinations of simple roots."""
+        roots = self.all_roots()
+        out = tuple(root for root, _ in roots if min(self._coordinates[root]) >= 0)
+        assert 2 * len(out) == len(roots)
+        return out
 
     def order_from_roots(self):
         """|W| from the roots alone, without enumerating W.
@@ -378,26 +376,11 @@ class RootDatum:
         """
         order = Fraction(1)
         for root, _ in self.all_roots():
-            height = sum(self._root_coordinates(root))
+            height = sum(self._coordinates[root])
             if height > 0:
                 order *= Fraction(height + 1, height)
         assert order.denominator == 1, "root heights must give an integral |W|"
         return int(order)
-
-    def _root_coordinates(self, root):
-        n = self.rank
-        aug = [[Fraction(self.cartan[i][j]) for j in range(n)] + [Fraction(root[i])]
-               for i in range(n)]
-        for c in range(n):
-            pr = next(r for r in range(c, n) if aug[r][c] != 0)
-            aug[c], aug[pr] = aug[pr], aug[c]
-            inv = Fraction(1) / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-        return tuple(row[n] for row in aug)
 
     def __repr__(self):
         return f"RootDatum({self.label or self.cartan})"

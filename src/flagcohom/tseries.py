@@ -259,11 +259,6 @@ class TruncatedSeries:
         """
         return _flatten(self._graded(valid))
 
-    def buckets(self, valid):
-        """(graded, prefixes) of the terms of degree <= ``valid``, for ``convolve_graded``."""
-        graded = self._graded(valid)
-        return graded, _flatten(graded)
-
     def mul_prefixes(self, prefixes, valid):
         """self * f, valid to ``valid``, for f given by ``prefixes`` = f.prefixes(p).
 

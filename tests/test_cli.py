@@ -187,6 +187,23 @@ def test_rank3_table_bytes(args, digest):
 @pytest.mark.parametrize(
     "args, digest",
     [
+        (["table", "--type", "D4", "--theory", "chow"],
+         "050749060cffb47565fe8d35861533c8c4ac8da11334c3ce3c3940346120fed5"),
+        (["table", "--type", "B4", "--theory", "chow"],
+         "fcd560c3dcec36792325e04b1ddb108fd34eb540117add3694bec49cf3e0afb2"),
+    ],
+)
+def test_rank4_chow_table_bytes(args, digest):
+    # Chevalley's formula and Leibniz's rule give every Chow product; the
+    # digests were taken when the products came from series chains.
+    rc, out, _ = run_cli(args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
         (["ln", "--type", "A2"],
          "7b16a8ca13782ebf8ec849756b4a11bc461c09a9c0f9bc60f67e1417cc2303e2"),
         (["ln", "--type", "B2", "--bound", "3"],

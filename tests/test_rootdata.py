@@ -1,5 +1,7 @@
 """Root systems, Weyl groups, reduced words."""
 
+from fractions import Fraction
+
 import pytest
 
 from flagcohom.rootdata import RootDatum, cartan_matrix
@@ -107,3 +109,44 @@ def test_order_from_roots_matches_the_enumerated_group(typ):
     estimate = datum.order_from_roots()
     assert datum._elements is None
     assert estimate == datum.order
+
+
+def _solved_coordinates(datum, root):
+    """The simple-root coordinates of a weight, by exact elimination on the Cartan system."""
+    n = datum.rank
+    aug = [[Fraction(datum.cartan[i][j]) for j in range(n)] + [Fraction(root[i])]
+           for i in range(n)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                aug[r] = [a - aug[r][c] * b for a, b in zip(aug[r], aug[c])]
+    return tuple(row[n] for row in aug)
+
+
+ROOT_COUNTS = {
+    "A1": (1, 2), "A2": (3, 6), "A3": (6, 24), "A4": (10, 120), "B2": (4, 8),
+    "B3": (9, 48), "B4": (16, 384), "C3": (9, 48), "C4": (16, 384), "D4": (12, 192),
+    "F4": (24, 1152), "G2": (6, 12),
+}
+
+
+@pytest.mark.parametrize("typ", sorted(ROOT_COUNTS))
+def test_tracked_root_coordinates_match_the_cartan_solve(typ):
+    # positive_roots and order_from_roots read the simple-root coordinates
+    # tracked while reflecting; solving the Cartan system gives the same.
+    datum = RootDatum.build(typ)
+    roots = datum.all_roots()
+    solved = {root: _solved_coordinates(datum, root) for root, _ in roots}
+    assert all(min(c) >= 0 or max(c) <= 0 for c in solved.values())
+    want = tuple(root for root, _ in roots if min(solved[root]) >= 0)
+    heights = [sum(c) for c in solved.values() if sum(c) > 0]
+    order = 1
+    for h in heights:
+        order = order * Fraction(h + 1, h)
+    assert datum.positive_roots() == want
+    assert (len(want), order) == ROOT_COUNTS[typ]
+    assert datum.order_from_roots() == order
+    assert datum._elements is None

@@ -243,8 +243,8 @@ def test_log_law_table_builds_no_kappa(monkeypatch):
     ],
 )
 def test_tables_run_series_operators_only_over_the_additive_law(theory, digest, monkeypatch):
-    # The Chow model reads a law only through r(t) = t/exp(t): the series
-    # chains a table runs are the Chow core's, where r = 1.
+    # The Chow model reads a law only through r(t) = t/exp(t), and its Chow
+    # core runs no series chain: any Cs a table ran would be over r = 1.
     cc_neg = FormalGroupRing.cc_neg
 
     def additive_only(fgr, i, u):
@@ -261,6 +261,33 @@ def test_tables_run_series_operators_only_over_the_additive_law(theory, digest, 
     if digest is not None:
         # the digests of test_cli's byte pins
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "typ, digest",
+    [
+        ("A3", "33721e5da2cd4511c054ff86630b53a3dc2a406298ea45974f10b46b3c74baba"),
+        ("B3", "395b959ffc2ad7ec005eeff2a4572e3e5bf29b367160185ac40db5650affe25c"),
+    ],
+)
+def test_chow_tables_run_no_series_and_no_torsion_fold(typ, digest, monkeypatch):
+    # The Chow core is the Bruhat graph alone: its class table, its products
+    # and the torsion index in the header need no series functional, no
+    # push-pull chain and no Bezout witness.
+    from flagcohom import fgring, flagring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series route ran on the table route")
+
+    monkeypatch.setattr(FormalGroupRing, "functionals", refuse)
+    monkeypatch.setattr(FormalGroupRing, "cc_neg", refuse)
+    monkeypatch.setattr(fgring, "torsion_bezout", refuse)
+    monkeypatch.setattr(flagring, "torsion_bezout", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["table", "--type", typ, "--theory", "chow"])
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_custom_laws_with_fractional_coefficients(tmp_path, a2, b2):
