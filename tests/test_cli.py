@@ -208,6 +208,10 @@ def test_rank4_chow_table_bytes(args, digest):
          "7b16a8ca13782ebf8ec849756b4a11bc461c09a9c0f9bc60f67e1417cc2303e2"),
         (["ln", "--type", "B2", "--bound", "3"],
          "a17ea3a179aba756889bacad9dc9e108af7409945d6ac1fbcfc175460f590f17"),
+        (["ln", "--type", "G2", "--bound", "2"],
+         "790efb83f71fc0a4c2f16588546dcf4b930b7437878a846064ab072d6725c4ab"),
+        (["ln", "--type", "B3", "--bound", "2"],
+         "65a81925f264ff9993f1b56b870455e6b4dcce83b2a6747c5ed6fe1635c206f5"),
     ],
 )
 def test_ln_bytes(args, digest):
