@@ -127,7 +127,7 @@ def cmd_table(args):
 
 # The torsion index is one fold over the C(N + rank, rank) monomials of
 # degree <= N in rank variables.  On 2 cores F4 (20,475 monomials) took 1 s
-# and B5 (142,506, the most of any rank-5 type) 10-11 s; E6 needs 5.2 M.
+# and B5 (142,506, the most of any rank-5 type) 9.2-9.8 s; E6 needs 5.2 M.
 MAX_TORSION_MONOMIALS = 150_000
 
 
@@ -156,9 +156,9 @@ def _parse_word(text, datum):
 
 
 # A length-l word has 2^l - 1 Theta_K chains and a tower ring of rank 2^l:
-# on 2 cores an A3 universal word took 0.7 s at length 8, 5.9 s at 10 and
-# 29 s at 11, and its length-12 presentation and tangent class 147 s
-# in-process (49 s and 97 s).
+# on 2 cores an A3 universal word took 0.45-0.48 s at length 8, 3.6-3.9 s at
+# 10 and 21.6-21.8 s at 11, and its length-12 presentation and tangent class
+# 147 s in-process (49 s and 97 s) when they were last measured.
 MAX_BS_WORD = 11
 
 
@@ -166,7 +166,8 @@ MAX_BS_WORD = 11
 # universal theory took 0.3-0.6 s and 20 MB at B3 and C3 (|W| = 48) and
 # 1.5-2.4 s and 37 MB at A4 (120); ktheory took 3.6-6.2 s and 41 MB at D4
 # (192), and chow 0.64-0.75 s at D4 and 2.5-3.1 s and 89 MB at B4 (384),
-# where F4 (1152) has nine times B4's products.  A table past these caps, D4
+# where F4 (1152) has nine times B4's products.  ktheory at B4 (384) is
+# admitted and took 51-53 s and 206 MB.  A table past these caps, D4
 # universal first, would be an output of the Chow model alone, with no second
 # route to check it against.  |W| comes from the roots
 # (``RootDatum.order_from_roots``), so a refusal enumerates nothing.
@@ -256,11 +257,11 @@ def _index_count(bound):
 
 
 # ln prints one class per (word, t-index of weight <= bound) pair.  On 2
-# cores A2 (5 words) took 0.44 s at bound 16 (4,575 pairs), 1.8 s at 21
-# (17,530), 3.0 s at 24 (36,690) and 7.1 s at 28 (92,300), about 2.7x per
-# +4; at the cap's edge G2 at 18 (17,567) took 2.2 s, B2 at 20 (18,998)
-# 1.4 s and A3 at 15 (15,732) 2.7 s.  Weight 40 alone has 37,338 indices,
-# so bounds past it are counted as 40.
+# cores A2 (5 words) took 0.6 s at bound 21 (17,530 pairs) and 4.1-4.6 s at
+# 28 (92,300); at the cap's edge G2 at 18 (17,567) took 0.6-0.7 s, B2 at 20
+# (18,998) 0.7 s and A3 at 15 (15,732) 0.6-0.7 s.  At bound 2, B3 (188)
+# took 0.4-0.5 s and A4 (476) 1.3-1.4 s.  Weight 40 alone has 37,338
+# indices, so bounds past it are counted as 40.
 MAX_LN_PAIRS = 20_000
 
 

@@ -31,8 +31,7 @@ For the additive law z = y and r = 1, and no product with r is made.
 ``variable(i)`` is y_i = exp(z_i), ``from_monomials`` takes y-monomials and
 ``x_lambda_series`` is x_lambda, so ``==``, the augmentation (the constant
 term) and valid degrees mean what they mean in y (y = exp(z) keeps the
-degree filtration).  ``coordinate_monomial`` is a monomial in z, and
-``y_series``/``from_y_series`` cross to y coordinates and back.
+degree filtration).  ``coordinate_monomial`` is a monomial in z.
 
 The simple operators s_i, delta_i, delta_{-alpha_i}, cc_i and cc_{-alpha_i}
 never substitute or divide per call.  s_i(omega_j) = omega_j for j != i, so
@@ -83,10 +82,9 @@ _OPS = {"s": (0, 0), "delta": (1, 1), "delta_neg": (2, -1), "cc": (2, -1), "cc_n
 class TorsionData:
     """Torsion index t with a degree-N witness u0 (eps delta_{I0}(u0) = t)."""
 
-    def __init__(self, t, u0, monomials):
+    def __init__(self, t, u0):
         self.t = t
         self.u0 = u0
-        self.monomials = monomials  # ((exponent tuple, integer coefficient), ...)
 
 
 class FormalGroupRing:
@@ -124,26 +122,12 @@ class FormalGroupRing:
 
     def from_monomials(self, monomials):
         """Element sum c y^e from {y-exponent tuple e: coefficient c}, exact to truncation."""
-        return self.from_y_series(
-            TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
-        )
+        s = TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
+        return s if self._exp is None else s.substitute(self._y_variables())
 
     def coordinate_monomial(self, e, valid_degree=None):
         """The monomial z^e in the ring's own coordinates."""
         return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, {e: 1}, valid_degree)
-
-    def from_y_series(self, s):
-        """The element whose y-coordinate series is s: s(exp z_1, ..., exp z_n)."""
-        if self._exp is None:
-            return s
-        return s.substitute(self._y_variables())
-
-    def y_series(self, u):
-        """u as a series in y_1..y_n: u(log y_1, ..., log y_n)."""
-        if self._exp is None:
-            return u
-        logs = [self.law.log.substitute([self._coordinate(j)]) for j in range(self.n)]
-        return u.substitute(logs)
 
     def _coordinate(self, j):
         return TruncatedSeries.variable(self.ring, self.n, self.trunc, j)
@@ -395,7 +379,7 @@ class FormalGroupRing:
         """Torsion index and an integral degree-N witness, lifted to this ring."""
         t, monomials = torsion_bezout(self.datum)
         u0 = self.from_monomials(dict(monomials))
-        return TorsionData(t, u0, monomials)
+        return TorsionData(t, u0)
 
     # -- module decomposition ----------------------------------------------------
 

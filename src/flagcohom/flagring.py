@@ -34,10 +34,11 @@ back substitution against the beta_w, with no division.  A product b_v b_w
 is beta_v * beta_w (the Chow product, extended R-bilinearly) solved, the
 unit is e_{w0} solved, and the class of a series u is Phi(u) solved.  Over
 the additive law r = 1 and beta_w = e_w.  No series chain runs on the
-table route; the witness u0 (``torsion``) and its additive chains are built
-on demand for ``ln_operation``, which needs a series representative.  The
-a-coordinates eps Op_{I_w}(u) are the e_{w0}-coordinates of operator chains
-on Phi(u) (``eps_vector``).
+table route, nor for ``ln_operation``: in log coordinates the twist is a
+coefficient map, applied to the image of a class.  The witness u0
+(``torsion``) is built only on demand, for the checks.  The a-coordinates
+eps Op_{I_w}(u) are the e_{w0}-coordinates of operator chains on Phi(u)
+(``eps_vector``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from operator import mul
 
 from .coeffring import CoeffPoly, CoeffRing, _fold, _layout, assert_integer, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
-from .fgl import FormalGroupLaw, revert
+from .fgl import revert
 from .fgring import FormalGroupRing, TorsionData, torsion_bezout
 from .lazard import weighted_monomials
 from .tseries import TruncatedSeries, _degree_monomials
@@ -223,7 +224,7 @@ class FlagBasis:
         self._lengths = [w.length for w in self.elements]
         self._m_bits = self.ring.layout.m_bits
         self._guard = self.ring.layout.guard
-        self._torsion = self._chow = self._phi = self._beta_rows = self._chains = None
+        self._torsion = self._chow = self._phi = self._beta_rows = None
         self._P = self._rows = self._unit = None
         self._ops, self._eps_tables, self._products = {}, {}, {}
         self._beta = {(): {0: _ONE}}  # the identity, of canonical word (), is element 0
@@ -238,7 +239,7 @@ class FlagBasis:
         """TorsionData: t and the witness u0 in this ring's coordinates."""
         if self._torsion is None:
             t, monomials = torsion_bezout(self.datum)
-            self._torsion = TorsionData(t, self.fgr.from_monomials(dict(monomials)), monomials)
+            self._torsion = TorsionData(t, self.fgr.from_monomials(dict(monomials)))
         return self._torsion
 
     # The basis pipeline runs through the push-pull operator at the
@@ -546,24 +547,17 @@ class FlagBasis:
 
     # -- Landweber-Novikov ---------------------------------------------------------
 
-    def _additive_chain(self, index):
-        """Cs_{I_w^rev}(u0) over the additive law, a series of Chow image t e_w.
-
-        Built on first use, with shared suffixes (a word applied right to left).
-        """
-        if self._chains is None:
-            law = FormalGroupLaw.additive(default_truncation(self.datum))
-            additive = FormalGroupRing(self.datum, law)
-            self._chains = additive, {(): additive.from_monomials(dict(self.torsion.monomials))}
-        additive, chains = self._chains
-        word = tuple(reversed(self._words[index]))
-        for k in range(len(word) - 1, -1, -1):
-            if word[k:] not in chains:
-                chains[word[k:]] = additive.cc_neg(word[k], chains[word[k + 1:]])
-        return chains[word]
-
     def ln_operation(self, weight_bound, cls):
         """Coefficient classes of the total twisted-coordinate operation.
+
+        The twist x -> lam(x) = x + sum_k t_k x^(k+1) carries log_F to log_tw =
+        log_F o lam^(-1), and the coefficient map phi: m_i -> [x^(i+1)] log_tw
+        sends log_F to log_tw.  The operation maps the coefficients of u(y) =
+        P(log_F y) by phi and substitutes y_j -> lam(y_j), which gives
+        phi(P)(log_tw(lam(y))) = phi(P)(log_F y): in log coordinates the
+        twist is phi on the coefficients.  Phi is linear in the
+        z-coefficients, so the operation is phi applied to the image of the
+        class, split by t-monomial, each piece solved.
 
         Returns {t-exponent tuple: FlagClass} with a key for every index of
         weight <= ``weight_bound``, zero classes included; the empty index
@@ -583,33 +577,21 @@ class FlagBasis:
         log_tw = self.law.log.map_coefficients(incl, ext).substitute([revert(lam)])
         m_images = {name: log_tw.coefficient((i + 1,)) if i + 1 <= D else ext.zero()
                     for i, name in enumerate(mring.names, start=1)}
-        # u = sum_x image_x chain_x, with the Chow chains read in z: Phi(u) =
-        # t * image, so c(u) = t * cls.  c reads only degrees <= N, and the
-        # substitution keeps degree; it acts on y_i, so it runs in y coordinates.
-        m_bits = self._m_bits
-        pairs = []
-        for x, terms in self._lift(cls).items():
-            chain = self._additive_chain(x).grouped(self.N)
-            pairs.append((terms, [(y << m_bits, c) for y, ts in chain.items() for _, c in ts]))
-        n = self.datum.rank
-        u = self.fgr.y_series(TruncatedSeries(mring, n, D, self.N, convolve(pairs, self._guard)))
-        u_ext = u.map_coefficients(mring.morphism(m_images, ext), ext)
-        img = u_ext.substitute([lam.substitute([TruncatedSeries.variable(ext, n, D, i)])
-                                for i in range(n)])
-        # Split off the t-monomials; remaining coefficients live over mring.
-        nm = mring.ngens
+        phi = mring.morphism(m_images, ext)
+        # ext's generators are mring's followed by the t_k: a packed key is
+        # its t-part above m_bits and its m-part below.
+        m_bits, low = self._m_bits, (1 << self._m_bits) - 1
         pieces = {}
-        for e, p in img.coeffs.items():
-            for k, c in p.terms.items():
-                exps = ext.exponents(k)
-                pieces.setdefault(exps[nm:], {}).setdefault(e, {})[exps[:nm]] = c
+        for x, terms in self._lift(cls).items():
+            for k, c in phi(CoeffPoly._wrap(mring, dict(terms))).terms.items():
+                pieces.setdefault(k >> m_bits, {}).setdefault(x, []).append((k & low, c))
+        tlayout = _layout(weight_bound, 0)
         out = {}
         tweights = tuple(range(1, weight_bound + 1))
         for weight in range(weight_bound + 1):
             for texp in weighted_monomials(tweights, weight):
-                terms = {e: CoeffPoly(mring, d) for e, d in pieces.get(texp, {}).items()}
-                series = TruncatedSeries.from_terms(mring, n, D, terms, self.N)
-                out[texp] = self.class_from(self.fgr.from_y_series(series), 1)
+                piece = pieces.get(tlayout.pack(texp, False), {})
+                out[texp] = self._flag_class(self._solve(piece), 1)
         return out
 
 

@@ -1,11 +1,18 @@
 """Coefficient operations extracted from the twisted coordinate change."""
 
+import contextlib
+import hashlib
+import io
+
 import pytest
 
+from flagcohom import cli
 from flagcohom.errors import RingMismatchError
 from flagcohom.fgl import FormalGroupLaw
+from flagcohom.fgring import FormalGroupRing
 from flagcohom.flagring import FlagBasis
 from flagcohom.rootdata import RootDatum
+from flagcohom.tseries import TruncatedSeries
 
 
 def tweight(texp):
@@ -39,3 +46,32 @@ def test_operations_read_degrees_up_to_n_and_list_every_index(a2_universal, boun
         assert set(ops) == set(fine_ops) == indices
         for texp, cls in ops.items():
             assert {v: incl(c) for v, c in cls.coords.items()} == fine_ops[texp].coords
+
+
+def test_ln_runs_no_chain_no_torsion_fold_and_no_multivariate_substitution(monkeypatch):
+    # In log coordinates the twist is the coefficient map phi, so ln needs no
+    # witness u0, no push-pull chain and no change to y coordinates and back.
+    from flagcohom import fgring, flagring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series route ran for ln")
+
+    substitute = TruncatedSeries.substitute
+
+    def one_variable_only(series, images):
+        if series.n_vars > 1:
+            raise AssertionError("a multivariate substitution ran for ln")
+        return substitute(series, images)
+
+    monkeypatch.setattr(FormalGroupRing, "cc_neg", refuse)
+    monkeypatch.setattr(fgring, "torsion_bezout", refuse)
+    monkeypatch.setattr(flagring, "torsion_bezout", refuse)
+    monkeypatch.setattr(TruncatedSeries, "substitute", one_variable_only)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["ln", "--type", "B2", "--bound", "3"])
+    assert rc == 0
+    # the digest of test_cli.test_ln_bytes
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "a17ea3a179aba756889bacad9dc9e108af7409945d6ac1fbcfc175460f590f17"
+    )
