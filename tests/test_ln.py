@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from flagcohom import cli
+from flagcohom import cli, fgring, flagring
 from flagcohom.errors import RingMismatchError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
@@ -51,8 +51,6 @@ def test_operations_read_degrees_up_to_n_and_list_every_index(a2_universal, boun
 def test_ln_runs_no_chain_no_torsion_fold_and_no_multivariate_substitution(monkeypatch):
     # In log coordinates the twist is the coefficient map phi, so ln needs no
     # witness u0, no push-pull chain and no change to y coordinates and back.
-    from flagcohom import fgring, flagring
-
     def refuse(*args, **kwargs):
         raise AssertionError("a series route ran for ln")
 
