@@ -152,6 +152,12 @@ def test_table_a3_universal_bytes():
          "8c03d9410ee13a9bd1703eed8f9081576eb4f65fa66570918ba18a9ecf224760"),
         (["bs", "--type", "B2", "--word", "1,2,1,2", "--theory", "ktheory", "--format", "json"],
          "49fe22469cf8e59c1be9a4adb43b7a93da575206fdc30d659ff27f2d155a49b2"),
+        (["bs", "--type", "A3", "--word", "1,2,3,1,2,1,3,2,1,3", "--theory", "universal"],
+         "4f59ecc731bee974a5be00ef24f0b824e07c9ae7bd8693e0e6952a5ed9c1e362"),
+        (["bs", "--type", "A3", "--word", "1,2,3,1,2,1,3,2", "--theory", "ktheory"],
+         "1f0449a1aba37d6805929b17c3e3d5617dac1f2801a26e03c34c5eecbf67f2ee"),
+        (["bs", "--type", "B3", "--word", "1,2,3,1,2,3,1", "--theory", "connective"],
+         "250f85e2ea2fd48d0fe6f07c78bc95a37b0de3797a6797aa8e13e3cf8ad1b832"),
     ],
 )
 def test_coefficient_law_bytes(args, digest):
