@@ -128,6 +128,16 @@ def test_weighted_monomials():
     assert len(weighted_monomials((1, 2, 3, 4, 5, 6), 6)) == 11
 
 
+@pytest.mark.parametrize("weights", [(), (3,), (1, 2), (4, 6), (2, 3, 5), (1, 2, 3, 4, 5, 6)])
+def test_weighted_monomials_match_brute_force(weights):
+    from itertools import product
+
+    for target in range(-1, 13):
+        ranges = [range(max(target, 0) // w + 1) for w in weights]
+        want = [e for e in product(*ranges) if sum(k * w for k, w in zip(e, weights)) == target]
+        assert weighted_monomials(weights, target) == want
+
+
 @pytest.fixture(scope="module")
 def lazard9():
     return LazardBasis(FormalGroupLaw.universal(10), 9)
