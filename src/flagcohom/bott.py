@@ -10,6 +10,15 @@ where Theta_K composes delta at negative simple roots (positions in K) with
 plain reflections (positions outside K).  The same coefficient family
 expresses the characteristic map of the tower: c_I(u) = sum eps Theta_K(u) xi_K.
 
+Each eps Theta_K is a linear functional on the Chow model (``flagring``),
+where s_i = 1 - M D_i and delta_{-alpha_i} = -(sum_k (-1)^k r_k M^k) D_i
+for M = M_{alpha_i}, and eps reads the e_{w0} coordinate.  A one-variable
+series g(L_i) has image sum_k g_k M^k e_{w0}, and x_{-alpha} = exp(-L).  s_i
+keeps the codimension and delta lowers it by at most one, so along a word
+of length m the functionals read a series through degree min(m, N) and r_k
+for k < min(m, N); the push-forward (cc_i along the word) reads r through
+min(m, N).
+
 So the tower ring is the iterated extension
 
     H_0 = R,    H_j = H_{j-1}[xi_j] / (xi_j^2 - y_j xi_j),
@@ -28,21 +37,32 @@ F(0, s) = s, this is h(y_j) = k(y_j) with k(t) = -iota(t)/t, so
     xi_j -_F y_j = F(xi_j, iota(y_j)) = iota(y_j) + xi_j k(y_j),
     (1 + xi_j)(1 + (xi_j -_F y_j)) = (1 + iota(y_j)) + xi_j (1 + k(y_j)),
 
-the factor of the tangent class at letter j: two one-variable series at
-y_j, and no two-variable series evaluated in the tower ring.
+the factor of the tangent class at letter j.  As c_{<j} is a ring map and
+y_j = c_{<j}(x_{-alpha}), iota(y_j) and k(y_j) are c_{<j} of x_alpha = exp(L)
+and -x_alpha/x_{-alpha} = r(-L)/r(L), for alpha = alpha_{i_j}.
 """
 
 from __future__ import annotations
 
-from .errors import InsufficientPrecisionError, RingMismatchError
+from itertools import product
+
+from .coeffring import CoeffPoly
+from .flagring import FlagBasis
 from .tseries import TruncatedSeries
+
+
+def _labelled(word):
+    """([K], [Theta_K as a word]) over the subsets K of the positions (1-based) of word."""
+    labels = list(product(("S", "Dneg"), repeat=len(word)))  # "Dneg" at the positions in K
+    return ([tuple(j for j, op in enumerate(ops, 1) if op == "Dneg") for ops in labels],
+            [tuple(zip(ops, word)) for ops in labels])
 
 
 def theta_coefficients(fgr, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    # s_i keeps I^d and delta takes I^d into I^(d-1), so eps Theta_K(u)
-    # reads only the terms of u of degree <= |K| <= len(word).
-    return {K: v.constant_term() for K, v in fgr.theta(word, u.restrict(len(word)))}
+    model = FlagBasis(fgr.datum, fgr.law, len(word) - 1)
+    subsets, words = _labelled(tuple(word))
+    return model._read(model._functionals(words), model._image(u, len(word)), subsets)
 
 
 def bs_pushforward(fgr, word, u):
@@ -51,10 +71,11 @@ def bs_pushforward(fgr, word, u):
     The composite uses the geometric operator C at the positive simple
     roots, in the order C_{i_1} o ... o C_{i_l}.
     """
-    fgr.require_valid(u, len(word), f"push-forward along a length-{len(word)} word")
+    model = FlagBasis(fgr.datum, fgr.law, len(word))
+    image = model._image(u, len(word))
     for i in reversed(word):
-        u = fgr.cc(i, u)
-    return u.constant_term()
+        image = model._apply("C", i, image)
+    return CoeffPoly._wrap(model.ring, dict(image.get(len(model.elements) - 1, ())))
 
 
 class BSPresentation:
@@ -69,13 +90,7 @@ class BSPresentation:
 
 
 def bs_presentation(fgr, word):
-    word = tuple(word)
-    xs = [fgr.x_lambda_series(tuple(-c for c in fgr.datum.simple_roots[i - 1])) for i in word]
-    # Checked up front, against the longest prefix, before any chain runs.
-    if xs:
-        fgr.require_valid(xs[-1], len(word) - 1, f"a length-{len(word)} presentation")
-    rels = [theta_coefficients(fgr, word[:j], x) for j, x in enumerate(xs)]
-    return BSPresentation(word, tuple(rels))
+    return BSRing(fgr, word).presentation
 
 
 def _split(u, j):
@@ -138,9 +153,6 @@ class BSRingElement:
     def is_zero(self):
         return not self.coords
 
-    def constant_part(self):
-        return self.coords.get((), self.ring.coeff_ring.zero())
-
     def __add__(self, other):
         return BSRingElement(self.ring, _add(self.coords, other.coords), _clean=False)
 
@@ -189,8 +201,20 @@ class BSRing:
         self.fgr = fgr
         self.word = tuple(word)
         self.coeff_ring = fgr.ring
-        self.presentation = bs_presentation(fgr, self.word)
+        # Relation j and the tangent factor at j read eps Theta_K along word[:j-1].
+        self._model = FlagBasis(fgr.datum, fgr.law, len(self.word) - 2)
+        self._prefixes = [(subsets, self._model._functionals(words)) for subsets, words
+                          in (_labelled(self.word[:j]) for j in range(len(self.word)))]
+        x_neg = fgr.law.exp.substitute([-TruncatedSeries.variable(fgr.ring, 1, fgr.trunc, 0)])
+        relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
+        self.presentation = BSPresentation(self.word, relations)
         self._ys = [self.y_element(j).coords for j in range(1, len(self.word) + 1)]
+
+    def _prefix_class(self, j, g):
+        """c_{<j}(g(L)) for L = L_{i_j}: {K: eps Theta_K(g(L))}, Theta along word[:j-1]."""
+        subsets, table = self._prefixes[j - 1]
+        image = self._model._line_image(g, self.word[j - 1], j - 1)
+        return self._model._read(table, image, subsets)
 
     def zero(self):
         return BSRingElement(self, {}, _clean=False)
@@ -208,32 +232,6 @@ class BSRing:
         """The class the j-th relation squares against: c_prefix(x_{-alpha})."""
         return self.from_subset_coords(self.presentation.relation(j))
 
-    def evaluate_series(self, series, a):
-        """[s(a) for s in series]: one-variable series at a nilpotent element.
-
-        ``a`` must have zero constant part.  The series share one list of
-        powers of ``a``, which must vanish above the smallest valid degree d
-        among them (a^(d+1) = 0), since their terms above d are unknown.
-        """
-        if not a.constant_part().is_zero():
-            raise RingMismatchError("series argument has a constant part")
-        d = min(s.valid_degree for s in series)
-        powers = [self.one(), a]
-        while not powers[-1].is_zero() and len(powers) <= d + 1:
-            powers.append(powers[-1] * a)
-        if not powers[-1].is_zero():
-            raise InsufficientPrecisionError("nilpotency exceeds the series truncation")
-        dot = self.coeff_ring.dot
-        values = []
-        for s in series:
-            pairs = {}
-            for (i,), c in s.coeffs.items():
-                if i < len(powers):
-                    for K, r in powers[i].coords.items():
-                        pairs.setdefault(K, []).append((c, r))
-            values.append(BSRingElement(self, {K: dot(p) for K, p in pairs.items()}))
-        return values
-
     def characteristic_class(self, u):
         """c_I(u) as a ring element (coordinates eps Theta_K(u))."""
         return self.from_subset_coords(theta_coefficients(self.fgr, self.word, u))
@@ -242,17 +240,16 @@ class BSRing:
         """Total Chern class of the tower tangent bundle in the xi basis.
 
         The product over the letters of (1 + xi_j)(1 + (xi_j -_F y_j)), each
-        factor taken as (1 + iota(y_j)) + xi_j (1 + k(y_j)) with
-        k(t) = -iota(t)/t (see the module docstring).  The partial product
-        lies in H_{j-1}, so both of its products do, and multiplying by xi_j
-        only appends j to the subsets.
+        factor taken as (1 + iota(y_j)) + xi_j (1 + k(y_j)), with iota(y_j) and
+        k(y_j) the images of exp(L) and r(-L)/r(L) (see the module docstring).
+        The partial product lies in H_{j-1}, so both of its products do, and
+        multiplying by xi_j only appends j to the subsets.
         """
-        law = self.fgr.law
-        t = TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
-        k = -law.inverse.exact_divide(t)
+        law, r = self.fgr.law, self.fgr.law.log_ratio()
+        k = r.substitute([-TruncatedSeries.variable(law.ring, 1, law.trunc, 0)]) * r.invert_unit()
         total = self.one()
         for j in range(1, len(self.word) + 1):
-            iota_y, k_y = self.evaluate_series([law.inverse, k], self.y_element(j))
+            iota_y, k_y = (self.from_subset_coords(self._prefix_class(j, g)) for g in (law.exp, k))
             shifted = total * (self.one() + k_y)
             total = total * (self.one() + iota_y) + BSRingElement(
                 self, {K + (j,): c for K, c in shifted.coords.items()}, _clean=False

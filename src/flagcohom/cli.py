@@ -155,10 +155,10 @@ def _parse_word(text, datum):
     return word
 
 
-# A length-l word has 2^l - 1 Theta_K chains and a tower ring of rank 2^l:
-# on 2 cores an A3 universal word took 0.45-0.48 s at length 8, 3.6-3.9 s at
-# 10 and 21.6-21.8 s at 11, and its length-12 presentation and tangent class
-# 147 s in-process (49 s and 97 s) when they were last measured.
+# A length-l word has 2^l Theta_K functionals and a tower ring of rank 2^l,
+# whose 2l products in the tangent class are the work: on 2 cores an A3
+# universal word took 0.18-0.19 s at length 8, 1.1 s at 10 and 5.4-6.8 s at
+# 11, and at 12 23 s and 74 MB in-process (0.3 s of it the presentation).
 MAX_BS_WORD = 11
 
 

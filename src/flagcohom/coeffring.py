@@ -159,17 +159,6 @@ class CoeffRing:
     def monomial(self, exps, coeff=1):
         return CoeffPoly(self, {tuple(exps): coeff})
 
-    def dot(self, pairs):
-        """sum p * q over the polynomial pairs (p, q), as one convolution."""
-
-        def terms():
-            for p, q in pairs:
-                if not (p.ring is self is q.ring or p.ring == self == q.ring):
-                    raise RingMismatchError("polynomials from different rings")
-                yield p.terms.items(), q.terms.items()
-
-        return CoeffPoly._wrap(self, convolve(terms(), self.layout.guard))
-
     def morphism(self, assignment, target=None, max_weight=None):
         """The ring morphism sending each generator to its assigned value, as a map.
 

@@ -207,15 +207,19 @@ class _Chow:
 
 
 class FlagBasis:
-    """Basis data for one (root datum, formal group law) pair."""
+    """Basis data for one (root datum, formal group law) pair.
 
-    def __init__(self, datum, law):
+    The law must be valid for the r_k with k <= ``degree``: N, all a table reads, by default.
+    """
+
+    def __init__(self, datum, law, degree=None):
         self.datum = datum
         self.law = law
         self.fgr = FormalGroupRing(datum, law)
         self.N = datum.N
-        if law.trunc < self.N + 1:
-            raise InsufficientPrecisionError(f"truncation must be at least N+1 = {self.N + 1}")
+        degree = self.N if degree is None else min(degree, self.N)
+        if law.trunc < degree + 1:
+            raise InsufficientPrecisionError(f"truncation must be at least {degree + 1}")
         self.elements = datum.weyl_elements()
         self.by_word = {w.canonical_word: w for w in self.elements}
         self.w0 = datum.longest_element()
@@ -227,6 +231,7 @@ class FlagBasis:
         self._torsion = self._chow = self._phi = self._beta_rows = None
         self._P = self._rows = self._unit = None
         self._ops, self._eps_tables, self._products = {}, {}, {}
+        self._memo = {(): {len(self.elements) - 1: _ONE}}  # f_() reads the e_{w0} coordinate
         self._beta = {(): {0: _ONE}}  # the identity, of canonical word (), is element 0
 
     @property
@@ -273,14 +278,23 @@ class FlagBasis:
     def _packed(self, image):
         return [(x << self._m_bits | m, c) for x, terms in image.items() for m, c in terms]
 
-    def _image(self, u):
-        """Phi(u): u's terms of degree <= N read against the Chow class table, z as y."""
-        if u.valid_degree < self.N:
-            raise InsufficientPrecisionError(f"characteristic map needs valid degree {self.N}")
+    def _image(self, u, degree=None):
+        """Phi(u) up to codimension ``degree`` (N): u's terms of degree <= it, z as y."""
+        degree = self.N if degree is None else min(degree, self.N)
+        if u.valid_degree < degree:
+            raise InsufficientPrecisionError(f"characteristic map needs valid degree {degree}")
         if self._phi is None:
             self._phi = {y << self._m_bits: terms for y, terms in self._core().table().items()}
-        pairs = ((terms, self._phi[y]) for y, terms in u.grouped(self.N).items() if y in self._phi)
+        pairs = ((terms, self._phi[y]) for y, terms in u.grouped(degree).items() if y in self._phi)
         return self._split(convolve(pairs, self._guard))
+
+    def _line_image(self, g, i, degree):
+        """Phi(g(L_i)) = sum_k g_k M_{alpha_i}^k e_{w0} for a one-variable series g, k <= degree."""
+        degree = min(degree, self.N)
+        if g.valid_degree < degree:
+            raise InsufficientPrecisionError(f"a series in L_{i} needs valid degree {degree}")
+        series = [g.coefficient((k,)).terms.items() for k in range(degree + 1)]
+        return self._split(self._at(self.datum.simple_roots[i - 1], len(self.elements) - 1, series))
 
     def _star(self, a, b):
         """The Chow product of two images, extended R-bilinearly."""
@@ -295,40 +309,44 @@ class FlagBasis:
         return self._split(convolve(pairs, self._guard))
 
     def _operator(self, variant, i):
-        """{v: packed image of Op_i e_v} for Op = Cs (T_i), C (cc_i) or D (delta_i), cached.
+        """{v: packed image of Op_i e_v}, cached, for M = M_{alpha_i} (Chevalley's formula).
 
-        With R = sum_k r_k M^k for M = M_{alpha_i} (Chevalley's formula):
-        Cs_i = D_i o R, cc_i = -D_i o sum_k (-1)^k r_k M^k and delta_i = R o D_i.
+        With R_s = sum_k s^(k+1) r_k M^k, k <= N within r's valid degree:
+        Cs_i = D_i o R_1 (T_i), cc_i = D_i o R_-1 ("C"), delta_i = R_1 o D_i
+        ("D"), delta_{-alpha_i} = R_-1 o D_i ("Dneg") and s_i = 1 - M o D_i ("S").
         """
         got = self._ops.get((variant, i))
         if got is None:
-            core, shift = self._core(), self._m_bits
-            up, alpha = core.up[i - 1], self.datum.simple_roots[i - 1]
-            ratio = self.law.log_ratio()
-            ratio = [(k, ratio.coefficient((k,)).terms.items()) for k in range(self.N + 1)]
-            ratio = [(k, rk) for k, rk in ratio if rk]
+            shift, low = self._m_bits, (1 << self._m_bits) - 1
+            up, alpha = self._core().up[i - 1], self.datum.simple_roots[i - 1]
+            if variant == "S":
+                series = [(), ((0, -1),)]
+            else:
+                r, s = self.law.log_ratio(), -1 if variant in ("C", "Dneg") else 1
+                series = [[(m, s ** (k + 1) * c) for m, c in r.coefficient((k,)).terms.items()]
+                          for k in range(min(self.N, r.valid_degree) + 1)]
             got = self._ops[variant, i] = {}
             for v in range(len(self.elements)):
-                source = up[v] if variant == "D" else v
-                if source is None:
-                    continue
-                powers = [{source << shift: 1}]  # M^k e_source, packed with m-key 0
-                while len(powers) <= ratio[-1][0] and powers[-1]:
-                    powers.append(core.multiply(alpha, powers[-1]))
-                pairs = []
-                for k, rk in ratio:
-                    if k >= len(powers):
-                        break
-                    image = powers[k]
-                    if variant != "D":
-                        sign = (-1) ** (k + 1) if variant == "C" else 1
-                        image = {up[x >> shift] << shift: sign * c
-                                 for x, c in image.items() if up[x >> shift] is not None}
-                    pairs.append((rk, image.items()))
-                column = convolve(pairs, self._guard)
+                if variant in ("Cs", "C"):  # D_i after the series: e_x -> e_{x s_i}
+                    column = {up[k >> shift] << shift | k & low: c for k, c in
+                              self._at(alpha, v, series).items() if up[k >> shift] is not None}
+                else:
+                    column = {} if up[v] is None else self._at(alpha, up[v], series)
+                    if variant == "S":  # M e_{v s_i} has e_v-coefficient 2, so this is -1 or 1
+                        column[v << shift] = column.get(v << shift, 0) + 1
                 if column:
                     got[v] = list(column.items())
         return got
+
+    def _at(self, alpha, source, series):
+        """sum_k series[k] M_alpha^k e_source, packed; series[k] is a coefficient's terms."""
+        core, power, pairs = self._core(), {source << self._m_bits: 1}, []
+        for terms in series:
+            if not power:
+                break
+            pairs.append((terms, power.items()))
+            power = core.multiply(alpha, power)
+        return convolve(pairs, self._guard)
 
     def _apply(self, variant, i, image):
         op = self._operator(variant, i)
@@ -403,40 +421,41 @@ class FlagBasis:
 
     # -- the characteristic map ------------------------------------------------
 
-    def _functionals(self, variant):
-        """eps Op_{I_w} on the images, built once, as a packed table.
+    def _functionals(self, words):
+        """eps Op_word for words of (variant, i) letters, as one packed table.
 
-        f_() reads the e_{w0} coordinate and f_word = f_{word[:-1]} o
-        Op_{word[-1]}, one convolution per word against the operator's rows.
-        Kept as {index of e_x: [(word index << m_bits | m-key, scalar)]}.
+        f_word = f_{word[:-1]} o Op_{word[-1]}, one convolution per prefix over
+        the operator's entries, kept for later calls; f_() reads the e_{w0}
+        coordinate.  The table is {index of e_x: [(word index << m_bits | m-key, c)]}.
         """
-        table = self._eps_tables.get(variant)
-        if table is None:
-            m_bits, low = self._m_bits, (1 << self._m_bits) - 1
-            memo, rows = {(): {len(self.elements) - 1: _ONE}}, {}
-            for word in sorted({w[:k] for w in self._words for k in range(1, len(w) + 1)},
-                               key=len):
-                if word[-1] not in rows:
-                    op_rows = rows[word[-1]] = {}
-                    for v, column in self._operator(variant, word[-1]).items():
-                        for k, c in column:
-                            op_rows.setdefault(k >> m_bits, []).append((v << m_bits | k & low, c))
-                op_rows = rows[word[-1]]
-                pairs = ((t, op_rows[x]) for x, t in memo[word[:-1]].items() if x in op_rows)
-                memo[word] = self._split(convolve(pairs, self._guard))
-            table = self._eps_tables[variant] = {}
-            for index, word in enumerate(self._words):
-                for x, terms in memo[word].items():
-                    table.setdefault(x, []).extend((index << m_bits | m, c) for m, c in terms)
+        m_bits, low, memo = self._m_bits, (1 << self._m_bits) - 1, self._memo
+        for word in sorted({w[:k] for w in words for k in range(1, len(w) + 1)} - memo.keys(),
+                           key=len):
+            f = memo[word[:-1]]  # f_word(e_v) = sum_x f(e_x) (Op e_v)_x
+            pairs = ((f[k >> m_bits], [(v << m_bits | k & low, c)])
+                     for v, column in self._operator(*word[-1]).items()
+                     for k, c in column if k >> m_bits in f)
+            memo[word] = self._split(convolve(pairs, self._guard))
+        table = {}
+        for index, word in enumerate(words):
+            for x, terms in memo[word].items():
+                table.setdefault(x, []).extend((index << m_bits | m, c) for m, c in terms)
         return table
 
-    def _eps(self, image, variant):
-        """{canonical word: eps Op_{I_w}} of an image."""
-        table = self._functionals(variant)
+    def _read(self, table, image, keys):
+        """{key: f(image)} for the functionals of a ``_functionals`` table, in order."""
         pairs = ((terms, table[x]) for x, terms in image.items() if x in table)
         parts = self._split(convolve(pairs, self._guard))
         wrap = CoeffPoly._wrap
-        return {word: wrap(self.ring, dict(parts.get(i, ()))) for i, word in enumerate(self._words)}
+        return {key: wrap(self.ring, dict(parts.get(i, ()))) for i, key in enumerate(keys)}
+
+    def _eps(self, image, variant):
+        """{canonical word: eps Op_{I_w}} of an image."""
+        table = self._eps_tables.get(variant)
+        if table is None:
+            table = self._eps_tables[variant] = self._functionals(
+                [tuple((variant, i) for i in w) for w in self._words])
+        return self._read(table, image, self._words)
 
     def eps_vector(self, u, variant="Cs"):
         """(eps Op_{I_w}(u))_w as {canonical word: CoeffPoly}.

@@ -1,16 +1,22 @@
 """Tower presentations, xi-coordinates, push-forward, tangent class."""
 
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
+from flagcohom import cli
 from flagcohom.bott import BSRing, bs_presentation, bs_pushforward, theta_coefficients
 from flagcohom.coeffring import CoeffRing
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
 from flagcohom.rootdata import RootDatum
+from flagcohom.tables import make_theory
+from flagcohom.tseries import TruncatedSeries
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +262,74 @@ def test_bs_body_does_not_depend_on_the_truncation(typ, word, theory):
 
     # len(word) + 2 is what bs builds its law at for these words
     assert body(len(word) + 2) == body(len(word) + 6)
+
+
+@pytest.mark.parametrize(
+    "typ, word, theory",
+    [
+        ("A2", (1, 2, 1), "universal"),
+        ("A3", (1, 2, 3, 1, 2, 1), "universal"),
+        ("B3", (1, 2, 3, 2, 1), "ktheory"),
+        ("G2", (1, 2, 1, 2), "connective"),
+    ],
+)
+def test_model_functionals_match_the_series_operators(typ, word, theory):
+    # FormalGroupRing.theta and c_word compose the operators on the formal
+    # group ring itself: the definition the model's functionals must meet.
+    datum = RootDatum.build(typ)
+    law, _ = make_theory(theory, max(len(word) + 2, datum.N + 1))
+    fgr = FormalGroupRing(datum, law)
+    rng = random.Random(len(word))
+    for _ in range(2):
+        terms = {}
+        for _ in range(6):
+            e = [0] * fgr.n
+            for _ in range(rng.randint(0, len(word))):
+                e[rng.randrange(fgr.n)] += 1
+            terms[tuple(e)] = rng.randint(-3, 3)
+        u = fgr.from_monomials(terms)
+        want = {K: v.constant_term() for K, v in fgr.theta(word, u.restrict(len(word)))}
+        assert theta_coefficients(fgr, word, u) == want
+        assert bs_pushforward(fgr, word, u) == fgr.c_word(word, u).constant_term()
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["bs", "--type", "A3", "--word", "1,2,3,1,2,1", "--theory", "universal"],
+         "f010e751075217f4834f08e6b8513a9f86e716b04559c68002142e6d5ae57d01"),
+        (["bs", "--type", "A3", "--word", "1,2,3,1,2,1,3,2", "--theory", "ktheory"],
+         "1f0449a1aba37d6805929b17c3e3d5617dac1f2801a26e03c34c5eecbf67f2ee"),
+    ],
+)
+def test_bs_runs_no_series_operator_and_no_multivariate_substitution(args, digest, monkeypatch):
+    # The presentation, the tangent factors and the push-forward are
+    # functionals on the Chow model: bs composes no operator on the formal
+    # group ring.  Building a law given by its coefficients validates F by
+    # multivariate substitution; that is the law's check, not the tower's.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series operator ran for bs")
+
+    substitute, building = TruncatedSeries.substitute, []
+
+    def one_variable_only(series, images):
+        if series.n_vars > 1 and not building:
+            raise AssertionError("a multivariate substitution ran for bs")
+        return substitute(series, images)
+
+    def law(*args):
+        building.append(True)
+        try:
+            return make_theory(*args)
+        finally:
+            building.pop()
+
+    for name in ("theta", "s_act", "delta_neg", "cc", "x_lambda_series"):
+        monkeypatch.setattr(FormalGroupRing, name, refuse)
+    monkeypatch.setattr(TruncatedSeries, "substitute", one_variable_only)
+    monkeypatch.setattr(cli, "make_theory", law)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(args)
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -35,8 +35,6 @@ def test_ring_mismatch(aring):
     other = CoeffRing((("b", 1),), True)
     with pytest.raises(RingMismatchError):
         aring.gen("a1") + other.gen("b")
-    with pytest.raises(RingMismatchError):
-        aring.dot([(aring.gen("a1"), other.gen("b"))])
 
 
 def test_canonical_string(aring):
@@ -107,13 +105,6 @@ def test_ring_axioms_random(p, q, r):
     assert p * q == q * p
     assert p * (q + r) == p * q + p * r
     assert (p - p).is_zero()
-
-
-@PROPERTY
-@given(polys(RING), polys(RING), polys(RING))
-def test_dot_sums_products(p, q, r):
-    assert RING.dot([(p, q), (q, r)]) == p * q + q * r
-    assert RING.dot([]) == RING.zero()
 
 
 @PROPERTY
