@@ -16,8 +16,8 @@ for M = M_{alpha_i}, and eps reads the e_{w0} coordinate.  A one-variable
 series g(L_i) has image sum_k g_k M^k e_{w0}, and x_{-alpha} = exp(-L).  s_i
 keeps the codimension and delta lowers it by at most one, so along a word
 of length m the functionals read a series through degree min(m, N) and r_k
-for k < min(m, N); the push-forward (cc_i along the word) reads r through
-min(m, N).
+for k <= min(m - 1, N); the push-forward (cc_i along the word) reads r
+through min(m, N).
 
 So the tower ring is the iterated extension
 
@@ -46,23 +46,22 @@ from __future__ import annotations
 
 from itertools import product
 
-from .coeffring import CoeffPoly
 from .flagring import FlagBasis
 from .tseries import TruncatedSeries
 
 
-def _labelled(word):
-    """([K], [Theta_K as a word]) over the subsets K of the positions (1-based) of word."""
-    labels = list(product(("S", "Dneg"), repeat=len(word)))  # "Dneg" at the positions in K
-    return ([tuple(j for j, op in enumerate(ops, 1) if op == "Dneg") for ops in labels],
-            [tuple(zip(ops, word)) for ops in labels])
+def _characteristic(model, word, image):
+    """c_word on an image: {K: eps Theta_K(image)}, Theta_K "Dneg" at K (1-based), "S" elsewhere."""
+    labels = list(product(("S", "Dneg"), repeat=len(word)))
+    table = model._functionals([tuple(zip(ops, word)) for ops in labels])
+    subsets = [tuple(j for j, op in enumerate(ops, 1) if op == "Dneg") for ops in labels]
+    return model._read(table, image, subsets)
 
 
 def theta_coefficients(fgr, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
     model = FlagBasis(fgr.datum, fgr.law, len(word) - 1)
-    subsets, words = _labelled(tuple(word))
-    return model._read(model._functionals(words), model._image(u, len(word)), subsets)
+    return _characteristic(model, tuple(word), model._image(u, len(word)))
 
 
 def bs_pushforward(fgr, word, u):
@@ -71,11 +70,9 @@ def bs_pushforward(fgr, word, u):
     The composite uses the geometric operator C at the positive simple
     roots, in the order C_{i_1} o ... o C_{i_l}.
     """
-    model = FlagBasis(fgr.datum, fgr.law, len(word))
-    image = model._image(u, len(word))
-    for i in reversed(word):
-        image = model._apply("C", i, image)
-    return CoeffPoly._wrap(model.ring, dict(image.get(len(model.elements) - 1, ())))
+    model, word = FlagBasis(fgr.datum, fgr.law, len(word)), tuple(word)
+    table = model._functionals([tuple(("C", i) for i in word)])
+    return model._read(table, model._image(u, len(word)), [word])[word]
 
 
 class BSPresentation:
@@ -201,10 +198,8 @@ class BSRing:
         self.fgr = fgr
         self.word = tuple(word)
         self.coeff_ring = fgr.ring
-        # Relation j and the tangent factor at j read eps Theta_K along word[:j-1].
+        # relation j and the tangent factor at j read eps Theta_K along word[:j-1]
         self._model = FlagBasis(fgr.datum, fgr.law, len(self.word) - 2)
-        self._prefixes = [(subsets, self._model._functionals(words)) for subsets, words
-                          in (_labelled(self.word[:j]) for j in range(len(self.word)))]
         x_neg = fgr.law.exp.substitute([-TruncatedSeries.variable(fgr.ring, 1, fgr.trunc, 0)])
         relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
         self.presentation = BSPresentation(self.word, relations)
@@ -212,9 +207,8 @@ class BSRing:
 
     def _prefix_class(self, j, g):
         """c_{<j}(g(L)) for L = L_{i_j}: {K: eps Theta_K(g(L))}, Theta along word[:j-1]."""
-        subsets, table = self._prefixes[j - 1]
         image = self._model._line_image(g, self.word[j - 1], j - 1)
-        return self._model._read(table, image, subsets)
+        return _characteristic(self._model, self.word[:j - 1], image)
 
     def zero(self):
         return BSRingElement(self, {}, _clean=False)
@@ -241,7 +235,7 @@ class BSRing:
 
         The product over the letters of (1 + xi_j)(1 + (xi_j -_F y_j)), each
         factor taken as (1 + iota(y_j)) + xi_j (1 + k(y_j)), with iota(y_j) and
-        k(y_j) the images of exp(L) and r(-L)/r(L) (see the module docstring).
+        k(y_j) the c_{<j} of exp(L) and r(-L)/r(L) (see the module docstring).
         The partial product lies in H_{j-1}, so both of its products do, and
         multiplying by xi_j only appends j to the subsets.
         """

@@ -156,9 +156,10 @@ def _parse_word(text, datum):
 
 
 # A length-l word has 2^l Theta_K functionals and a tower ring of rank 2^l,
-# whose 2l products in the tangent class are the work: on 2 cores an A3
-# universal word took 0.18-0.19 s at length 8, 1.1 s at 10 and 5.4-6.8 s at
-# 11, and at 12 23 s and 74 MB in-process (0.3 s of it the presentation).
+# whose 2l products in the tangent class are the work: on 2 cores, over two
+# sessions, an A3 universal word took 0.18-0.30 s at length 8, 1.1-2.1 s at
+# 10 and 5.4-9.5 s at 11, and at 12 23 s and 74 MB in-process (0.3 s of it
+# the presentation).
 MAX_BS_WORD = 11
 
 

@@ -207,16 +207,14 @@ class _Chow:
 
 
 class FlagBasis:
-    """Basis data for one (root datum, formal group law) pair.
-
-    The law must be valid for the r_k with k <= ``degree``: N, all a table reads, by default.
-    """
+    """Basis data for one (root datum, formal group law) pair."""
 
     def __init__(self, datum, law, degree=None):
         self.datum = datum
         self.law = law
         self.fgr = FormalGroupRing(datum, law)
         self.N = datum.N
+        # the law must be valid for the r_k the caller reads, k <= degree; a table reads k <= N
         degree = self.N if degree is None else min(degree, self.N)
         if law.trunc < degree + 1:
             raise InsufficientPrecisionError(f"truncation must be at least {degree + 1}")
@@ -230,7 +228,7 @@ class FlagBasis:
         self._guard = self.ring.layout.guard
         self._torsion = self._chow = self._phi = self._beta_rows = None
         self._P = self._rows = self._unit = None
-        self._ops, self._eps_tables, self._products = {}, {}, {}
+        self._ops, self._products = {}, {}
         self._memo = {(): {len(self.elements) - 1: _ONE}}  # f_() reads the e_{w0} coordinate
         self._beta = {(): {0: _ONE}}  # the identity, of canonical word (), is element 0
 
@@ -341,7 +339,8 @@ class FlagBasis:
     def _at(self, alpha, source, series):
         """sum_k series[k] M_alpha^k e_source, packed; series[k] is a coefficient's terms."""
         core, power, pairs = self._core(), {source << self._m_bits: 1}, []
-        for terms in series:
+        last = max((k for k, terms in enumerate(series) if terms), default=-1)
+        for terms in series[:last + 1]:
             if not power:
                 break
             pairs.append((terms, power.items()))
@@ -451,10 +450,7 @@ class FlagBasis:
 
     def _eps(self, image, variant):
         """{canonical word: eps Op_{I_w}} of an image."""
-        table = self._eps_tables.get(variant)
-        if table is None:
-            table = self._eps_tables[variant] = self._functionals(
-                [tuple((variant, i) for i in w) for w in self._words])
+        table = self._functionals([tuple((variant, i) for i in w) for w in self._words])
         return self._read(table, image, self._words)
 
     def eps_vector(self, u, variant="Cs"):

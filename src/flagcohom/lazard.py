@@ -45,13 +45,21 @@ PAPER_COMBOS = {
 
 def weighted_monomials(weights, target):
     """Exponent tuples e with sum e_i * weights_i == target, in lexicographic order."""
-    if target < 0 or not weights:
+    if not weights or target < 0:
         return [()] if target == 0 else []
-    w, rest = weights[0], weights[1:]
-    if not rest:  # the last exponent is what remains, when w divides it
-        return [(target // w,)] if target % w == 0 else []
-    return [(k,) + e for k in range(target // w + 1)
-            for e in weighted_monomials(rest, target - k * w)]
+    out, last = [], len(weights) - 1
+
+    def rec(idx, remaining, prefix):
+        w = weights[idx]
+        if idx == last:  # the last exponent is what remains, when w divides it
+            if remaining % w == 0:
+                out.append(prefix + (remaining // w,))
+            return
+        for k in range(remaining // w + 1):
+            rec(idx + 1, remaining - k * w, prefix + (k,))
+
+    rec(0, target, ())
+    return out
 
 
 def _aij_pairs(weight):
