@@ -198,7 +198,7 @@ class BSRing:
         self.fgr = fgr
         self.word = tuple(word)
         self.coeff_ring = fgr.ring
-        # relation j and the tangent factor at j read eps Theta_K along word[:j-1]
+        # relation j and the tangent factor at j read Theta_K along word[:j-1]: r_k, k <= l - 2
         self._model = FlagBasis(fgr.datum, fgr.law, len(self.word) - 2)
         x_neg = fgr.law.exp.substitute([-TruncatedSeries.variable(fgr.ring, 1, fgr.trunc, 0)])
         relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
