@@ -58,10 +58,15 @@ def _characteristic(model, word, image):
     return model._read(table, image, subsets)
 
 
+def _theta(model, word, u):
+    """{K: eps Theta_K(u)} on a model; Theta_K along the word reads r_k, k <= len(word) - 1."""
+    model.require_degree(len(word) - 1)
+    return _characteristic(model, word, model._image(u, len(word)))
+
+
 def theta_coefficients(fgr, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    model = FlagBasis(fgr.datum, fgr.law, len(word) - 1)
-    return _characteristic(model, tuple(word), model._image(u, len(word)))
+    return _theta(FlagBasis(fgr.datum, fgr.law, len(word) - 1), tuple(word), u)
 
 
 def bs_pushforward(fgr, word, u):
@@ -227,8 +232,8 @@ class BSRing:
         return self.from_subset_coords(self.presentation.relation(j))
 
     def characteristic_class(self, u):
-        """c_I(u) as a ring element (coordinates eps Theta_K(u))."""
-        return self.from_subset_coords(theta_coefficients(self.fgr, self.word, u))
+        """c_I(u) as a ring element (coordinates eps Theta_K(u)), on the tower's model."""
+        return self.from_subset_coords(_theta(self._model, self.word, u))
 
     def tangent_chern_class(self):
         """Total Chern class of the tower tangent bundle in the xi basis.

@@ -125,9 +125,11 @@ def cmd_table(args):
     return 0
 
 
-# The torsion index is one fold over the C(N + rank, rank) monomials of
-# degree <= N in rank variables.  On 2 cores F4 (20,475 monomials) took 1 s
-# and B5 (142,506, the most of any rank-5 type) 9.2-9.8 s; E6 needs 5.2 M.
+# The torsion index walks the Chow class table one degree at a time, which
+# visits each of the C(N + rank, rank) monomials of degree <= N in rank
+# variables.  From the CLI on 2 cores F4 (20,475 monomials) took 0.6 s and
+# 25 MB, D5 1.2 s and 37 MB, and B5 (142,506, the most of any rank-5 type)
+# 3.9 s and 100 MB; E6 needs 5.2 M.
 MAX_TORSION_MONOMIALS = 150_000
 
 

@@ -27,8 +27,8 @@ series key being one such index).  Convolving a column table with plain
 polynomials under the ring layout's ``guard`` adds m-keys only: an m-field
 that would carry into the column field reaches its guard bit first and
 raises, so the column index comes out as it went in, and one convolution
-serves every column.  ``FormalGroupRing.functionals`` and the
-characteristic map of ``flagring`` keep their tables so.
+serves every column.  The characteristic map and the operator functionals
+of ``flagring`` keep their tables so.
 """
 
 from __future__ import annotations

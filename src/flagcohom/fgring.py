@@ -31,7 +31,7 @@ For the additive law z = y and r = 1, and no product with r is made.
 ``variable(i)`` is y_i = exp(z_i), ``from_monomials`` takes y-monomials and
 ``x_lambda_series`` is x_lambda, so ``==``, the augmentation (the constant
 term) and valid degrees mean what they mean in y (y = exp(z) keeps the
-degree filtration).  ``coordinate_monomial`` is a monomial in z.
+degree filtration).
 
 The simple operators s_i, delta_i, delta_{-alpha_i}, cc_i and cc_{-alpha_i}
 never substitute or divide per call.  s_i(omega_j) = omega_j for j != i, so
@@ -49,29 +49,20 @@ x_lambda values and kappa elements (cached) every operation is pure, so
 shared instances are safe under concurrent reads; cache insertions are
 idempotent.
 
-``functionals`` tabulates eps op_word over the additive law, for an
-operator family op and a prefix-closed set of words, as linear functionals
-of the monomials: f_word = f_{word[:-1]} o op_{word[-1]}, one convolution
-per word against the values op_i(y^e), each computed once.  It serves the
-torsion fold (``torsion_bezout``), which reads the w0 functional of delta.
-The tables of ``flagring`` do not use it: their Chow core, torsion index
-included, comes from the Bruhat graph.
-
-The torsion index and its witness u0 are computed in the additive model:
-the operators induce the classical divided differences on the associated
+The torsion index and its witness u0 come from the additive model: the
+operators induce the classical divided differences on the associated
 graded ring, so the Bezout combination of degree-N monomials realizing
-gcd(eps delta_{I0}(monomial)) lifts verbatim to any law.  The values are
-the w0 functional of delta over the additive law, a fold that evaluates
-one delta per monomial of each degree k <= N, since there the operators are
-homogeneous of degree -1 (Demazure's divided-difference evaluation of the
-torsion index).
+gcd(eps delta_{I0}(monomial)) lifts verbatim to any law.  The values
+eps delta_{I0}(y^e) are Demazure's divided differences, which the Chow
+class table of ``flagring`` holds as the [pt]-coefficients of its degree-N
+layer; ``torsion_bezout`` reads them there, one layer at a time, and runs
+no series.
 """
 
 from __future__ import annotations
 
-from .coeffring import CoeffRing, convolve
+from .coeffring import _layout
 from .errors import InsufficientPrecisionError, RingMismatchError
-from .fgl import FormalGroupLaw
 from .tseries import TruncatedSeries, _degree_monomials
 
 # op_i(u) = (+-d_i)(u) r(+-L_i) for delta, (+-d_i)(u r(+-L_i)) for cc;
@@ -124,10 +115,6 @@ class FormalGroupRing:
         """Element sum c y^e from {y-exponent tuple e: coefficient c}, exact to truncation."""
         s = TruncatedSeries.from_terms(self.ring, self.n, self.trunc, monomials)
         return s if self._exp is None else s.substitute(self._y_variables())
-
-    def coordinate_monomial(self, e, valid_degree=None):
-        """The monomial z^e in the ring's own coordinates."""
-        return TruncatedSeries.from_terms(self.ring, self.n, self.trunc, {e: 1}, valid_degree)
 
     def _coordinate(self, j):
         return TruncatedSeries.variable(self.ring, self.n, self.trunc, j)
@@ -326,53 +313,6 @@ class FormalGroupRing:
 
         return split(len(word), u)
 
-    # -- functionals of operator words -------------------------------------------
-
-    def functionals(self, op, words):
-        """{word: the functional y^e -> eps op_word(y^e)} for each word in ``words``.
-
-        The torsion fold's source of eps delta_{I0}.  Over the additive law
-        only (z = y), where the simple operators are homogeneous of degree
-        -1.  A functional is kept as {y-key of y^e:
-        [(m-key, scalar)]}, the layout of ``TruncatedSeries.grouped``, and a
-        monomial on which it vanishes has no entry.
-
-        op(i, u) is an R-linear operator taking the degree-d monomials to
-        degree d - 1, applied rightmost letter first, so eps op_word vanishes
-        off the monomials of degree |word|.  The words and their prefixes
-        are folded by length, f_word = f_{word[:-1]} o op_{word[-1]}.  The
-        values op_i(y^e) on the monomials of degree k are computed once per
-        letter when the fold reaches length k, and kept by the monomial y^e2
-        of each term, as [(y-key of y^e | m-key, scalar)]: the y-key of y^e
-        is a column field above the m-fields (see ``coeffring``), so a fold
-        step is one convolution of f_{word[:-1]} against them.
-        """
-        if self._exp is not None:
-            raise RingMismatchError("functionals need the additive law")
-        top = max(map(len, words), default=0)
-        key = self.one().y_key
-        low = (1 << self.ring.layout.m_bits) - 1
-        memo = {(): {0: [(0, 1)]}}  # eps(y^e) = [e = 0]; the key of 1 is 0
-        columns, length = {}, 0
-        for word in sorted({w[:k] for w in words for k in range(1, len(w) + 1)}, key=len):
-            if len(word) > length:
-                columns.clear()
-                length = len(word)
-            prev, i = memo[word[:-1]], word[-1]
-            col = columns.get(i)
-            if col is None:
-                col = columns[i] = {}
-                for e in _degree_monomials(self.n, length):
-                    y = key(e)
-                    value = op(i, self.coordinate_monomial(e, top))
-                    for y2, terms in value.grouped(top).items():
-                        col.setdefault(y2, []).extend((y | m, c) for m, c in terms)
-            pairs = ((terms, col[y2]) for y2, terms in prev.items() if y2 in col)
-            got = memo[word] = {}
-            for k, c in convolve(pairs, self.ring.layout.guard).items():
-                got.setdefault(k & ~low, []).append((k & low, c))
-        return {word: memo[word] for word in words}
-
     # -- torsion index ---------------------------------------------------------
 
     def torsion_and_u0(self):
@@ -458,34 +398,24 @@ def _ext_gcd(a, b):
 def torsion_bezout(datum):
     """Torsion index of the root datum with a Bezout witness.
 
-    Works in the additive model: reads eps delta_{I0} on the degree-N
-    monomial basis of the symmetric algebra off the w0 functional (one fold
-    over the degree-k monomials per letter, see ``functionals``) and folds
-    the extended gcd over the values in the canonical monomial order.
+    The values eps delta_{I0}(y^e) on the degree-N monomials are Demazure's
+    divided differences of the additive model, the [pt]-coefficients of the
+    degree-N layer of the Chow class table (``flagring._Chow.layers``).  The
+    extended gcd is folded over them in the canonical monomial order.
     Returns (t, monomials) where monomials is a tuple of (exponent tuple,
     int) pairs summing to an integral homogeneous u0 of degree N.
     """
-    N = datum.N
-    ring = CoeffRing((), rational_mode=True)
-    law = FormalGroupLaw.additive(N + 1, ring)
-    fgr = FormalGroupRing(datum, law)
-    word = datum.longest_element().canonical_word
-    f, key = fgr.functionals(fgr.delta, [word])[word], fgr.one().y_key
-    basis = sorted(_degree_monomials(datum.rank, N))
-    values = []
-    for mono in basis:
-        c = dict(f.get(key(mono), ())).get(0, 0)  # no generators: the one m-key is 0
-        assert c == int(c), "additive divided difference must be integral"
-        values.append(int(c))
-    g = 0
-    combo = []
-    for v in values:
-        g2, xs, ys = _ext_gcd(g, v)
-        combo = [c * xs for c in combo]
-        combo.append(ys)
-        g = g2
+    from .flagring import _Chow  # flagring imports this module
+
+    top = _Chow(datum, datum.weyl_elements(), 0).top_layer()
+    key = _layout(0, datum.rank).pack
+    g, combo = 0, {}  # the nonzero Bezout coefficients, in monomial order
+    for mono in sorted(_degree_monomials(datum.rank, datum.N)):
+        v = top.get(key(mono, True), {}).get(0, 0)
+        if v:  # a zero value leaves the fold as it is: _ext_gcd(g, 0) = (g, 1, 0)
+            g, xs, ys = _ext_gcd(g, v)
+            combo = {e: c * xs for e, c in combo.items()} if xs else {}
+            if ys:
+                combo[mono] = ys
     assert g > 0, "torsion evaluation cannot be identically zero"
-    monomials = tuple(
-        (mono, c) for mono, c in zip(basis, combo) if c
-    )
-    return g, monomials
+    return g, tuple(combo.items())

@@ -20,11 +20,12 @@ de Schubert generalisees", 1974).  The Chow core (:class:`_Chow`) is read
 off the Bruhat graph: D_i e_w = e_{w s_i} when w s_i is longer (else 0),
 multiplication M_lam by a weight is Chevalley's formula over the covers
 w -> w s_beta, the class table Phi(y^e) iterates M_{omega_j} from the unit
-e_{w0}, the torsion index t is the gcd of its [pt]-coefficients at degree
-N, and each Chow product comes from Leibniz's rule for D_i, in integers.
-The law enters only through the coefficients r_k, k <= N, of r(t) =
-t/exp(t): Cs_i(u) = d_i(u r(L_i)) (``fgring``), so Phi(Cs_i(u)) =
-T_i(Phi(u)) with M = M_{alpha_i}, the class of L_i = alpha_i.z, and
+e_{w0}, one degree at a time, the torsion index t is the gcd of its
+[pt]-coefficients at degree N, and each Chow product comes from Leibniz's
+rule for D_i, in integers.  The law enters only through the coefficients
+r_k, k <= N, of r(t) = t/exp(t): Cs_i(u) = d_i(u r(L_i)) (``fgring``), so
+Phi(Cs_i(u)) = T_i(Phi(u)) with M = M_{alpha_i}, the class of L_i =
+alpha_i.z, and
 
     T_i = D_i o sum_k r_k M^k,      beta_w = T_{i_l} ... T_{i_1} [pt]
 
@@ -35,10 +36,10 @@ is beta_v * beta_w (the Chow product, extended R-bilinearly) solved, the
 unit is e_{w0} solved, and the class of a series u is Phi(u) solved.  Over
 the additive law r = 1 and beta_w = e_w.  No series chain runs on the
 table route, nor for ``ln_operation``: in log coordinates the twist is a
-coefficient map, applied to the image of a class.  The witness u0
-(``torsion``) is built only on demand, for the checks.  The a-coordinates
-eps Op_{I_w}(u) are the e_{w0}-coordinates of operator chains on Phi(u)
-(``eps_vector``).
+coefficient map, applied to the image of a class.  The formal group ring
+(``fgr``) and the witness u0 (``torsion``) are built only on demand, for
+the checks.  The a-coordinates eps Op_{I_w}(u) are the e_{w0}-coordinates
+of operator chains on Phi(u) (``eps_vector``).
 """
 
 from __future__ import annotations
@@ -77,10 +78,14 @@ class _Chow:
 
         M_lam e_w = sum <lam, beta^vee> e_{w s_beta}.
 
-    The class table is Phi(y^e) = M_{omega_j} Phi(y^e / y_j) from Phi(1) =
-    e_{w0}, and t is the gcd of its [pt]-coefficients at degree N, the
-    values eps d_{w0}(y^e) that ``torsion_bezout`` folds.  A product e_a e_b
-    is built by Leibniz's rule for the divided differences,
+    The class table Phi(y^e) = M_{omega_j} Phi(y^e / y_j), from Phi(1) =
+    e_{w0}, is walked one degree at a time (``layers``).  The
+    [pt]-coefficients of its degree-N layer are Demazure's values
+    eps d_{w0}(y^e) on the degree-N monomials: t is their gcd, and
+    ``torsion_bezout`` folds the extended gcd over them.  Only the
+    characteristic map (``FlagBasis._image``) keeps every layer.
+
+    A product e_a e_b is built by Leibniz's rule for the divided differences,
 
         D_i(x y) = D_i x y + x D_i y - M_{alpha_i}(D_i x D_i y),
 
@@ -123,7 +128,7 @@ class _Chow:
                        for ups in zip(*self.up)]  # the first ascent of each w
         self._multipliers = {}
         self._products = {}
-        self._table = None
+        self._t = None
 
     def multiplier(self, lam):
         """M_lam as {index: [(packed index of w s_beta, <lam, beta^vee>)]}, cached."""
@@ -145,28 +150,38 @@ class _Chow:
                 out[y] = out.get(y, 0) + m * c
         return {y: c for y, c in out.items() if c}
 
-    def table(self):
-        """The class table: Phi(y^e) as [(packed index, scalar)] at the y-key of y^e."""
-        if self._table is None:
-            layout = _layout(0, self.datum.rank)
-            omegas = [self.datum.fundamental_weight(j) for j in range(self.datum.rank)]
-            table = {0: {self.top << self.shift: 1}}
-            for degree in range(1, self.N + 1):
-                for e in _degree_monomials(self.datum.rank, degree):
-                    j = next(j for j, k in enumerate(e) if k)
-                    y = layout.pack(e, True)
-                    below = table.get(y - layout.y_unit[j])
-                    image = self.multiply(omegas[j], below) if below else None
-                    if image:
-                        table[y] = image
-            self._t = gcd(*(image[0] for image in table.values() if 0 in image))
-            self._table = {y: list(image.items()) for y, image in table.items()}
-        return self._table
+    def layers(self):
+        """Yield the class table degree by degree: {y-key of y^e: Phi(y^e)} for |e| = 0..N.
+
+        Phi(y^e) = M_{omega_j} Phi(y^e / y_j) for the first j with e_j > 0,
+        so each layer is read off the one before, and two are alive at once.
+        """
+        layout = _layout(0, self.datum.rank)
+        omegas = [self.datum.fundamental_weight(j) for j in range(self.datum.rank)]
+        layer = {0: {self.top << self.shift: 1}}
+        yield layer
+        for degree in range(1, self.N + 1):
+            below, layer = layer, {}
+            for e in _degree_monomials(self.datum.rank, degree):
+                j = next(j for j, k in enumerate(e) if k)
+                y = layout.pack(e, True)
+                image = below.get(y - layout.y_unit[j])
+                image = self.multiply(omegas[j], image) if image else None
+                if image:
+                    layer[y] = image
+            yield layer
+
+    def top_layer(self):
+        """The degree-N layer: its [pt]-coefficients are the values eps d_{w0}(y^e)."""
+        for layer in self.layers():
+            pass
+        return layer
 
     @property
     def t(self):
-        """The torsion index: the gcd of the [pt]-coefficients of the class table."""
-        self.table()
+        """The torsion index: the gcd of the [pt]-coefficients of the degree-N layer."""
+        if self._t is None:
+            self._t = gcd(*(image[0] for image in self.top_layer().values() if 0 in image))
         return self._t
 
     def product(self, a, b):
@@ -212,12 +227,8 @@ class FlagBasis:
     def __init__(self, datum, law, degree=None):
         self.datum = datum
         self.law = law
-        self.fgr = FormalGroupRing(datum, law)
         self.N = datum.N
-        # the law must be valid for the r_k the caller reads, k <= degree; a table reads k <= N
-        degree = self.N if degree is None else min(degree, self.N)
-        if law.trunc < degree + 1:
-            raise InsufficientPrecisionError(f"truncation must be at least {degree + 1}")
+        self.require_degree(self.N if degree is None else degree)  # a table reads r_k, k <= N
         self.elements = datum.weyl_elements()
         self.by_word = {w.canonical_word: w for w in self.elements}
         self.w0 = datum.longest_element()
@@ -226,15 +237,28 @@ class FlagBasis:
         self._lengths = [w.length for w in self.elements]
         self._m_bits = self.ring.layout.m_bits
         self._guard = self.ring.layout.guard
-        self._torsion = self._chow = self._phi = self._beta_rows = None
+        self._fgr = self._torsion = self._chow = self._phi = self._beta_rows = None
         self._P = self._rows = self._unit = None
         self._ops, self._products = {}, {}
         self._memo = {(): {len(self.elements) - 1: _ONE}}  # f_() reads the e_{w0} coordinate
         self._beta = {(): {0: _ONE}}  # the identity, of canonical word (), is element 0
 
+    def require_degree(self, degree):
+        """Refuse a law too short for the r_k a caller reads, k <= min(degree, N)."""
+        degree = min(degree, self.N)
+        if self.law.trunc < degree + 1:
+            raise InsufficientPrecisionError(f"truncation must be at least {degree + 1}")
+
+    @property
+    def fgr(self):
+        """The formal group ring of the datum and law, built on first use."""
+        if self._fgr is None:
+            self._fgr = FormalGroupRing(self.datum, self.law)
+        return self._fgr
+
     @property
     def t(self):
-        """The torsion index, read off the Chow core's class table."""
+        """The torsion index, read off the Chow core's degree-N layer."""
         return self._core().t
 
     @property
@@ -281,8 +305,9 @@ class FlagBasis:
         degree = self.N if degree is None else min(degree, self.N)
         if u.valid_degree < degree:
             raise InsufficientPrecisionError(f"characteristic map needs valid degree {degree}")
-        if self._phi is None:
-            self._phi = {y << self._m_bits: terms for y, terms in self._core().table().items()}
+        if self._phi is None:  # the class table, every layer kept, at y-key << m_bits
+            self._phi = {y << self._m_bits: list(image.items())
+                         for layer in self._core().layers() for y, image in layer.items()}
         pairs = ((terms, self._phi[y]) for y, terms in u.grouped(degree).items() if y in self._phi)
         return self._split(convolve(pairs, self._guard))
 
@@ -543,8 +568,8 @@ class FlagBasis:
         return cached
 
     def pushforward_point(self, cls):
-        """pr: linear extension of pr(b_{I_w}) = eps Cs_{I_w}(1)."""
-        vec = self.eps_vector(self.fgr.one())
+        """pr: linear extension of pr(b_{I_w}) = eps Cs_{I_w}(1); the image of 1 is e_{w0}."""
+        vec = self._eps({len(self.elements) - 1: _ONE}, "Cs")
         acc = self.ring.zero()
         for w, c in cls.coords.items():
             f = vec[w]

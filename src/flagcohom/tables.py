@@ -105,6 +105,7 @@ class MultiplicationTable:
             law, theory_spec = make_theory(theory_spec, trunc or default_truncation(datum))
             basis = FlagBasis(datum, law)
         self.basis, self.law, self.theory = basis, basis.law, theory_spec
+        self._names = {w.canonical_word: word_name(w.canonical_word) for w in basis.elements}
         self.trunc = basis.law.trunc
         self.is_universal = self.theory == "universal"
         self.integral_output = self.theory.split(":")[0] in (
@@ -169,13 +170,13 @@ class MultiplicationTable:
         coords = {}
         if self.raw:
             for w, c in cls.coords.items():
-                coords[word_name(w)] = self._convert(c)
+                coords[self._names[w]] = self._convert(c)
             return coords
         disp, top = cls.display_coords()
         if not top.is_zero():
             coords["1"] = self._convert(top)
         for w, c in disp.items():
-            coords[word_name(w)] = self._convert(c)
+            coords[self._names[w]] = self._convert(c)
         return coords
 
     def _convert(self, poly):
@@ -213,11 +214,11 @@ class MultiplicationTable:
 
     def entry_text(self, entry):
         if entry.right is None:
-            lhs = word_name(entry.left)
+            lhs = self._names[entry.left]
         elif entry.left == entry.right:
-            lhs = f"{word_name(entry.left)}^2"
+            lhs = f"{self._names[entry.left]}^2"
         else:
-            lhs = f"{word_name(entry.left)}*{word_name(entry.right)}"
+            lhs = f"{self._names[entry.left]}*{self._names[entry.right]}"
         if not entry.coords:
             return f"{lhs} = 0"
         parts = [
@@ -242,7 +243,7 @@ class MultiplicationTable:
             if not self.raw and word == self.basis.w0.canonical_word:
                 continue
             basis.append(
-                {"name": word_name(word), "word": list(word), "codim": N - len(word)}
+                {"name": self._names[word], "word": list(word), "codim": N - len(word)}
             )
         if not self.raw:
             basis.append({"name": "1", "word": "unit", "codim": 0})
@@ -257,7 +258,7 @@ class MultiplicationTable:
         }
         if self.longest is not None:
             obj["longest_class"] = {
-                "name": word_name(self.longest.left),
+                "name": self._names[self.longest.left],
                 "result": self._result_json(self.longest),
             }
         by_word = self.basis.by_word
@@ -266,8 +267,8 @@ class MultiplicationTable:
             coords = self._class_coords(cls)
             obj["products"].append(
                 {
-                    "left": word_name(left),
-                    "right": word_name(right),
+                    "left": self._names[left],
+                    "right": self._names[right],
                     "result": self._result_json(TableEntry(left, right, coords)),
                 }
             )

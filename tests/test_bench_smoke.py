@@ -3,9 +3,10 @@
 ``perfbench`` wraps package names from outside: ``s_act``, ``delta``,
 ``delta_neg``, ``delta_root``, ``theta``, ``x_lambda_series``,
 ``kappa_element`` and ``torsion_and_u0`` of ``FormalGroupRing``;
-``c_of_u0``, ``eps_vector``, ``basis_product``, ``transition_matrix`` and
-``unit_class`` of ``FlagBasis``; and ``FormalGroupLaw._validate``.  Its
-smoke run (about 5 s) fails when one of them is renamed or removed.
+``c_of_u0``, ``eps_vector``, ``basis_product``, ``transition_matrix``,
+``unit_class`` and ``fgr`` of ``FlagBasis``; ``cli.FormalGroupRing`` and
+``cli.BSRing``; and ``FormalGroupLaw._validate``.  Its smoke run (about
+5 s) fails when one of them is renamed or removed.
 """
 
 import os

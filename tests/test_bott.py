@@ -114,6 +114,33 @@ def test_characteristic_map_is_ring_morphism(a2_univ):
         )
 
 
+def test_characteristic_class_reads_the_towers_model(a2_univ, monkeypatch):
+    # c_I(u) reads the model the presentation was built on: mapping many
+    # elements through one tower builds no further FlagBasis.
+    from flagcohom import bott
+
+    ring, built, init = BSRing(a2_univ, (1, 2, 1)), [], bott.FlagBasis.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bott.FlagBasis, "__init__", counted)
+    rng = random.Random(3)
+    for _ in range(3):
+        ring.characteristic_class(rand_elt(a2_univ, rng))
+    ring.tangent_chern_class()
+    assert built == []
+
+
+def test_characteristic_class_needs_the_whole_word_in_the_truncation():
+    # The relations of a length-4 word read r_k for k <= 2, c_I for k <= 3.
+    fgr = FormalGroupRing(RootDatum.build("A2"), FormalGroupLaw.universal(3))
+    ring = BSRing(fgr, (1, 2, 1, 2))
+    with pytest.raises(InsufficientPrecisionError, match="at least 4"):
+        ring.characteristic_class(fgr.one())
+
+
 def test_pushforward_empty_word(a2_univ):
     rng = random.Random(2)
     u = rand_elt(a2_univ, rng)

@@ -272,15 +272,16 @@ def test_tables_run_series_operators_only_over_the_additive_law(theory, digest, 
 )
 def test_chow_tables_run_no_series_and_no_torsion_fold(typ, digest, monkeypatch):
     # The Chow core is the Bruhat graph alone: its class table, its products
-    # and the torsion index in the header need no series functional, no
-    # push-pull chain and no Bezout witness.
+    # and the torsion index in the header need no formal group ring and no
+    # Bezout witness, and ``torsion`` reads its values off the same core
+    # without building a single series.
     from flagcohom import fgring, flagring
+    from flagcohom.tseries import TruncatedSeries
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a series route ran on the table route")
+        raise AssertionError("a series route ran")
 
-    monkeypatch.setattr(FormalGroupRing, "functionals", refuse)
-    monkeypatch.setattr(FormalGroupRing, "cc_neg", refuse)
+    monkeypatch.setattr(FormalGroupRing, "__init__", refuse)
     monkeypatch.setattr(fgring, "torsion_bezout", refuse)
     monkeypatch.setattr(flagring, "torsion_bezout", refuse)
     out = io.StringIO()
@@ -288,6 +289,14 @@ def test_chow_tables_run_no_series_and_no_torsion_fold(typ, digest, monkeypatch)
         rc = cli.main(["table", "--type", typ, "--theory", "chow"])
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+    monkeypatch.undo()
+    monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["torsion", "--type", "F4"])
+    assert rc == 0
+    assert out.getvalue() == "6\n"
 
 
 def test_custom_laws_with_fractional_coefficients(tmp_path, a2, b2):
