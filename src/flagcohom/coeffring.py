@@ -105,17 +105,15 @@ def convolve(pairs, guard):
 
 
 class CoeffRing:
-    """A weighted polynomial ring QQ[g1, ..., gk] (or ZZ[...] if not rational).
+    """A weighted polynomial ring QQ[g1, ..., gk].
 
     ``generators`` is a tuple of (name, weight) pairs with unique names and
-    weights >= 1.  When ``rational_mode`` is False every stored polynomial
-    must have integer coefficients; violations raise IntegralityError.
-    Rings are equal when their generators and modes are.
+    weights >= 1.  Rings are equal when their generators are.  Integrality
+    is a property of outputs, checked where they are made (``assert_integer``).
     """
 
-    def __init__(self, generators, rational_mode=True):
+    def __init__(self, generators):
         self.generators = generators
-        self.rational_mode = rational_mode
         self.names = tuple(g[0] for g in generators)
         self.weights = tuple(g[1] for g in generators)
         self.ngens = len(generators)
@@ -128,13 +126,13 @@ class CoeffRing:
     def __eq__(self, other):
         if not isinstance(other, CoeffRing):
             return NotImplemented
-        return (self.generators, self.rational_mode) == (other.generators, other.rational_mode)
+        return self.generators == other.generators
 
     def __hash__(self):
-        return hash((self.generators, self.rational_mode))
+        return hash(self.generators)
 
     def __repr__(self):
-        return f"CoeffRing({self.generators!r}, {self.rational_mode!r})"
+        return f"CoeffRing({self.generators!r})"
 
     def exponents(self, key):
         """The exponent tuple of a packed monomial."""
@@ -220,13 +218,6 @@ class CoeffRing:
         return (weight, tuple(-e for e in reversed(exps)))
 
 
-def _check_integral(ring, terms):
-    if not ring.rational_mode:
-        for c in terms.values():
-            if type(c) is Fraction:
-                raise IntegralityError(f"non-integer coefficient {c} in integral ring")
-
-
 class CoeffPoly:
     """Sparse exact polynomial in a :class:`CoeffRing`: {packed monomial: scalar}.
 
@@ -240,7 +231,6 @@ class CoeffPoly:
         pack = ring.layout.pack
         self.ring = ring
         self.terms = {pack(e, False): _fold(c) for e, c in terms.items() if c}
-        _check_integral(ring, self.terms)
 
     @classmethod
     def _wrap(cls, ring, terms):
@@ -248,7 +238,6 @@ class CoeffPoly:
         p = object.__new__(cls)
         p.ring = ring
         p.terms = terms
-        _check_integral(ring, terms)
         return p
 
     # -- queries ---------------------------------------------------------
@@ -399,6 +388,21 @@ class CoeffPoly:
 
     def __repr__(self):
         return f"CoeffPoly({self})"
+
+
+def _ext_gcd(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
 
 
 def assert_integer(poly, context=""):

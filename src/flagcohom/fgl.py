@@ -111,7 +111,7 @@ class FormalGroupLaw:
         if trunc < 1:
             raise ValueError("truncation must be >= 1")
         gens = tuple((f"m{i}", i) for i in range(1, trunc))
-        ring = CoeffRing(gens, rational_mode=True)
+        ring = CoeffRing(gens)
         log = _log_from_coeffs(ring, trunc, [ring.gen(f"m{i}") for i in range(1, trunc)])
         # exp(log x + log y) has its coefficients in ZZ[m], as revert keeps them
         return FormalGroupLaw(ring, trunc, "universal", log, revert(log), integral=True)
@@ -128,15 +128,15 @@ class FormalGroupLaw:
         return FormalGroupLaw(ring, trunc, "custom", log, revert(log))
 
     @staticmethod
-    def additive(trunc, ring=None):
-        ring = ring or CoeffRing((), rational_mode=True)
+    def additive(trunc):
+        ring = CoeffRing(())
         x = TruncatedSeries.variable(ring, 1, trunc, 0)
         return FormalGroupLaw(ring, trunc, "additive", x, x, integral=True)
 
     @staticmethod
     def multiplicative(trunc, name="beta"):
         """F(x, y) = x + y - beta*x*y over ZZ[beta] (beta of weight 1)."""
-        ring = CoeffRing(((name, 1),), rational_mode=True)
+        ring = CoeffRing(((name, 1),))
         return FormalGroupLaw.from_coefficients(
             ring, trunc, {(1, 1): -ring.gen(name)}, tag="multiplicative"
         )
@@ -148,7 +148,7 @@ class FormalGroupLaw:
         F(x, y) = x + y + v*x*y, i.e. the classifying map sends the degree-1
         universal generator a1 = a11 to v.
         """
-        ring = CoeffRing(((name, 1),), rational_mode=True)
+        ring = CoeffRing(((name, 1),))
         return FormalGroupLaw.from_coefficients(
             ring, trunc, {(1, 1): ring.gen(name)}, tag="connective"
         )

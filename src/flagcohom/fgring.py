@@ -61,9 +61,8 @@ no series.
 
 from __future__ import annotations
 
-from .coeffring import _layout
-from .errors import InsufficientPrecisionError, RingMismatchError
-from .tseries import TruncatedSeries, _degree_monomials
+from .errors import InsufficientPrecisionError
+from .tseries import TruncatedSeries
 
 # op_i(u) = (+-d_i)(u) r(+-L_i) for delta, (+-d_i)(u r(+-L_i)) for cc;
 # op -> (column of the table (s_i, d_i, -d_i) it convolves with, sign in r(+-L_i)).
@@ -326,11 +325,9 @@ class FormalGroupRing:
     def decompose_over_invariants(self, x, torsion):
         """Coefficients r_w with delta_{I_v}(x) = sum_w r_w delta_{I_v}delta_{I_w}(u0).
 
-        Requires a rationalized coefficient ring (the torsion index is
-        inverted during elimination).  Returns {canonical word: TruncatedSeries}.
+        The elimination inverts the torsion index, as every coefficient ring
+        is a Q-algebra.  Returns {canonical word: TruncatedSeries}.
         """
-        if not self.ring.rational_mode:
-            raise RingMismatchError("decomposition needs a rationalized ring")
         elements = self.datum.weyl_elements()
         w0 = self.datum.longest_element()
         u0 = torsion.u0
@@ -380,42 +377,15 @@ class FormalGroupRing:
         return out
 
 
-def _ext_gcd(a, b):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def torsion_bezout(datum):
     """Torsion index of the root datum with a Bezout witness.
 
     The values eps delta_{I0}(y^e) on the degree-N monomials are Demazure's
-    divided differences of the additive model, the [pt]-coefficients of the
-    degree-N layer of the Chow class table (``flagring._Chow.layers``).  The
-    extended gcd is folded over them in the canonical monomial order.
-    Returns (t, monomials) where monomials is a tuple of (exponent tuple,
-    int) pairs summing to an integral homogeneous u0 of degree N.
+    divided differences of the additive model, read off the Chow class table
+    (``flagring._Chow.bezout``).  Returns (t, monomials) where monomials is
+    a tuple of (exponent tuple, int) pairs summing to an integral
+    homogeneous u0 of degree N.
     """
     from .flagring import _Chow  # flagring imports this module
 
-    top = _Chow(datum, datum.weyl_elements(), 0).top_layer()
-    key = _layout(0, datum.rank).pack
-    g, combo = 0, {}  # the nonzero Bezout coefficients, in monomial order
-    for mono in sorted(_degree_monomials(datum.rank, datum.N)):
-        v = top.get(key(mono, True), {}).get(0, 0)
-        if v:  # a zero value leaves the fold as it is: _ext_gcd(g, 0) = (g, 1, 0)
-            g, xs, ys = _ext_gcd(g, v)
-            combo = {e: c * xs for e, c in combo.items()} if xs else {}
-            if ys:
-                combo[mono] = ys
-    assert g > 0, "torsion evaluation cannot be identically zero"
-    return g, tuple(combo.items())
+    return _Chow(datum, datum.weyl_elements(), 0).bezout()

@@ -48,10 +48,10 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .coeffring import CoeffPoly, CoeffRing, _fold, _layout, assert_integer, convolve
+from .coeffring import CoeffPoly, CoeffRing, _ext_gcd, _fold, _layout, assert_integer, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import revert
-from .fgring import FormalGroupRing, TorsionData, torsion_bezout
+from .fgring import FormalGroupRing, TorsionData
 from .lazard import weighted_monomials
 from .tseries import TruncatedSeries, _degree_monomials
 
@@ -82,7 +82,7 @@ class _Chow:
     e_{w0}, is walked one degree at a time (``layers``).  The
     [pt]-coefficients of its degree-N layer are Demazure's values
     eps d_{w0}(y^e) on the degree-N monomials: t is their gcd, and
-    ``torsion_bezout`` folds the extended gcd over them.  Only the
+    ``bezout`` folds the extended gcd over them.  Only the
     characteristic map (``FlagBasis._image``) keeps every layer.
 
     A product e_a e_b is built by Leibniz's rule for the divided differences,
@@ -184,6 +184,26 @@ class _Chow:
             self._t = gcd(*(image[0] for image in self.top_layer().values() if 0 in image))
         return self._t
 
+    def bezout(self):
+        """(t, monomials): t with Bezout coefficients of the values eps d_{w0}(y^e).
+
+        The extended gcd is folded over the degree-N layer's [pt]-coefficients
+        in the canonical monomial order, keeping only the nonzero Bezout
+        coefficients; monomials is a tuple of (exponent tuple, int) pairs.
+        """
+        top = self.top_layer()
+        key = _layout(0, self.datum.rank).pack
+        g, combo = 0, {}  # the nonzero Bezout coefficients, in monomial order
+        for mono in sorted(_degree_monomials(self.datum.rank, self.N)):
+            v = top.get(key(mono, True), {}).get(0, 0)
+            if v:  # a zero value leaves the fold as it is: _ext_gcd(g, 0) = (g, 1, 0)
+                g, xs, ys = _ext_gcd(g, v)
+                combo = {e: c * xs for e, c in combo.items()} if xs else {}
+                if ys:
+                    combo[mono] = ys
+        assert g > 0, "torsion evaluation cannot be identically zero"
+        return g, tuple(combo.items())
+
     def product(self, a, b):
         """e_a e_b as {packed index: integer}, memoized."""
         if a > b:
@@ -265,7 +285,7 @@ class FlagBasis:
     def torsion(self):
         """TorsionData: t and the witness u0 in this ring's coordinates."""
         if self._torsion is None:
-            t, monomials = torsion_bezout(self.datum)
+            t, monomials = self._core().bezout()
             self._torsion = TorsionData(t, self.fgr.from_monomials(dict(monomials)))
         return self._torsion
 
@@ -609,7 +629,7 @@ class FlagBasis:
             raise ValueError("weight bound must be >= 0")
         mring, D = self.ring, self.law.trunc
         tgens = tuple((f"t{k}", k) for k in range(1, weight_bound + 1))
-        ext = CoeffRing(mring.generators + tgens, rational_mode=True)
+        ext = CoeffRing(mring.generators + tgens)
         lam_terms = {(k + 1,): ext.gen(f"t{k}") for k in range(1, min(weight_bound + 1, D))}
         lam = TruncatedSeries.from_terms(ext, 1, D, {(1,): ext.one(), **lam_terms})
         # Coefficient morphism: m_i -> [x^{i+1}] log(lam_inv(x)).

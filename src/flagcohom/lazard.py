@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .coeffring import CoeffRing, assert_integer
+from .coeffring import CoeffRing, _ext_gcd, assert_integer
 
 PAPER_COMBOS = {
     1: (((1, 1), 1),),
@@ -76,20 +76,9 @@ def lazard_combination(d):
     pairs = _aij_pairs(d)
     g, lams = comb(d + 1, pairs[0][0]), [1]
     for i, _ in pairs[1:]:
-        g, s, t = _extended_gcd(g, comb(d + 1, i))
+        g, s, t = _ext_gcd(g, comb(d + 1, i))
         lams = [s * lam for lam in lams] + [t]
     return tuple((p, lam) for p, lam in zip(pairs, lams) if lam)
-
-
-def _extended_gcd(a, b):
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
 
 
 class LazardBasis:
@@ -103,9 +92,7 @@ class LazardBasis:
         self.law = law
         self.m_ring = law.ring
         self.bound = bound
-        self.a_ring = CoeffRing(
-            tuple((f"a{d}", d) for d in range(1, bound + 1)), rational_mode=True
-        )
+        self.a_ring = CoeffRing(tuple((f"a{d}", d) for d in range(1, bound + 1)))
         # the a_ij of weight <= bound, from x +F y built only to degree bound + 1
         table = law.log_sum(bound + 1).coeffs
         self.expansions = {}  # generator name -> CoeffPoly over m_ring

@@ -189,10 +189,9 @@ class RootDatum:
         self._roots = self._coordinates = None
 
     @staticmethod
-    def build(kind, rank=None):
-        """Build from a named type like "B3" (or kind="B", rank=3)."""
-        if rank is None:
-            kind, rank = kind[0], int(kind[1:])
+    def build(name):
+        """Build from a named type like "B3"."""
+        kind, rank = name[0], int(name[1:])
         return RootDatum(cartan_matrix(kind, rank), label=f"{kind.upper()}{rank}")
 
     @staticmethod

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .coeffring import CoeffRing, assert_integer
+from .coeffring import CoeffRing
 from .fgl import FormalGroupLaw
 from .flagring import FlagBasis, default_truncation
 from .lazard import LazardBasis
@@ -64,7 +64,7 @@ def custom_law(data, trunc):
     """
     if not isinstance(data, dict):
         raise ValueError("a custom law file must hold a JSON object")
-    ring = CoeffRing((), rational_mode=True)
+    ring = CoeffRing(())
     if "log" in data:
         if not isinstance(data["log"], list):
             raise ValueError('custom law "log" must be a list of rationals')
@@ -107,11 +107,7 @@ class MultiplicationTable:
         self.basis, self.law, self.theory = basis, basis.law, theory_spec
         self._names = {w.canonical_word: word_name(w.canonical_word) for w in basis.elements}
         self.trunc = basis.law.trunc
-        self.is_universal = self.theory == "universal"
-        self.integral_output = self.theory.split(":")[0] in (
-            "universal", "chow", "ktheory", "connective"
-        )
-        if self.is_universal:
+        if self.theory == "universal":
             self.lazard = LazardBasis(self.law, datum.N)
             self.out_ring = self.lazard.a_ring
         else:
@@ -180,13 +176,7 @@ class MultiplicationTable:
         return coords
 
     def _convert(self, poly):
-        if self.lazard is not None:
-            out = self.lazard.to_a_basis(poly)
-        else:
-            out = poly
-        if self.integral_output:
-            assert_integer(out, "table coefficient")
-        return out
+        return poly if self.lazard is None else self.lazard.to_a_basis(poly)
 
     # -- rendering -----------------------------------------------------------------
 

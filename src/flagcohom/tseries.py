@@ -30,12 +30,7 @@ from heapq import heapify, heappop, heappush
 from operator import or_
 
 from .coeffring import _CAP, _MASK, CoeffPoly, _fold, _layout, convolve
-from .errors import (
-    DegreeValidityError,
-    DivisionError,
-    IntegralityError,
-    RingMismatchError,
-)
+from .errors import DegreeValidityError, DivisionError, RingMismatchError
 
 
 class TruncatedSeries:
@@ -383,8 +378,6 @@ class TruncatedSeries:
         c = self.constant_term()
         if not c.is_constant() or c.is_zero():
             raise DivisionError("constant term is not an invertible scalar")
-        if not self.ring.rational_mode and c.constant_term() not in (1, -1):
-            raise DivisionError("constant term must be a unit of the integral ring")
         one = TruncatedSeries.const(self.ring, self.n_vars, self.trunc, 1)
         return one._divide(self._graded(self.valid_degree), 0, self.valid_degree)
 
@@ -416,7 +409,6 @@ class TruncatedSeries:
                 rem.setdefault((k >> ds, -(k & pivot)), {})[k] = c
         keys = list(rem)
         heapify(keys)
-        integral = not self.ring.rational_mode
         q = {}
         while keys:
             key = heappop(keys)
@@ -429,10 +421,7 @@ class TruncatedSeries:
                 eq = e - lead
                 if eq & lay.guard:
                     raise OverflowError(f"a quotient exponent exceeds the packing cap {_CAP}")
-                t = _fold(r * inv)
-                if integral and type(t) is Fraction:
-                    raise IntegralityError(f"non-integer coefficient {t} in integral ring")
-                q[eq] = t
+                t = q[eq] = _fold(r * inv)
                 for d2, terms in enumerate(den[dl : bound - d + dl + 1], d):
                     for f, p in terms:
                         e2 = eq + f

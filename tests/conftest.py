@@ -60,7 +60,7 @@ def multiplicative_by_log():
     """
 
     def build(trunc):
-        ring = CoeffRing((("beta", 1),), rational_mode=True)
+        ring = CoeffRing((("beta", 1),))
         beta = ring.gen("beta")
         return FormalGroupLaw.from_log(
             ring, trunc, [(beta ** k).scale(Fraction(1, k + 1)) for k in range(1, trunc)]

@@ -3,10 +3,16 @@
 ``perfbench`` wraps package names from outside: ``s_act``, ``delta``,
 ``delta_neg``, ``delta_root``, ``theta``, ``x_lambda_series``,
 ``kappa_element`` and ``torsion_and_u0`` of ``FormalGroupRing``;
-``c_of_u0``, ``eps_vector``, ``basis_product``, ``transition_matrix``,
-``unit_class`` and ``fgr`` of ``FlagBasis``; ``cli.FormalGroupRing`` and
-``cli.BSRing``; and ``FormalGroupLaw._validate``.  Its smoke run (about
-5 s) fails when one of them is renamed or removed.
+``__init__``, ``c_of_u0``, ``eps_vector``, ``basis_product``,
+``transition_matrix``, ``unit_class`` and ``fgr`` of ``FlagBasis``;
+``bott.BSRing.__init__`` and ``BSRing.tangent_chern_class``;
+``RootDatum.build``; ``cli.FormalGroupRing``, ``cli.BSRing``,
+``cli.make_theory`` and ``cli.MultiplicationTable``, which it calls as
+``(datum, theory, trunc, raw=..., basis=...)``;
+``MultiplicationTable.render_text``; ``LazardBasis.__init__`` and
+``to_a_basis``; ``TruncatedSeries.__mul__``, ``substitute`` and
+``exact_divide``; ``CoeffPoly.__mul__``; and ``FormalGroupLaw._validate``.
+Its smoke run (about 5 s) fails when one of them is renamed or removed.
 """
 
 import os

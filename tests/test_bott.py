@@ -74,7 +74,7 @@ def test_presentation_multiplicative_matches_specialized_universal(a2_univ):
 
     from flagcohom.coeffring import CoeffRing
 
-    target = CoeffRing((("beta", 1),), True)
+    target = CoeffRing((("beta", 1),))
     beta = target.gen("beta")
     assignment = {
         f"m{i}": beta ** i * Fraction(1, i + 1) for i in range(1, a2_univ.trunc)
@@ -245,7 +245,7 @@ def _law(name, trunc):
         return FormalGroupLaw.multiplicative(trunc)
     if name == "connective":
         return FormalGroupLaw.connective(trunc)
-    ring = CoeffRing((), rational_mode=True)
+    ring = CoeffRing(())
     return FormalGroupLaw.from_log(ring, trunc, [Fraction(1, 2), Fraction(-2, 3), 3])
 
 

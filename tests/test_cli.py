@@ -345,13 +345,6 @@ def test_ln_command():
     assert rc == 1
 
 
-def test_check_command_fast():
-    rc, out, _ = run_cli(["check", "--type", "A2", "--fast"])
-    assert rc == 0
-    assert "FAIL" not in out
-    assert "checks passed" in out
-
-
 def test_check_times_go_to_stderr():
     # stdout keeps its fixed lines, byte for byte; each check's wall time goes to stderr.
     from flagcohom.selfcheck import CHECKS

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagcohom.coeffring import CoeffPoly, CoeffRing
-from flagcohom.errors import IntegralityError, RingMismatchError, SpecializationError
+from flagcohom.errors import RingMismatchError, SpecializationError
 
 
 @pytest.fixture
 def aring():
-    return CoeffRing(tuple((f"a{i}", i) for i in range(1, 7)), rational_mode=True)
+    return CoeffRing(tuple((f"a{i}", i) for i in range(1, 7)))
 
 
 def test_additive_inverse(aring):
@@ -32,7 +32,7 @@ def test_binomial_expansion(aring):
 
 
 def test_ring_mismatch(aring):
-    other = CoeffRing((("b", 1),), True)
+    other = CoeffRing((("b", 1),))
     with pytest.raises(RingMismatchError):
         aring.gen("a1") + other.gen("b")
 
@@ -54,14 +54,14 @@ def test_specialize_to_zero(aring):
 
 def test_specialize_to_other_ring(aring):
     # The coefficient of xy in x + y - beta*x*y is -beta.
-    target = CoeffRing((("beta", 1),), True)
+    target = CoeffRing((("beta", 1),))
     beta = target.gen("beta")
     img = aring.gen("a1").specialize({"a1": -beta}, target)
     assert img == -beta
 
 
 def test_specialize_connective(aring):
-    target = CoeffRing((("v", 1),), True)
+    target = CoeffRing((("v", 1),))
     v = target.gen("v")
     p = aring.gen("a1") ** 2 + aring.gen("a2")
     assert p.specialize({"a1": v, "a2": 0}, target) == v * v
@@ -75,8 +75,8 @@ def test_specialize_missing_generator(aring):
 # -- properties on drawn polynomials --------------------------------------------
 
 PROPERTY = settings(max_examples=60, deadline=None)
-RING = CoeffRing((("a1", 1), ("a2", 2), ("a3", 3)), rational_mode=True)
-TARGET = CoeffRing((("v", 1),), rational_mode=True)
+RING = CoeffRing((("a1", 1), ("a2", 2), ("a3", 3)))
+TARGET = CoeffRing((("v", 1),))
 SCALARS = st.one_of(
     st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
 )
@@ -151,12 +151,6 @@ def test_specialize_matches_naive_reference(p, assign):
             p.specialize(partial, TARGET)
     else:
         assert p.specialize(partial, TARGET) == naive_specialize(p, assign)
-
-
-def test_integral_mode_rejects_fractions():
-    ring = CoeffRing((("a", 1),), rational_mode=False)
-    with pytest.raises(IntegralityError):
-        ring.const(Fraction(1, 2))
 
 
 def test_homogeneity_helpers(aring):

@@ -17,15 +17,15 @@ def test_universal_xy_coefficient(universal8):
 
 
 def test_universal_specializes_to_additive(universal8):
-    target = CoeffRing((), True)
+    target = CoeffRing(())
     assign = {name: 0 for name in universal8.ring.names}
     spec = universal8.specialize(assign, target)
-    additive = FormalGroupLaw.additive(universal8.trunc, target)
+    additive = FormalGroupLaw.additive(universal8.trunc)
     assert spec.F == additive.F
 
 
 def test_universal_specializes_to_multiplicative(universal8):
-    target = CoeffRing((("beta", 1),), True)
+    target = CoeffRing((("beta", 1),))
     beta = target.gen("beta")
     assign = {
         f"m{i}": beta ** i * Fraction(1, i + 1) for i in range(1, universal8.trunc)
@@ -46,7 +46,7 @@ def test_from_coefficients_multiplicative_inverse():
 
 
 def test_from_coefficients_additive():
-    ring = CoeffRing((), True)
+    ring = CoeffRing(())
     law = FormalGroupLaw.from_coefficients(ring, 6, {})
     x = TruncatedSeries.variable(ring, 1, 6, 0)
     assert law.inverse == -x
@@ -57,7 +57,7 @@ def test_fgl_axioms_hold_by_construction():
 
 
 def test_from_coefficients_associativity_error():
-    ring = CoeffRing((), True)
+    ring = CoeffRing(())
     with pytest.raises(AssociativityError):
         FormalGroupLaw.from_coefficients(ring, 6, {(1, 1): 1, (2, 2): 1})
 
@@ -122,17 +122,17 @@ def test_twist_identity(universal8):
 
 
 def test_twist_additive_order_two():
-    ring = CoeffRing((("t1", 1),), True)
-    add = FormalGroupLaw.additive(6, CoeffRing((), True))
+    ring = CoeffRing((("t1", 1),))
+    add = FormalGroupLaw.additive(6)
     t1 = ring.gen("t1")
     x = TruncatedSeries.variable(ring, 1, 6, 0)
     lam = x + (x * x).scale(t1)
-    twisted = FormalGroupLaw.additive(6, CoeffRing((), True)).twist(lam)
+    twisted = FormalGroupLaw.additive(6).twist(lam)
     # F'(x, y) = lam(lam^-1 x + lam^-1 y): the xy-coefficient is 2 t1
     assert twisted.F.coefficient((1, 1)) == t1.scale(2)
     # setting t1 = 0 recovers the additive law
-    back = twisted.specialize({"t1": 0}, CoeffRing((), True))
-    assert back.F == FormalGroupLaw.additive(6, CoeffRing((), True)).F
+    back = twisted.specialize({"t1": 0}, CoeffRing(()))
+    assert back.F == FormalGroupLaw.additive(6).F
 
 
 def test_twist_requires_unit_linear(universal8):
@@ -146,8 +146,8 @@ def test_log_laws_build_sum_and_inverse_on_read(universal8):
     # F = exp(log x + log y) and inverse = exp(-log), built when read; the
     # twisted and specialized laws also agree with twisting and specializing
     # the sum itself.
-    rational = CoeffRing((), True)
-    t1 = CoeffRing((("t1", 1),), True)
+    rational = CoeffRing(())
+    t1 = CoeffRing((("t1", 1),))
     x = TruncatedSeries.variable(t1, 1, 8, 0)
     lam = x + (x * x).scale(t1.gen("t1"))
     from_log = FormalGroupLaw.from_log(rational, 8, [Fraction(1, 2), Fraction(-2, 3), 3])
@@ -247,7 +247,7 @@ def test_revert_against_sympy_reversion():
 
     D = 21
     gaps = {1: 3, 2: 1, 4: -2, 7: Fraction(1, 5), 12: Fraction(-3, 7), 20: 4}
-    rational = CoeffRing((), True)
+    rational = CoeffRing(())
     s = TruncatedSeries.from_terms(rational, 1, D, {(k,): c for k, c in gaps.items()})
     R1, y = ring("y", QQ)
     s_sympy = sum(QQ(Fraction(c)) * y**k for k, c in gaps.items())
@@ -268,8 +268,8 @@ def test_revert_against_sympy_reversion():
 
 
 def test_twist_keeps_generator_weights():
-    t1 = CoeffRing((("t1", 1),), True)
-    heavy = CoeffRing((("t1", 2),), True)
+    t1 = CoeffRing((("t1", 1),))
+    heavy = CoeffRing((("t1", 2),))
     x = TruncatedSeries.variable(heavy, 1, 6, 0)
     law = FormalGroupLaw.from_log(t1, 6, [t1.gen("t1")])
     with pytest.raises(RingMismatchError):

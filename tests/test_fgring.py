@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagcohom.bott import theta_coefficients
-from flagcohom.coeffring import CoeffRing
+from flagcohom.coeffring import CoeffRing, _ext_gcd
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
-from flagcohom.fgring import FormalGroupRing, _ext_gcd, torsion_bezout
+from flagcohom.fgring import FormalGroupRing, torsion_bezout
 from flagcohom.reference import RANK4_TORSION, REFERENCE_TORSION
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import (
@@ -58,12 +58,12 @@ def test_x_lambda_additive_linear():
 
 def _rational_from_log(trunc):
     return FormalGroupLaw.from_log(
-        CoeffRing((), True), trunc, [Fraction(1, 2), Fraction(-2, 3), 3]
+        CoeffRing(()), trunc, [Fraction(1, 2), Fraction(-2, 3), 3]
     )
 
 
 def _twisted_from_log(trunc):
-    t1 = CoeffRing((("t1", 1),), True)
+    t1 = CoeffRing((("t1", 1),))
     x = TruncatedSeries.variable(t1, 1, trunc, 0)
     return _rational_from_log(trunc).twist(x + (x * x).scale(t1.gen("t1")))
 

@@ -143,7 +143,7 @@ def lazard9():
     return LazardBasis(FormalGroupLaw.universal(10), 9)
 
 
-A9 = CoeffRing(tuple((f"a{d}", d) for d in range(1, 10)), rational_mode=True)
+A9 = CoeffRing(tuple((f"a{d}", d) for d in range(1, 10)))
 A9_POLYS = st.dictionaries(
     st.sampled_from([e for w in range(10) for e in weighted_monomials(A9.weights, w)]),
     st.integers(-50, 50),

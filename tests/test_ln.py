@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from flagcohom import cli, fgring, flagring
+from flagcohom import cli, flagring
 from flagcohom.errors import RingMismatchError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
@@ -62,8 +62,7 @@ def test_ln_runs_no_chain_no_torsion_fold_and_no_multivariate_substitution(monke
         return substitute(series, images)
 
     monkeypatch.setattr(FormalGroupRing, "cc_neg", refuse)
-    monkeypatch.setattr(fgring, "torsion_bezout", refuse)
-    monkeypatch.setattr(flagring, "torsion_bezout", refuse)
+    monkeypatch.setattr(flagring._Chow, "bezout", refuse)
     monkeypatch.setattr(TruncatedSeries, "substitute", one_variable_only)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

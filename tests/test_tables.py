@@ -82,7 +82,7 @@ def _aparse(text):
     ring_names = [f"a{i}" for i in range(1, 7)]
     from flagcohom.coeffring import CoeffRing
 
-    ring = CoeffRing(tuple((n, i + 1) for i, n in enumerate(ring_names)), True)
+    ring = CoeffRing(tuple((n, i + 1) for i, n in enumerate(ring_names)))
     return parse_poly(ring, text).sorted_terms()
 
 
@@ -216,79 +216,43 @@ def test_make_theory_names():
         make_theory("nonsense", 5)
 
 
-def test_log_law_table_builds_no_kappa(monkeypatch):
-    # In log coordinates the push-pull operators are divided differences of
-    # u r(-+L_i) (fgring's quotient identity): a table never builds kappa.
-    def refuse(*args):
-        raise AssertionError("kappa built")
-
-    monkeypatch.setattr(FormalGroupLaw, "log_kappa", refuse)
-    monkeypatch.setattr(FormalGroupRing, "kappa_element", refuse)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(["table", "--type", "A3", "--theory", "universal"])
-    assert rc == 0
-    # the digest of test_cli.test_table_a3_universal_bytes
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
-        "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"
-    )
+# (type, theory, stdout sha256); A3 universal and ktheory and B3 chow are
+# also test_cli's byte pins.
+TABLE_PINS = [
+    ("A3", "universal", "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"),
+    ("A3", "ktheory", "e3788edb318af8948af8a94d01bc4095fa2928380a016fb10d228c705989820a"),
+    ("A3", "connective", "f881f78673095ad170c4fc3a7adaf14645b793f2bfa0f1441d807d73ef40298f"),
+    ("A3", "chow", "33721e5da2cd4511c054ff86630b53a3dc2a406298ea45974f10b46b3c74baba"),
+    ("B3", "chow", "395b959ffc2ad7ec005eeff2a4572e3e5bf29b367160185ac40db5650affe25c"),
+]
 
 
 @pytest.mark.parametrize(
-    "theory, digest",
-    [
-        ("universal", "fbefc5dc7f943121719e446e4d956c54c693132fb3b91604935a538499764c63"),
-        ("ktheory", "e3788edb318af8948af8a94d01bc4095fa2928380a016fb10d228c705989820a"),
-        ("connective", None),
-    ],
+    "typ, theory, digest", TABLE_PINS, ids=[f"{typ}-{digest}" for typ, _, digest in TABLE_PINS]
 )
-def test_tables_run_series_operators_only_over_the_additive_law(theory, digest, monkeypatch):
-    # The Chow model reads a law only through r(t) = t/exp(t), and its Chow
-    # core runs no series chain: any Cs a table ran would be over r = 1.
-    cc_neg = FormalGroupRing.cc_neg
-
-    def additive_only(fgr, i, u):
-        r = fgr.law.log_ratio()
-        if not (r == r.const(r.ring, 1, r.trunc, 1)):
-            raise AssertionError(f"Cs over the {fgr.law.tag} law")
-        return cc_neg(fgr, i, u)
-
-    monkeypatch.setattr(FormalGroupRing, "cc_neg", additive_only)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(["table", "--type", "A3", "--theory", theory])
-    assert rc == 0
-    if digest is not None:
-        # the digests of test_cli's byte pins
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "typ, digest",
-    [
-        ("A3", "33721e5da2cd4511c054ff86630b53a3dc2a406298ea45974f10b46b3c74baba"),
-        ("B3", "395b959ffc2ad7ec005eeff2a4572e3e5bf29b367160185ac40db5650affe25c"),
-    ],
-)
-def test_chow_tables_run_no_series_and_no_torsion_fold(typ, digest, monkeypatch):
-    # The Chow core is the Bruhat graph alone: its class table, its products
-    # and the torsion index in the header need no formal group ring and no
-    # Bezout witness, and ``torsion`` reads its values off the same core
-    # without building a single series.
-    from flagcohom import fgring, flagring
+def test_chow_tables_run_no_series_and_no_torsion_fold(typ, theory, digest, monkeypatch):
+    # Every table is computed in the Chow model, whose core is the Bruhat
+    # graph alone: a law enters only through r(t) = t/exp(t), so no table
+    # builds a formal group ring or kappa (in log coordinates the push-pull
+    # operators are divided differences of u r(-+L_i)), and the torsion
+    # index in the header needs no Bezout witness.  ``torsion`` reads its
+    # values off the same core without building a single series.
+    from flagcohom import flagring
     from flagcohom.tseries import TruncatedSeries
 
     def refuse(*args, **kwargs):
         raise AssertionError("a series route ran")
 
     monkeypatch.setattr(FormalGroupRing, "__init__", refuse)
-    monkeypatch.setattr(fgring, "torsion_bezout", refuse)
-    monkeypatch.setattr(flagring, "torsion_bezout", refuse)
+    monkeypatch.setattr(FormalGroupLaw, "log_kappa", refuse)
+    monkeypatch.setattr(flagring._Chow, "bezout", refuse)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        rc = cli.main(["table", "--type", typ, "--theory", "chow"])
+        rc = cli.main(["table", "--type", typ, "--theory", theory])
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    if theory != "chow":
+        return
 
     monkeypatch.undo()
     monkeypatch.setattr(TruncatedSeries, "__init__", refuse)

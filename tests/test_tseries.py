@@ -1,22 +1,16 @@
 """The truncated series kernel: arithmetic, substitution, exact division."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flagcohom.coeffring import CoeffRing
-from flagcohom.errors import (
-    DegreeValidityError,
-    DivisionError,
-    IntegralityError,
-    RingMismatchError,
-)
+from flagcohom.errors import DegreeValidityError, DivisionError, RingMismatchError
 from flagcohom.tseries import _CAP, TruncatedSeries
 
-R = CoeffRing((), rational_mode=True)
-RB = CoeffRing((("beta", 1),), rational_mode=True)
+R = CoeffRing(())
+RB = CoeffRing((("beta", 1),))
 
 
 def xy(trunc=8, ring=R):
@@ -350,16 +344,6 @@ def test_exponent_cap():
     num = y.scale(RB.monomial((_CAP - 1,)))
     with pytest.raises(OverflowError):
         num.exact_divide(den)
-
-
-def test_integral_ring_rejects_fractions():
-    ZZ = CoeffRing((), rational_mode=False)
-    x = TruncatedSeries.variable(ZZ, 1, 4, 0)
-    with pytest.raises(IntegralityError):
-        x.scale(Fraction(1, 2))
-    with pytest.raises(IntegralityError):
-        x.exact_divide(x.scale(2))
-    assert x.scale(2).exact_divide(x.scale(2)) == TruncatedSeries.const(ZZ, 1, 4, 1)
 
 
 def test_mul_computes_only_valid_part():
