@@ -263,6 +263,22 @@ def test_chow_tables_run_no_series_and_no_torsion_fold(typ, theory, digest, monk
     assert out.getvalue() == "6\n"
 
 
+def test_log_law_table_builds_no_kappa(multiplicative_by_log, monkeypatch):
+    # A law given only by its logarithm, with no coefficients to read, takes
+    # the same route as the pinned tables: the multiplicative law by its log
+    # renders the A3 ktheory pin without a formal group ring or kappa.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series route ran")
+
+    monkeypatch.setattr(FormalGroupRing, "__init__", refuse)
+    monkeypatch.setattr(FormalGroupLaw, "log_kappa", refuse)
+    datum = RootDatum.build("A3")
+    basis = FlagBasis(datum, multiplicative_by_log(default_truncation(datum)))
+    text = MultiplicationTable(datum, "ktheory", basis=basis).render_text()
+    _, _, digest = TABLE_PINS[1]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_custom_laws_with_fractional_coefficients(tmp_path, a2, b2):
     # x + y - xy/2 is the multiplicative law at beta = 1/2: its b-coordinates
     # lie in ZZ[1/2], not in ZZ, and are not checked for integrality.
