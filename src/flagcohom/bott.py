@@ -80,21 +80,6 @@ def bs_pushforward(fgr, word, u):
     return model._read(table, model._image(u, len(word)), [word])[word]
 
 
-class BSPresentation:
-    """Relation data of a tower: coefficients of xi_j^2 over xi_K xi_j."""
-
-    def __init__(self, word, relations):
-        self.word = word
-        self.relations = relations  # relations[j-1] = {K: CoeffPoly} with K in [1, j-1]
-
-    def relation(self, j):
-        return self.relations[j - 1]
-
-
-def bs_presentation(fgr, word):
-    return BSRing(fgr, word).presentation
-
-
 def _split(u, j):
     """(a, b) with u = a + b xi_j, for coordinates u over subsets of [1, j]."""
     a, b = {}, {}
@@ -206,14 +191,17 @@ class BSRing:
         # relation j and the tangent factor at j read Theta_K along word[:j-1]: r_k, k <= l - 2
         self._model = FlagBasis(fgr.datum, fgr.law, len(self.word) - 2)
         x_neg = fgr.law.exp.substitute([-TruncatedSeries.variable(fgr.ring, 1, fgr.trunc, 0)])
-        relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
-        self.presentation = BSPresentation(self.word, relations)
+        self.relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
         self._ys = [self.y_element(j).coords for j in range(1, len(self.word) + 1)]
 
     def _prefix_class(self, j, g):
         """c_{<j}(g(L)) for L = L_{i_j}: {K: eps Theta_K(g(L))}, Theta along word[:j-1]."""
         image = self._model._line_image(g, self.word[j - 1], j - 1)
         return _characteristic(self._model, self.word[:j - 1], image)
+
+    def relation(self, j):
+        """The coefficients of xi_j^2 over the xi_K xi_j: {K: eps Theta_K(x_{-alpha})}."""
+        return self.relations[j - 1]
 
     def zero(self):
         return BSRingElement(self, {}, _clean=False)
@@ -229,7 +217,7 @@ class BSRing:
 
     def y_element(self, j):
         """The class the j-th relation squares against: c_prefix(x_{-alpha})."""
-        return self.from_subset_coords(self.presentation.relation(j))
+        return self.from_subset_coords(self.relation(j))
 
     def characteristic_class(self, u):
         """c_I(u) as a ring element (coordinates eps Theta_K(u)), on the tower's model."""

@@ -106,7 +106,7 @@ def emit(args, text):
 def admit_table(datum, theory):
     """Refuse a table whose Weyl group is too large for ``theory``, before enumerating W."""
     bound = MAX_TABLE_WEYL_ORDER["universal" if theory == "universal" else "other"]
-    order = datum.order_from_roots()
+    order = datum.order
     if order > bound:
         raise ValueError(
             f"a {theory} table of {datum.label or 'this root datum'} has |W| = {order:,} "
@@ -137,9 +137,7 @@ def cmd_torsion(args):
     from .fgring import torsion_bezout
 
     datum = load_datum(args)
-    # N counted from the roots: datum.N would enumerate the Weyl group.
-    N = len(datum.all_roots()) // 2
-    monomials = math.comb(N + datum.rank, datum.rank)
+    monomials = math.comb(datum.N + datum.rank, datum.rank)
     if monomials > MAX_TORSION_MONOMIALS:
         raise ValueError(
             f"the torsion index of {datum.label or 'this root datum'} needs about "
@@ -173,8 +171,17 @@ MAX_BS_WORD = 11
 # admitted and took 51-53 s and 206 MB.  A table past these caps, D4
 # universal first, would be an output of the Chow model alone, with no second
 # route to check it against.  |W| comes from the roots
-# (``RootDatum.order_from_roots``), so a refusal enumerates nothing.
+# (``RootDatum.order``), so a refusal enumerates nothing.
 MAX_TABLE_WEYL_ORDER = {"universal": 120, "other": 384}
+
+
+def _term(coeff, name):
+    """coeff*name as the tower and operation lines print it: a sum in parentheses, 1 omitted."""
+    if coeff == 1:
+        return name
+    if len(coeff.terms) > 1:
+        return f"({coeff})*{name}"
+    return f"{coeff}*{name}"
 
 
 def cmd_bs(args):
@@ -200,7 +207,7 @@ def cmd_bs(args):
                     "position": j,
                     "terms": [
                         {"subset": list(K), "coeff": str(c)}
-                        for K, c in sorted(ring.presentation.relation(j).items())
+                        for K, c in sorted(ring.relation(j).items())
                         if not c.is_zero()
                     ],
                 }
@@ -218,23 +225,15 @@ def cmd_bs(args):
         f"{','.join(map(str, word))}, theory {theory}, truncation {trunc}"
     ]
     for j in range(1, len(word) + 1):
-        terms = []
-        for K, c in sorted(ring.presentation.relation(j).items()):
-            if c.is_zero():
-                continue
-            mono = "*".join([f"xi{k}" for k in K] + [f"xi{j}"])
-            cs = str(c)
-            if len(c.terms) > 1:
-                cs = f"({cs})"
-            terms.append(mono if c == 1 else f"{cs}*{mono}")
-        lines.append(f"xi{j}^2 = " + (" + ".join(terms) if terms else "0"))
-    tangent_terms = []
-    for K, c in sorted(tangent.coords.items()):
-        mono = "*".join(f"xi{k}" for k in K) or "1"
-        cs = str(c)
-        if len(c.terms) > 1:
-            cs = f"({cs})"
-        tangent_terms.append(mono if c == 1 else f"{cs}*{mono}")
+        terms = [
+            _term(c, "*".join([f"xi{k}" for k in K] + [f"xi{j}"]))
+            for K, c in sorted(ring.relation(j).items())
+            if not c.is_zero()
+        ]
+        lines.append(f"xi{j}^2 = " + (" + ".join(terms) or "0"))
+    tangent_terms = [
+        _term(c, "*".join(f"xi{k}" for k in K) or "1") for K, c in sorted(tangent.coords.items())
+    ]
     lines.append("tangent_chern = " + (" + ".join(tangent_terms) or "0"))
     emit(args, "\n".join(lines) + "\n")
     return 0
@@ -277,7 +276,7 @@ def cmd_ln(args):
         word = _parse_word(args.word, datum)
         if datum.element_of_word(word).canonical_word != word:
             raise ValueError(f"{args.word} is not the canonical word of a Weyl element")
-    n_words = 1 if args.word else datum.order_from_roots() - 1
+    n_words = 1 if args.word else datum.order - 1
     pairs = n_words * _index_count(min(args.bound, 40))
     if pairs > MAX_LN_PAIRS:
         raise ValueError(
@@ -308,15 +307,7 @@ def cmd_ln(args):
             cls = ops[texp]
             parts = []
             for w, c in sorted(cls.coords.items(), key=lambda kv: (-len(kv[0]), kv[0])):
-                coeff = laz.to_a_basis(c)
-                name = word_name(w)
-                cs = str(coeff)
-                if coeff == 1:
-                    parts.append(name)
-                elif len(coeff.terms) > 1:
-                    parts.append(f"({cs})*{name}")
-                else:
-                    parts.append(f"{cs}*{name}")
+                parts.append(_term(laz.to_a_basis(c), word_name(w)))
             value = " + ".join(parts) if parts else "0"
             label = _index_name(texp)
             lines.append(f"S[{label}] {word_name(word)} = {value}")

@@ -82,8 +82,10 @@ class _Chow:
     e_{w0}, is walked one degree at a time (``layers``).  The
     [pt]-coefficients of its degree-N layer are Demazure's values
     eps d_{w0}(y^e) on the degree-N monomials: t is their gcd, and
-    ``bezout`` folds the extended gcd over them.  Only the
-    characteristic map (``FlagBasis._image``) keeps every layer.
+    ``bezout`` folds the extended gcd over them.  The core keeps these
+    values once a walk reaches its end, so each core walks its table once
+    for any number of readers of ``top_layer``; only the characteristic map
+    (``FlagBasis._image``) keeps every layer.
 
     A product e_a e_b is built by Leibniz's rule for the divided differences,
 
@@ -128,7 +130,7 @@ class _Chow:
                        for ups in zip(*self.up)]  # the first ascent of each w
         self._multipliers = {}
         self._products = {}
-        self._t = None
+        self._top = self._t = None
 
     def multiplier(self, lam):
         """M_lam as {index: [(packed index of w s_beta, <lam, beta^vee>)]}, cached."""
@@ -155,6 +157,7 @@ class _Chow:
 
         Phi(y^e) = M_{omega_j} Phi(y^e / y_j) for the first j with e_j > 0,
         so each layer is read off the one before, and two are alive at once.
+        A walk that ends keeps the degree-N layer's values (``top_layer``).
         """
         layout = _layout(0, self.datum.rank)
         omegas = [self.datum.fundamental_weight(j) for j in range(self.datum.rank)]
@@ -170,18 +173,20 @@ class _Chow:
                 if image:
                     layer[y] = image
             yield layer
+        self._top = {y: image[0] for y, image in layer.items()}  # [pt] is the key 0
 
     def top_layer(self):
-        """The degree-N layer: its [pt]-coefficients are the values eps d_{w0}(y^e)."""
-        for layer in self.layers():
-            pass
-        return layer
+        """{y-key of y^e: eps d_{w0}(y^e)} over the degree-N monomials with a nonzero value."""
+        if self._top is None:
+            for _ in self.layers():
+                pass
+        return self._top
 
     @property
     def t(self):
-        """The torsion index: the gcd of the [pt]-coefficients of the degree-N layer."""
+        """The torsion index: the gcd of the values eps d_{w0}(y^e) on the degree-N monomials."""
         if self._t is None:
-            self._t = gcd(*(image[0] for image in self.top_layer().values() if 0 in image))
+            self._t = gcd(*self.top_layer().values())
         return self._t
 
     def bezout(self):
@@ -195,7 +200,7 @@ class _Chow:
         key = _layout(0, self.datum.rank).pack
         g, combo = 0, {}  # the nonzero Bezout coefficients, in monomial order
         for mono in sorted(_degree_monomials(self.datum.rank, self.N)):
-            v = top.get(key(mono, True), {}).get(0, 0)
+            v = top.get(key(mono, True), 0)
             if v:  # a zero value leaves the fold as it is: _ext_gcd(g, 0) = (g, 1, 0)
                 g, xs, ys = _ext_gcd(g, v)
                 combo = {e: c * xs for e, c in combo.items()} if xs else {}

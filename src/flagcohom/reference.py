@@ -2,48 +2,11 @@
 
 These are the reference values the package must reproduce exactly (they
 double as regression goldens for the self-check command).  Coefficients are
-written in the canonical polynomial string format over the integral
-generators a1..a5; "1" names the unit of the display basis and "pt" the
-class of a point.
+polynomials in the integral generators a1..a5, written as ``CoeffPoly.__str__``
+prints them, and ``MultiplicationTable.matches_reference`` compares them as
+printed; "1" names the unit of the display basis and "pt" the class of a
+point.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
-
-from .coeffring import CoeffPoly
-
-
-def parse_poly(ring, text):
-    """Parse the canonical polynomial string format into a CoeffPoly."""
-    text = text.strip()
-    if text == "0":
-        return ring.zero()
-    terms = {}
-    for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        coeff = Fraction(1)
-        if chunk.startswith("-"):
-            coeff = -coeff
-            chunk = chunk[1:]
-        exps = [0] * ring.ngens
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                continue
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
-                continue
-            if "^" in factor:
-                name, power = factor.split("^")
-                power = int(power)
-            else:
-                name, power = factor, 1
-            exps[ring.names.index(name)] += power
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return CoeffPoly(ring, terms)
-
 
 # Each table: list of (left word, right word or None, {basis name: coeff}).
 # A None right marks the decomposition of the longest basis class over the

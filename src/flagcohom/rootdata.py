@@ -255,7 +255,20 @@ class RootDatum:
 
     @property
     def order(self):
-        return len(self.weyl_elements())
+        """|W| from the roots alone, without enumerating W.
+
+        |W| = prod over the positive roots alpha of (ht alpha + 1) / ht alpha,
+        with ht alpha the sum of alpha's coordinates in the simple roots: by
+        Kostant's theorem the heights determine the exponents m_i, and
+        |W| = prod (m_i + 1).
+        """
+        order = Fraction(1)
+        for root, _ in self.all_roots():
+            height = sum(self._coordinates[root])
+            if height > 0:
+                order *= Fraction(height + 1, height)
+        assert order.denominator == 1, "root heights must give an integral |W|"
+        return int(order)
 
     def longest_element(self):
         return self.weyl_elements()[-1]
@@ -263,7 +276,7 @@ class RootDatum:
     @property
     def N(self):
         """Number of positive roots = length of the longest element."""
-        return self.longest_element().length
+        return len(self.all_roots()) // 2
 
     def element_of_matrix(self, matrix):
         self._generate()
@@ -364,22 +377,6 @@ class RootDatum:
         out = tuple(root for root, _ in roots if min(self._coordinates[root]) >= 0)
         assert 2 * len(out) == len(roots)
         return out
-
-    def order_from_roots(self):
-        """|W| from the roots alone, without enumerating W.
-
-        |W| = prod over the positive roots alpha of (ht alpha + 1) / ht alpha,
-        with ht alpha the sum of alpha's coordinates in the simple roots: by
-        Kostant's theorem the heights determine the exponents m_i, and
-        |W| = prod (m_i + 1).
-        """
-        order = Fraction(1)
-        for root, _ in self.all_roots():
-            height = sum(self._coordinates[root])
-            if height > 0:
-                order *= Fraction(height + 1, height)
-        assert order.denominator == 1, "root heights must give an integral |W|"
-        return int(order)
 
     def __repr__(self):
         return f"RootDatum({self.label or self.cartan})"

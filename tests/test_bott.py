@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from flagcohom import cli
-from flagcohom.bott import BSRing, bs_presentation, bs_pushforward, theta_coefficients
+from flagcohom.bott import BSRing, bs_pushforward, theta_coefficients
 from flagcohom.coeffring import CoeffRing
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
@@ -50,21 +50,19 @@ def test_multiplicative_law_by_its_log_gives_the_ktheory_presentation(multiplica
     assert by_coefficients.fgr.law.log == by_log.fgr.law.log
 
     def text(ring):
-        relations = [{K: str(c) for K, c in rel.items()} for rel in ring.presentation.relations]
+        relations = [{K: str(c) for K, c in rel.items()} for rel in ring.relations]
         return relations, {K: str(c) for K, c in ring.tangent_chern_class().coords.items()}
 
     assert text(by_log) == text(by_coefficients)
 
 
 def test_first_relation_always_trivial(a2_univ):
-    pres = bs_presentation(a2_univ, (1, 2, 1))
-    rel = pres.relation(1)
+    rel = BSRing(a2_univ, (1, 2, 1)).relation(1)
     assert all(c.is_zero() for c in rel.values())
 
 
 def test_second_relation_additive(a2_add):
-    pres = bs_presentation(a2_add, (1, 2))
-    rel = pres.relation(2)
+    rel = BSRing(a2_add, (1, 2)).relation(2)
     assert rel[()].is_zero()
     assert rel[(1,)] == a2_add.ring.const(-1)
 
@@ -83,11 +81,10 @@ def test_presentation_multiplicative_matches_specialized_universal(a2_univ):
         a2_univ.datum, a2_univ.law.specialize(assignment, target)
     )
     word = (1, 2, 1)
-    pres_u = bs_presentation(a2_univ, word)
-    pres_m = bs_presentation(mult, word)
+    ring_u, ring_m = BSRing(a2_univ, word), BSRing(mult, word)
     for j in range(1, len(word) + 1):
-        for K, c in pres_u.relation(j).items():
-            assert c.specialize(assignment, target) == pres_m.relation(j)[K]
+        for K, c in ring_u.relation(j).items():
+            assert c.specialize(assignment, target) == ring_m.relation(j)[K]
 
 
 def test_cc_in_xi_of_unit(a2_univ):
@@ -190,7 +187,7 @@ def test_xi_squares_from_relations(a2_univ):
     for j in (1, 2, 3):
         lhs = ring.xi(j) * ring.xi(j)
         rhs = ring.zero()
-        for K, c in ring.presentation.relation(j).items():
+        for K, c in ring.relation(j).items():
             if not c.is_zero():
                 rhs = rhs + ring.from_subset_coords({tuple(sorted(set(K) | {j})): c})
         assert lhs == rhs
@@ -282,7 +279,7 @@ def test_bs_body_does_not_depend_on_the_truncation(typ, word, theory):
         law, _ = make_theory(theory, trunc)
         ring = BSRing(FormalGroupRing(RootDatum.build(typ), law), word)
         relations = [
-            {K: str(c) for K, c in ring.presentation.relation(j).items() if not c.is_zero()}
+            {K: str(c) for K, c in ring.relation(j).items() if not c.is_zero()}
             for j in range(1, len(word) + 1)
         ]
         return relations, {K: str(c) for K, c in ring.tangent_chern_class().coords.items()}

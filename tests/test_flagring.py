@@ -408,3 +408,25 @@ def test_class_table_torsion_index_matches_the_bezout_fold(typ):
     datum = RootDatum.build(typ)
     t = FlagBasis(datum, FormalGroupLaw.additive(default_truncation(datum))).t
     assert t == {**REFERENCE_TORSION, **RANK4_TORSION, "A1": 1, "D3": 1}[typ]  # D3 = A3
+
+
+def test_chow_core_walks_its_class_table_once(monkeypatch):
+    # The characteristic map keeps every layer of the class table, and the
+    # core keeps the degree-N values when the walk ends, so a basis that
+    # reads an image, t and the Bezout witness walks the table once.
+    from flagcohom import flagring
+
+    walks = []
+    layers = flagring._Chow.layers
+
+    def counted(core):
+        walks.append(core)
+        return layers(core)
+
+    monkeypatch.setattr(flagring._Chow, "layers", counted)
+    datum = RootDatum.build("B3")
+    fb = FlagBasis(datum, FormalGroupLaw.additive(default_truncation(datum)))
+    assert fb.class_from(fb.fgr.one(), 0) == fb.unit_class()
+    assert fb.t == fb.torsion.t == 2
+    assert fb.class_from(fb.torsion.u0, 1) == fb.point_class()
+    assert len(walks) == 1

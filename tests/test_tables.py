@@ -13,7 +13,7 @@ from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
 from flagcohom.flagring import FlagBasis, default_truncation
-from flagcohom.reference import REFERENCE_TABLES, parse_poly
+from flagcohom.reference import REFERENCE_TABLES
 from flagcohom.rootdata import RootDatum
 from flagcohom.schema import validate
 from flagcohom.tables import MultiplicationTable, build_table, make_theory
@@ -29,17 +29,16 @@ def b2_table(b2, b2_universal):
     return MultiplicationTable(b2, "universal", basis=b2_universal)
 
 
-def test_a2_reference(a2_table):
-    assert a2_table.matches_reference(REFERENCE_TABLES["A2"]) == []
-
-
-def test_b2_reference(b2_table):
-    assert b2_table.matches_reference(REFERENCE_TABLES["B2"]) == []
-
-
-def test_line_counts(a2_table, b2_table):
-    assert len(a2_table.lines) == 4
-    assert len(b2_table.lines) == 8
+def test_reference_check_reports_a_changed_string(b2_table):
+    # The published strings are compared as printed: one term added to one
+    # coefficient is one mismatch, on its line.
+    reference = [(left, right, dict(coords)) for left, right, coords in REFERENCE_TABLES["B2"]]
+    assert b2_table.matches_reference(reference) == []
+    reference[0][2]["Z_12"] = "2*a2 + a1"
+    problems = b2_table.matches_reference(reference)
+    assert len(problems) == 1
+    assert problems[0].startswith("line ('1212', None): ")
+    assert "'Z_12': '2*a2 + a1'" in problems[0]
 
 
 def test_text_layout(a2_table):
@@ -56,34 +55,18 @@ def test_b2_text_line(b2_table):
     assert "Z_1212 = 1 + 2*a2*Z_12 + (a3 + -a1*a2)*Z_2" in text
 
 
-def test_chow_table_is_specialized_reference(a2):
-    table = build_table(a2, "chow")
-    ref = REFERENCE_TABLES["A2"]
-    ring = table.out_ring
-    lines = {(e.left, e.right): e.coords for e in table.lines}
-    for left, right, coords in ref:
-        key = (
-            tuple(int(c) for c in left),
-            tuple(int(c) for c in right) if right is not None else None,
-        )
-        got = lines[key]
-        # drop the a-terms from the reference
-        want = {}
-        for name, text in coords.items():
-            value = sum(
-                (c for e, c in _aparse(text) if all(x == 0 for x in e)), 0
-            )
-            if value:
-                want[name] = ring.const(value)
-        assert got == want
-
-
-def _aparse(text):
-    ring_names = [f"a{i}" for i in range(1, 7)]
-    from flagcohom.coeffring import CoeffRing
-
-    ring = CoeffRing(tuple((n, i + 1) for i, n in enumerate(ring_names)))
-    return parse_poly(ring, text).sorted_terms()
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2"])
+def test_chow_table_is_specialized_reference(typ):
+    # The additive law is the universal one at a_i = 0: the chow table is the
+    # universal table mapped coefficientwise, zero coefficients dropped.
+    universal, chow = build_table(typ, "universal"), build_table(typ, "chow")
+    ring = universal.out_ring
+    to_chow = ring.morphism({name: 0 for name in ring.names}, chow.out_ring)
+    want = []
+    for e in universal.lines:
+        coords = {n: to_chow(c) for n, c in e.coords.items()}
+        want.append((e.left, e.right, {n: c for n, c in coords.items() if not c.is_zero()}))
+    assert [(e.left, e.right, e.coords) for e in chow.lines] == want
 
 
 def test_connective_table_substitutes_a1(b2):
