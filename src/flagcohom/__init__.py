@@ -17,8 +17,8 @@ from .errors import (
     SpecializationError,
 )
 from .fgl import FormalGroupLaw
-from .fgring import FormalGroupRing, TorsionData, torsion_bezout
-from .flagring import FlagBasis, FlagClass, default_truncation
+from .fgring import FormalGroupRing, TorsionData
+from .flagring import FlagBasis, FlagClass, default_truncation, torsion_bezout
 from .lazard import LazardBasis
 from .rootdata import RootDatum, WeylElement
 from .tables import MultiplicationTable, build_table, make_theory

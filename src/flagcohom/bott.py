@@ -17,7 +17,8 @@ series g(L_i) has image sum_k g_k M^k e_{w0}, and x_{-alpha} = exp(-L).  s_i
 keeps the codimension and delta lowers it by at most one, so along a word
 of length m the functionals read a series through degree min(m, N) and r_k
 for k <= min(m - 1, N); the push-forward (cc_i along the word) reads r
-through min(m, N).
+through min(m, N).  ``BSRing`` and its functionals take the root datum
+and the law and build no formal group ring (``fgring``), their oracle.
 
 So the tower ring is the iterated extension
 
@@ -64,18 +65,18 @@ def _theta(model, word, u):
     return _characteristic(model, word, model._image(u, len(word)))
 
 
-def theta_coefficients(fgr, word, u):
+def theta_coefficients(datum, law, word, u):
     """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    return _theta(FlagBasis(fgr.datum, fgr.law, len(word) - 1), tuple(word), u)
+    return _theta(FlagBasis(datum, law, len(word) - 1), tuple(word), u)
 
 
-def bs_pushforward(fgr, word, u):
+def bs_pushforward(datum, law, word, u):
     """Push-forward along the tower structure map: eps C_I(u).
 
     The composite uses the geometric operator C at the positive simple
     roots, in the order C_{i_1} o ... o C_{i_l}.
     """
-    model, word = FlagBasis(fgr.datum, fgr.law, len(word)), tuple(word)
+    model, word = FlagBasis(datum, law, len(word)), tuple(word)
     table = model._functionals([tuple(("C", i) for i in word)])
     return model._read(table, model._image(u, len(word)), [word])[word]
 
@@ -184,13 +185,13 @@ class BSRingElement:
 class BSRing:
     """The tower cohomology ring on xi_K generators with its relations."""
 
-    def __init__(self, fgr, word):
-        self.fgr = fgr
+    def __init__(self, datum, law, word):
+        self.law = law
         self.word = tuple(word)
-        self.coeff_ring = fgr.ring
+        self.coeff_ring = law.ring
         # relation j and the tangent factor at j read Theta_K along word[:j-1]: r_k, k <= l - 2
-        self._model = FlagBasis(fgr.datum, fgr.law, len(self.word) - 2)
-        x_neg = fgr.law.exp.substitute([-TruncatedSeries.variable(fgr.ring, 1, fgr.trunc, 0)])
+        self._model = FlagBasis(datum, law, len(self.word) - 2)
+        x_neg = law.exp.substitute([-TruncatedSeries.variable(law.ring, 1, law.trunc, 0)])
         self.relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
         self._ys = [self.y_element(j).coords for j in range(1, len(self.word) + 1)]
 
@@ -232,7 +233,7 @@ class BSRing:
         The partial product lies in H_{j-1}, so both of its products do, and
         multiplying by xi_j only appends j to the subsets.
         """
-        law, r = self.fgr.law, self.fgr.law.log_ratio()
+        law, r = self.law, self.law.log_ratio()
         k = r.substitute([-TruncatedSeries.variable(law.ring, 1, law.trunc, 0)]) * r.invert_unit()
         total = self.one()
         for j in range(1, len(self.word) + 1):

@@ -25,8 +25,8 @@ import sys
 
 from .bott import BSRing
 from .errors import FlagCohomError, IntegralityError
-from .fgring import FormalGroupRing
-from .flagring import FlagBasis, default_truncation
+from .fgring import FormalGroupRing  # read by perfbench/child.py in trace mode
+from .flagring import FlagBasis, _Chow, default_truncation
 from .lazard import LazardBasis
 from .rootdata import RootDatum
 from .tables import MultiplicationTable, make_theory, word_name
@@ -134,8 +134,6 @@ MAX_TORSION_MONOMIALS = 150_000
 
 
 def cmd_torsion(args):
-    from .fgring import torsion_bezout
-
     datum = load_datum(args)
     monomials = math.comb(datum.N + datum.rank, datum.rank)
     if monomials > MAX_TORSION_MONOMIALS:
@@ -143,8 +141,7 @@ def cmd_torsion(args):
             f"the torsion index of {datum.label or 'this root datum'} needs about "
             f"{monomials:,} monomials, over the bound of {MAX_TORSION_MONOMIALS:,}"
         )
-    t, _ = torsion_bezout(datum)
-    emit(args, f"{t}\n")
+    emit(args, f"{_Chow(datum, datum.weyl_elements(), 0).t}\n")
     return 0
 
 
@@ -161,6 +158,14 @@ def _parse_word(text, datum):
 # 10 and 5.4-9.5 s at 11, and at 12 23 s and 74 MB in-process (0.3 s of it
 # the presentation).
 MAX_BS_WORD = 11
+
+
+# The tower's Chow model enumerates W and its Bruhat graph whatever the
+# word.  From the CLI on 2 cores with --word 1,2, F4 (|W| = 1,152) took
+# 2.0 s, D5 (1,920) 1.9 s, B5 (3,840) 4.6 s and A6 (5,040) 4.0 s; A7
+# (40,320) took 45 s, D6 (23,040), B6 (46,080) and E6 (51,840) did not
+# finish in 40-45 s and E7 not in 25 s.
+MAX_BS_WEYL_ORDER = 5_040
 
 
 # A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
@@ -191,10 +196,15 @@ def cmd_bs(args):
         raise ValueError(
             f"a word of length {len(word)} is too long for bs (at most {MAX_BS_WORD} letters)"
         )
+    order = datum.order
+    if order > MAX_BS_WEYL_ORDER:
+        raise ValueError(
+            f"a tower presentation over {datum.label or 'this root datum'} enumerates "
+            f"|W| = {order:,} elements, over the bound of {MAX_BS_WEYL_ORDER:,}"
+        )
     trunc = max(len(word) + 2, datum.N + 1)
     law, theory = make_theory(args.theory, trunc)
-    fgr = FormalGroupRing(datum, law)
-    ring = BSRing(fgr, word)
+    ring = BSRing(datum, law, word)
     tangent = ring.tangent_chern_class()
     if args.format == "json":
         obj = {
@@ -332,6 +342,8 @@ def cmd_ln(args):
 
 
 def cmd_check(args):
+    if args.type:  # the checks build this type's universal table
+        admit_table(RootDatum.build(args.type), "universal")
     from .selfcheck import run_checks
 
     types = (args.type,) if args.type else ("A2", "B2", "G2")

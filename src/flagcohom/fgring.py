@@ -55,13 +55,15 @@ graded ring, so the Bezout combination of degree-N monomials realizing
 gcd(eps delta_{I0}(monomial)) lifts verbatim to any law.  The values
 eps delta_{I0}(y^e) are Demazure's divided differences, which the Chow
 class table of ``flagring`` holds as the [pt]-coefficients of its degree-N
-layer; ``torsion_bezout`` reads them there, one layer at a time, and runs
-no series.
+layer; ``flagring.torsion_bezout`` reads them there, one layer at a time,
+and runs no series.  No command builds this ring: ``flagring`` imports it
+only in ``FlagBasis.fgr`` and ``torsion``, the checks' oracle.
 """
 
 from __future__ import annotations
 
 from .errors import InsufficientPrecisionError
+from .flagring import torsion_bezout
 from .tseries import TruncatedSeries
 
 # op_i(u) = (+-d_i)(u) r(+-L_i) for delta, (+-d_i)(u r(+-L_i)) for cc;
@@ -376,16 +378,3 @@ class FormalGroupRing:
             out[w.canonical_word] = rhs[k] * mat[k][k].invert_unit()
         return out
 
-
-def torsion_bezout(datum):
-    """Torsion index of the root datum with a Bezout witness.
-
-    The values eps delta_{I0}(y^e) on the degree-N monomials are Demazure's
-    divided differences of the additive model, read off the Chow class table
-    (``flagring._Chow.bezout``).  Returns (t, monomials) where monomials is
-    a tuple of (exponent tuple, int) pairs summing to an integral
-    homogeneous u0 of degree N.
-    """
-    from .flagring import _Chow  # flagring imports this module
-
-    return _Chow(datum, datum.weyl_elements(), 0).bezout()

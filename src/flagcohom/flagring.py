@@ -37,9 +37,9 @@ unit is e_{w0} solved, and the class of a series u is Phi(u) solved.  Over
 the additive law r = 1 and beta_w = e_w.  No series chain runs on the
 table route, nor for ``ln_operation``: in log coordinates the twist is a
 coefficient map, applied to the image of a class.  The formal group ring
-(``fgr``) and the witness u0 (``torsion``) are built only on demand, for
-the checks.  The a-coordinates eps Op_{I_w}(u) are the e_{w0}-coordinates
-of operator chains on Phi(u) (``eps_vector``).
+(``fgr``) and the witness u0 (``torsion``), the checks' oracle, import
+``fgring`` only when built.  The a-coordinates eps Op_{I_w}(u) are the
+e_{w0}-coordinates of operator chains on Phi(u) (``eps_vector``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from operator import mul
 from .coeffring import CoeffPoly, CoeffRing, _ext_gcd, _fold, _layout, assert_integer, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
 from .fgl import revert
-from .fgring import FormalGroupRing, TorsionData
 from .lazard import weighted_monomials
 from .tseries import TruncatedSeries, _degree_monomials
 
@@ -246,6 +245,11 @@ class _Chow:
         return out
 
 
+def torsion_bezout(datum):
+    """(t, monomials) of ``_Chow.bezout``: the torsion index with a degree-N Bezout witness."""
+    return _Chow(datum, datum.weyl_elements(), 0).bezout()
+
+
 class FlagBasis:
     """Basis data for one (root datum, formal group law) pair."""
 
@@ -278,6 +282,8 @@ class FlagBasis:
     def fgr(self):
         """The formal group ring of the datum and law, built on first use."""
         if self._fgr is None:
+            from .fgring import FormalGroupRing
+
             self._fgr = FormalGroupRing(self.datum, self.law)
         return self._fgr
 
@@ -290,6 +296,8 @@ class FlagBasis:
     def torsion(self):
         """TorsionData: t and the witness u0 in this ring's coordinates."""
         if self._torsion is None:
+            from .fgring import TorsionData
+
             t, monomials = self._core().bezout()
             self._torsion = TorsionData(t, self.fgr.from_monomials(dict(monomials)))
         return self._torsion

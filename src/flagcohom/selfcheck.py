@@ -21,8 +21,8 @@ from .bott import BSRing, bs_pushforward
 from .coeffring import CoeffRing
 from .errors import DegreeValidityError
 from .fgl import FormalGroupLaw
-from .fgring import FormalGroupRing, torsion_bezout
-from .flagring import FlagBasis, default_truncation
+from .fgring import FormalGroupRing
+from .flagring import FlagBasis, default_truncation, torsion_bezout
 from .lazard import LazardBasis
 from .reference import REFERENCE_TABLES, REFERENCE_TORSION
 from .rootdata import RootDatum
@@ -872,7 +872,7 @@ def check_ln_operations(ctx):
 def check_bs_properties(ctx):
     datum = RootDatum.build("A2")
     fgr = ctx.small_universal_ring("A2", trunc=7)
-    ring = BSRing(fgr, (1, 2, 1))
+    ring = BSRing(datum, fgr.law, (1, 2, 1))
     # c_I is a ring morphism into the xi presentation
     for _ in range(4):
         u = ctx.random_series_element(fgr)
@@ -890,7 +890,7 @@ def check_bs_properties(ctx):
     fb = ctx.universal_basis("A2")
     u0 = fb.torsion.u0
     for word in ((1, 2, 1), (2, 1, 2)):
-        val = bs_pushforward(fb.fgr, word, u0)
+        val = bs_pushforward(fb.datum, fb.law, word, u0)
         if val != fb.ring.const((-1) ** fb.N * fb.t):
             return False, f"push-forward of u0 along {word} is not (-1)^N t"
     return True, ""

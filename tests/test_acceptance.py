@@ -8,8 +8,7 @@ import time
 
 import pytest
 
-from flagcohom.fgring import torsion_bezout
-from flagcohom.flagring import default_truncation
+from flagcohom.flagring import default_truncation, torsion_bezout
 from flagcohom.reference import REFERENCE_TABLES, REFERENCE_TORSION
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import (

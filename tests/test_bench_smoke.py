@@ -12,7 +12,9 @@
 ``MultiplicationTable.render_text``; ``LazardBasis.__init__`` and
 ``to_a_basis``; ``TruncatedSeries.__mul__``, ``substitute`` and
 ``exact_divide``; ``CoeffPoly.__mul__``; and ``FormalGroupLaw._validate``.
-Its smoke run (about 5 s) fails when one of them is renamed or removed.
+No command builds a formal group ring any more: ``cli.FormalGroupRing`` is
+kept only for the harness, which wraps it in trace mode.  Its smoke run
+(about 5 s) fails when one of them is renamed or removed.
 """
 
 import os

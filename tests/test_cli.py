@@ -1,12 +1,15 @@
 """The command-line interface: outputs, determinism, exit codes."""
 
+import ast
 import contextlib
+import graphlib
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -107,6 +110,29 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_module_imports_run_one_way_with_fgring_on_top():
+    # The formal group ring is the oracle over the Chow model: no module of
+    # the command path imports it at module level but ``cli``, which keeps
+    # the name for the benchmark harness.
+    src = os.path.dirname(os.path.abspath(flagcohom.__file__))
+    graph = {}
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                body = ast.parse(fh.read()).body
+            graph[name[:-3]] = {
+                node.module for node in body if isinstance(node, ast.ImportFrom) and node.level == 1
+            }
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+    importers = {name for name, deps in graph.items() if "fgring" in deps}
+    assert importers == {"__init__", "cli", "selfcheck"}
+    reach = {"fgring"}
+    for name in order:
+        if graph.get(name, set()) & reach:
+            reach.add(name)
+    assert reach == {"fgring", "__init__", "__main__", "cli", "selfcheck"}
 
 
 def test_table_a2_chow_text():
@@ -383,6 +409,39 @@ def test_ln_json_format():
     obj = json.loads(out)
     assert obj["weight_bound"] == 1
     assert {"index": "t1", "argument": "Z_12", "value": "Z_2"} in obj["operations"]
+
+
+@pytest.mark.parametrize(
+    "args, order, bound",
+    [
+        (["bs", "--type", "E6", "--word", "1"], "51,840", "5,040"),
+        (["bs", "--type", "E7", "--word", "1"], "2,903,040", "5,040"),
+        (["bs", "--type", "E8", "--word", "1"], "696,729,600", "5,040"),
+        (["check", "--type", "D4"], "192", "120"),  # check --type builds a universal table
+    ],
+)
+def test_bs_and_check_refuse_large_weyl_groups_before_enumerating_w(
+    args, order, bound, monkeypatch
+):
+    from flagcohom.rootdata import RootDatum
+
+    def enumerate_w(self):
+        raise AssertionError("the Weyl group was enumerated")
+
+    monkeypatch.setattr(RootDatum, "_generate", enumerate_w)
+    start = time.perf_counter()
+    rc, out, err = run_cli(args)
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert f"|W| = {order} " in err and f"over the bound of {bound}" in err
+
+
+def test_bs_admits_f4():
+    rc, out, _ = run_cli(["bs", "--type", "F4", "--word", "1,2"])
+    assert rc == 0
+    assert out.startswith("# tower presentation: type F4, word 1,2, theory universal")
 
 
 def test_bs_refuses_long_words_before_building_a_tower(monkeypatch):

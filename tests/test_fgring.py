@@ -12,7 +12,8 @@ from flagcohom.bott import theta_coefficients
 from flagcohom.coeffring import CoeffRing, _ext_gcd
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
-from flagcohom.fgring import FormalGroupRing, torsion_bezout
+from flagcohom.fgring import FormalGroupRing
+from flagcohom.flagring import torsion_bezout
 from flagcohom.reference import RANK4_TORSION
 from flagcohom.rootdata import RootDatum
 from flagcohom.selfcheck import (
@@ -285,7 +286,7 @@ def test_theta_coefficients_read_degrees_up_to_word_length(fgr_name, request):
     high = {(2, 2): 1, (1, 3): -2, (4, 1): 3, (0, 5): 1, (3, 3): -1}
     u = rand_elt(fgr, random.Random(13)) + fgr.from_monomials(high)
     assert any(sum(e) > len(word) for e in u.coeffs)
-    got = theta_coefficients(fgr, word, u)
+    got = theta_coefficients(fgr.datum, fgr.law, word, u)
     assert len(got) == 2 ** len(word)
     for K, value in got.items():
         want = u

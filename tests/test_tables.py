@@ -219,7 +219,8 @@ def test_chow_tables_run_no_series_and_no_torsion_fold(typ, theory, digest, monk
     # builds a formal group ring or kappa (in log coordinates the push-pull
     # operators are divided differences of u r(-+L_i)), and the torsion
     # index in the header needs no Bezout witness.  ``torsion`` reads its
-    # values off the same core without building a single series.
+    # gcd off the same core without building a single series or folding
+    # the witness.
     from flagcohom import flagring
     from flagcohom.tseries import TruncatedSeries
 
@@ -239,6 +240,8 @@ def test_chow_tables_run_no_series_and_no_torsion_fold(typ, theory, digest, monk
 
     monkeypatch.undo()
     monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    monkeypatch.setattr(FormalGroupRing, "__init__", refuse)
+    monkeypatch.setattr(flagring._Chow, "bezout", refuse)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(["torsion", "--type", "F4"])
