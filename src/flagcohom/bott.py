@@ -189,9 +189,12 @@ class BSRing:
         self.law = law
         self.word = tuple(word)
         self.coeff_ring = law.ring
-        # relation j and the tangent factor at j read Theta_K along word[:j-1]: r_k, k <= l - 2
+        # relation j and the tangent factor at j read Theta_K along word[:j-1]: r_k, k <= l - 2,
+        # and a series in L through degree j - 1, so every series is read through l - 1
         self._model = FlagBasis(datum, law, len(self.word) - 2)
-        x_neg = law.exp.substitute([-TruncatedSeries.variable(law.ring, 1, law.trunc, 0)])
+        self._degree = max(len(self.word) - 1, 0)
+        self._minus_L = -TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
+        x_neg = law.exp.restrict(self._degree).substitute([self._minus_L])
         self.relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
         self._ys = [self.y_element(j).coords for j in range(1, len(self.word) + 1)]
 
@@ -233,11 +236,11 @@ class BSRing:
         The partial product lies in H_{j-1}, so both of its products do, and
         multiplying by xi_j only appends j to the subsets.
         """
-        law, r = self.law, self.law.log_ratio()
-        k = r.substitute([-TruncatedSeries.variable(law.ring, 1, law.trunc, 0)]) * r.invert_unit()
+        r, exp = (g.restrict(self._degree) for g in (self.law.log_ratio(), self.law.exp))
+        k = r.substitute([self._minus_L]) * r.invert_unit()
         total = self.one()
         for j in range(1, len(self.word) + 1):
-            iota_y, k_y = (self.from_subset_coords(self._prefix_class(j, g)) for g in (law.exp, k))
+            iota_y, k_y = (self.from_subset_coords(self._prefix_class(j, g)) for g in (exp, k))
             shifted = total * (self.one() + k_y)
             total = total * (self.one() + iota_y) + BSRingElement(
                 self, {K + (j,): c for K, c in shifted.coords.items()}, _clean=False

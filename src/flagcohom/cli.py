@@ -162,7 +162,8 @@ MAX_BS_WORD = 11
 
 # The tower's Chow model enumerates W and its Bruhat graph whatever the
 # word.  From the CLI on 2 cores with --word 1,2, F4 (|W| = 1,152) took
-# 2.0 s, D5 (1,920) 1.9 s, B5 (3,840) 4.6 s and A6 (5,040) 4.0 s; A7
+# 1.4-1.8 s, D5 (1,920) 1.0-1.5 s, B5 (3,840) 3.1-4.3 s and 411 MB and A6
+# (5,040) 2.0-2.1 s.  Measured before W was generated by row updates, A7
 # (40,320) took 45 s, D6 (23,040), B6 (46,080) and E6 (51,840) did not
 # finish in 40-45 s and E7 not in 25 s.
 MAX_BS_WEYL_ORDER = 5_040
@@ -269,11 +270,12 @@ def _index_count(bound):
 
 
 # ln prints one class per (word, t-index of weight <= bound) pair.  On 2
-# cores A2 (5 words) took 0.6 s at bound 21 (17,530 pairs) and 4.1-4.6 s at
-# 28 (92,300); at the cap's edge G2 at 18 (17,567) took 0.6-0.7 s, B2 at 20
-# (18,998) 0.7 s and A3 at 15 (15,732) 0.6-0.7 s.  At bound 2, B3 (188)
-# took 0.4-0.5 s and A4 (476) 1.3-1.4 s.  Weight 40 alone has 37,338
-# indices, so bounds past it are counted as 40.
+# cores A2 (5 words) took 0.25-0.29 s at bound 21 (17,530 pairs) and
+# 1.4-1.6 s and 68 MB at 28 (92,300, with the cap lifted); at the cap's
+# edge G2 at 18 (17,567) took 0.25 s, B2 at 20 (18,998) 0.23-0.30 s and A3
+# at 15 (15,732) 0.17-0.18 s.  At bound 2, B3 (188) took 0.21-0.31 s and
+# A4 (476) 0.46-0.48 s.  Weight 40 alone has 37,338 indices, so bounds
+# past it are counted as 40.
 MAX_LN_PAIRS = 20_000
 
 
@@ -306,26 +308,20 @@ def cmd_ln(args):
             if w.canonical_word != fb.w0.canonical_word
         ]
     )
-    lines = [
-        f"# operations: type {datum.label}, weight bound {args.bound}, "
-        f"truncation {trunc}"
-    ]
+    operation = fb.ln_operation(args.bound)
     records = []
     for word in words:
-        ops = fb.ln_operation(args.bound, fb.basis_class(fb.by_word[word]))
+        ops = operation(fb.basis_class(fb.by_word[word]))
         for texp in sorted(ops):
-            cls = ops[texp]
-            parts = []
-            for w, c in sorted(cls.coords.items(), key=lambda kv: (-len(kv[0]), kv[0])):
-                parts.append(_term(laz.to_a_basis(c), word_name(w)))
-            value = " + ".join(parts) if parts else "0"
-            label = _index_name(texp)
-            lines.append(f"S[{label}] {word_name(word)} = {value}")
+            parts = [
+                _term(laz.to_a_basis(c), word_name(w))
+                for w, c in sorted(ops[texp].coords.items(), key=lambda kv: (-len(kv[0]), kv[0]))
+            ]
             records.append(
                 {
                     "index": _index_name(texp),
                     "argument": word_name(word),
-                    "value": value,
+                    "value": " + ".join(parts) or "0",
                 }
             )
     if args.format == "json":
@@ -337,6 +333,8 @@ def cmd_ln(args):
         }
         emit(args, json.dumps(obj, indent=2) + "\n")
     else:
+        lines = [f"# operations: type {datum.label}, weight bound {args.bound}, truncation {trunc}"]
+        lines += [f"S[{r['index']}] {r['argument']} = {r['value']}" for r in records]
         emit(args, "\n".join(lines) + "\n")
     return 0
 

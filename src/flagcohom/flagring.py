@@ -36,7 +36,9 @@ is beta_v * beta_w (the Chow product, extended R-bilinearly) solved, the
 unit is e_{w0} solved, and the class of a series u is Phi(u) solved.  Over
 the additive law r = 1 and beta_w = e_w.  No series chain runs on the
 table route, nor for ``ln_operation``: in log coordinates the twist is a
-coefficient map, applied to the image of a class.  The formal group ring
+coefficient map, read once off the twisted law's logarithm
+(``FormalGroupLaw.twist``) and applied to the image of a class, which is
+solved once and then split by t-monomial.  The formal group ring
 (``fgr``) and the witness u0 (``torsion``), the checks' oracle, import
 ``fgring`` only when built.  The a-coordinates eps Op_{I_w}(u) are the
 e_{w0}-coordinates of operator chains on Phi(u) (``eps_vector``).
@@ -50,7 +52,6 @@ from operator import mul
 
 from .coeffring import CoeffPoly, CoeffRing, _ext_gcd, _fold, _layout, assert_integer, convolve
 from .errors import InsufficientPrecisionError, RingMismatchError
-from .fgl import revert
 from .lazard import weighted_monomials
 from .tseries import TruncatedSeries, _degree_monomials
 
@@ -620,21 +621,23 @@ class FlagBasis:
 
     # -- Landweber-Novikov ---------------------------------------------------------
 
-    def ln_operation(self, weight_bound, cls):
-        """Coefficient classes of the total twisted-coordinate operation.
+    def ln_operation(self, weight_bound):
+        """The total twisted-coordinate operation S: FlagClass -> {t-exponent tuple: FlagClass}.
 
         The twist x -> lam(x) = x + sum_k t_k x^(k+1) carries log_F to log_tw =
-        log_F o lam^(-1), and the coefficient map phi: m_i -> [x^(i+1)] log_tw
-        sends log_F to log_tw.  The operation maps the coefficients of u(y) =
-        P(log_F y) by phi and substitutes y_j -> lam(y_j), which gives
-        phi(P)(log_tw(lam(y))) = phi(P)(log_F y): in log coordinates the
-        twist is phi on the coefficients.  Phi is linear in the
-        z-coefficients, so the operation is phi applied to the image of the
-        class, split by t-monomial, each piece solved.
+        log_F o lam^(-1) (``FormalGroupLaw.twist``), and the coefficient map
+        phi: m_i -> [x^(i+1)] log_tw sends log_F to log_tw.  The operation
+        maps the coefficients of u(y) = P(log_F y) by phi and substitutes
+        y_j -> lam(y_j), which gives phi(P)(log_tw(lam(y))) = phi(P)(log_F y):
+        in log coordinates the twist is phi on the coefficients.  Phi is
+        linear in the z-coefficients, so S(cls) is phi applied to the image
+        of the class, solved once and split by t-monomial: the beta_w carry
+        no t, so the back substitution acts on each t-monomial alone.  phi
+        depends only on the law and the bound, so it is built once here.
 
-        Returns {t-exponent tuple: FlagClass} with a key for every index of
-        weight <= ``weight_bound``, zero classes included; the empty index
-        recovers the class itself.  Only available over the universal law.
+        S(cls) has a key for every index of weight <= ``weight_bound``, zero
+        classes included; the empty index recovers the class itself.  Only
+        available over the universal law.
         """
         if self.law.tag != "universal":
             raise RingMismatchError("operations need the universal law")
@@ -645,27 +648,28 @@ class FlagBasis:
         ext = CoeffRing(mring.generators + tgens)
         lam_terms = {(k + 1,): ext.gen(f"t{k}") for k in range(1, min(weight_bound + 1, D))}
         lam = TruncatedSeries.from_terms(ext, 1, D, {(1,): ext.one(), **lam_terms})
-        # Coefficient morphism: m_i -> [x^{i+1}] log(lam_inv(x)).
-        incl = mring.morphism({name: ext.gen(name) for name in mring.names}, ext)
-        log_tw = self.law.log.map_coefficients(incl, ext).substitute([revert(lam)])
-        m_images = {name: log_tw.coefficient((i + 1,)) if i + 1 <= D else ext.zero()
-                    for i, name in enumerate(mring.names, start=1)}
-        phi = mring.morphism(m_images, ext)
-        # ext's generators are mring's followed by the t_k: a packed key is
-        # its t-part above m_bits and its m-part below.
-        m_bits, low = self._m_bits, (1 << self._m_bits) - 1
-        pieces = {}
-        for x, terms in self._lift(cls).items():
-            for k, c in phi(CoeffPoly._wrap(mring, dict(terms))).terms.items():
-                pieces.setdefault(k >> m_bits, {}).setdefault(x, []).append((k & low, c))
-        tlayout = _layout(weight_bound, 0)
-        out = {}
+        log_tw = self.law.twist(lam).log
+        phi = mring.morphism({name: log_tw.coefficient((i + 1,))
+                              for i, name in enumerate(mring.names, start=1)}, ext)
         tweights = tuple(range(1, weight_bound + 1))
-        for weight in range(weight_bound + 1):
-            for texp in weighted_monomials(tweights, weight):
-                piece = pieces.get(tlayout.pack(texp, False), {})
-                out[texp] = self._flag_class(self._solve(piece), 1)
-        return out
+        tlayout = _layout(weight_bound, 0)
+        indices = [(texp, tlayout.pack(texp, False)) for weight in range(weight_bound + 1)
+                   for texp in weighted_monomials(tweights, weight)]
+        # ext's generators are mring's followed by the t_k: a packed key is
+        # its t-part above m_bits and its m-part below, so the beta_w's m-keys
+        # add below the t-part and one _solve serves every t-monomial.
+        m_bits, low = self._m_bits, (1 << self._m_bits) - 1
+
+        def operation(cls):
+            image = {x: list(phi(CoeffPoly._wrap(mring, dict(terms))).terms.items())
+                     for x, terms in self._lift(cls).items()}
+            pieces = {}
+            for x, terms in self._solve(image).items():
+                for k, c in terms:
+                    pieces.setdefault(k >> m_bits, {}).setdefault(x, []).append((k & low, c))
+            return {texp: self._flag_class(pieces.get(key, {}), 1) for texp, key in indices}
+
+        return operation
 
 
 class FlagClass:

@@ -11,6 +11,7 @@ word (the lexicographically smallest one).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 def cartan_matrix(kind, rank):
@@ -133,6 +134,12 @@ def _validate_cartan(cartan):
             work[r] = [a - f * b for a, b in zip(work[r], work[k])]
 
 
+def _matmul(a, b):
+    """The product of two square integer matrices, as a tuple of rows."""
+    columns = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in a)
+
+
 class WeylElement:
     """One Weyl group element with its canonical reduced word.
 
@@ -230,14 +237,13 @@ class RootDatum:
             # words yields the lex-smallest reduced word per element.
             frontier.sort(key=lambda m: seen[m])
             for i in range(n):
-                s = self._reflection_matrices[i]
+                # s_i m = m - C[:, i] m[i]: only the rows r with C[r][i] != 0 change
+                column = [(r, self.cartan[r][i]) for r in range(n) if self.cartan[r][i]]
                 for m in frontier:
-                    new = tuple(
-                        tuple(
-                            sum(s[r][k] * m[k][c] for k in range(n)) for c in range(n)
-                        )
-                        for r in range(n)
-                    )
+                    new = list(m)
+                    for r, c in column:
+                        new[r] = tuple(a - c * b for a, b in zip(m[r], m[i]))
+                    new = tuple(new)
                     if new not in seen:
                         word = (i + 1,) + seen[m]
                         seen[new] = word
@@ -287,23 +293,11 @@ class RootDatum:
         n = self.rank
         m = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
         for i in word:
-            s = self._reflection_matrices[i - 1]
-            m = tuple(
-                tuple(sum(m[r][k] * s[k][c] for k in range(n)) for c in range(n))
-                for r in range(n)
-            )
+            m = _matmul(m, self._reflection_matrices[i - 1])
         return self.element_of_matrix(m)
 
     def multiply(self, w1, w2):
-        n = self.rank
-        m = tuple(
-            tuple(
-                sum(w1.matrix[r][k] * w2.matrix[k][c] for k in range(n))
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-        return self.element_of_matrix(m)
+        return self.element_of_matrix(_matmul(w1.matrix, w2.matrix))
 
     def inverse(self, w):
         return self.element_of_word(tuple(reversed(w.canonical_word)))

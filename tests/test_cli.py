@@ -249,6 +249,8 @@ def test_rank4_chow_table_bytes(args, digest):
          "790efb83f71fc0a4c2f16588546dcf4b930b7437878a846064ab072d6725c4ab"),
         (["ln", "--type", "B3", "--bound", "2"],
          "65a81925f264ff9993f1b56b870455e6b4dcce83b2a6747c5ed6fe1635c206f5"),
+        (["ln", "--type", "B2", "--bound", "3", "--format", "json"],
+         "e22c6d9c29526ffa6e0fdeb4c8fed3f3aabd0cdd0886a9cf237f9224e9c4425e"),
     ],
 )
 def test_ln_bytes(args, digest):
