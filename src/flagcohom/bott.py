@@ -120,8 +120,10 @@ def _tower_mul(u, v, j, ys):
     # (a + b xi_j)(c + d xi_j) = ac + (ad + b (c + d y_j)) xi_j, as xi_j^2 = y_j xi_j.
     out = _tower_mul(a, c, j - 1, ys)
     if b or d:
-        dy = _tower_mul(d, ys[j - 1], j - 1, ys)
-        high = _add(_tower_mul(a, d, j - 1, ys), _tower_mul(b, _add(c, dy), j - 1, ys))
+        high = _tower_mul(a, d, j - 1, ys)
+        if b:
+            dy = _tower_mul(d, ys[j - 1], j - 1, ys)
+            high = _add(high, _tower_mul(b, _add(c, dy), j - 1, ys))
         for K, x in high.items():
             out[K + (j,)] = x
     return out

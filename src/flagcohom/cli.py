@@ -153,10 +153,11 @@ def _parse_word(text, datum):
 
 
 # A length-l word has 2^l Theta_K functionals and a tower ring of rank 2^l,
-# whose 2l products in the tangent class are the work: on 2 cores, over two
-# sessions, an A3 universal word took 0.18-0.30 s at length 8, 1.1-2.1 s at
-# 10 and 5.4-9.5 s at 11, and at 12 23 s and 74 MB in-process (0.3 s of it
-# the presentation).
+# whose 2l products in the tangent class are the work: from the CLI on 2
+# shared cores, over 7 runs, an A3 universal word took 0.19-0.52 s at
+# length 8, 1.5-2.3 s at 10 and 5.7-10.8 s at 11 (35 MB); in-process at 11
+# the presentation took 0.14 s.  At 12 it took 23 s and 74 MB in-process,
+# measured before d*y_j was skipped.
 MAX_BS_WORD = 11
 
 
@@ -206,7 +207,13 @@ def cmd_bs(args):
     trunc = max(len(word) + 2, datum.N + 1)
     law, theory = make_theory(args.theory, trunc)
     ring = BSRing(datum, law, word)
-    tangent = ring.tangent_chern_class()
+    # one record per relation j, then the tangent class (j = 0): its nonzero terms (K, coeff)
+    records = [(j, ring.relation(j)) for j in range(1, len(word) + 1)]
+    records.append((0, ring.tangent_chern_class().coords))
+    records = [
+        (j, [(K, c) for K, c in sorted(coords.items()) if not c.is_zero()]) for j, coords in records
+    ]
+    *relations, (_, tangent) = records
     if args.format == "json":
         obj = {
             "root_system": {"type": datum.label or "custom", "rank": datum.rank},
@@ -214,20 +221,10 @@ def cmd_bs(args):
             "truncation": trunc,
             "word": list(word),
             "relations": [
-                {
-                    "position": j,
-                    "terms": [
-                        {"subset": list(K), "coeff": str(c)}
-                        for K, c in sorted(ring.relation(j).items())
-                        if not c.is_zero()
-                    ],
-                }
-                for j in range(1, len(word) + 1)
+                {"position": j, "terms": [{"subset": list(K), "coeff": str(c)} for K, c in terms]}
+                for j, terms in relations
             ],
-            "tangent_class": [
-                {"subset": list(K), "coeff": str(c)}
-                for K, c in sorted(tangent.coords.items())
-            ],
+            "tangent_class": [{"subset": list(K), "coeff": str(c)} for K, c in tangent],
         }
         emit(args, json.dumps(obj, indent=2) + "\n")
         return 0
@@ -235,17 +232,10 @@ def cmd_bs(args):
         f"# tower presentation: type {datum.label}, word "
         f"{','.join(map(str, word))}, theory {theory}, truncation {trunc}"
     ]
-    for j in range(1, len(word) + 1):
-        terms = [
-            _term(c, "*".join([f"xi{k}" for k in K] + [f"xi{j}"]))
-            for K, c in sorted(ring.relation(j).items())
-            if not c.is_zero()
-        ]
-        lines.append(f"xi{j}^2 = " + (" + ".join(terms) or "0"))
-    tangent_terms = [
-        _term(c, "*".join(f"xi{k}" for k in K) or "1") for K, c in sorted(tangent.coords.items())
-    ]
-    lines.append("tangent_chern = " + (" + ".join(tangent_terms) or "0"))
+    for j, terms in records:
+        lhs, tail = (f"xi{j}^2", (j,)) if j else ("tangent_chern", ())
+        parts = [_term(c, "*".join(f"xi{k}" for k in K + tail) or "1") for K, c in terms]
+        lines.append(f"{lhs} = " + (" + ".join(parts) or "0"))
     emit(args, "\n".join(lines) + "\n")
     return 0
 
@@ -376,7 +366,7 @@ def main(argv=None):
     except IntegralityError as exc:
         print(f"integrality error: {exc}", file=sys.stderr)
         return 2
-    except (FlagCohomError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FlagCohomError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

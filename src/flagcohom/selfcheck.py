@@ -672,16 +672,38 @@ def check_homogeneity_and_a6(ctx):
             lengths = len(entry.left) + (len(entry.right) if entry.right else N)
             codim = 2 * N - lengths
             for name, coeff in entry.coords.items():
-                if name == "1":
-                    cw = 0
-                else:
-                    word = tuple(int(ch) for ch in name[2:]) if name != "pt" else ()
-                    cw = N - len(word)
-                want = cw - codim
+                want = N - len(table.word_of[name]) - codim
                 if not coeff.is_homogeneous(want):
                     return False, f"{typ}: coefficient at {name} not homogeneous"
                 if table.datum.rank == 2 and coeff.uses_generator(f"a{N}") and N >= 6:
                     return False, f"{typ}: a{N} appears in the table"
+    return True, ""
+
+
+def negative_coefficients(table):
+    """(left, right, name) of every product coordinate with a negative term."""
+    return [
+        (e.left, e.right, name)
+        for e in table.products()
+        for name, c in e.coords.items()
+        if any(v < 0 for v in c.terms.values())
+    ]
+
+
+def check_raw_positivity(ctx):
+    """No raw chow or connective structure constant is negative.
+
+    In the raw basis b_w is [X_w] in Chow, with nonnegative constants
+    (Kleiman 1974), and [O_{X_w}] in K-theory, whose constants alternate in
+    sign with codimension (Brion 2002); connective's v = -beta makes them
+    nonnegative multiples of powers of v.  ktheory keeps its signs and is
+    left out.
+    """
+    for typ in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        for theory in ("chow", "connective"):
+            bad = negative_coefficients(MultiplicationTable(ctx.datum(typ), theory, raw=True))
+            if bad:
+                return False, f"{typ} {theory}: negative coefficient at {bad[0]}"
     return True, ""
 
 
@@ -935,6 +957,7 @@ CHECKS = [
     ("table ring axioms", check_table_ring_axioms),
     ("duality pairing", check_duality_pairing),
     ("coefficient homogeneity and top-generator absence", check_homogeneity_and_a6),
+    ("raw chow and connective positivity", check_raw_positivity),
     ("classical oracle agreement", check_chow_oracle),
     ("specialization coherence", check_specialization_coherence),
     ("unit decomposition of word classes", check_unit_decomposition),

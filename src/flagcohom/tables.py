@@ -105,6 +105,9 @@ class MultiplicationTable:
             basis = FlagBasis(datum, law)
         self.basis, self.law, self.theory = basis, basis.law, theory_spec
         self._names = {w.canonical_word: word_name(w.canonical_word) for w in basis.elements}
+        # the word behind each name; the unit "1" sorts and weighs as the longest word
+        self.word_of = {name: word for word, name in self._names.items()}
+        self.word_of["1"] = basis.w0.canonical_word
         self.trunc = basis.law.trunc
         if self.theory == "universal":
             self.lazard = LazardBasis(self.law, datum.N)
@@ -123,33 +126,30 @@ class MultiplicationTable:
     # -- pair enumeration -------------------------------------------------
 
     def _display_words(self):
-        w0 = self.basis.w0.canonical_word
-        return [
-            w.canonical_word
-            for w in self.basis.elements
-            if self.raw or w.canonical_word != w0
-        ]
+        words = [w.canonical_word for w in self.basis.elements]
+        return words if self.raw else [w for w in words if w != self.basis.w0.canonical_word]
+
+    def _pairs(self):
+        """Every unordered pair of display words, each once."""
+        words = self._display_words()
+        return [(a, b) for i, a in enumerate(words) for b in words[i:]]
 
     def _ordered_pairs(self):
         """Nontrivial pairs in the conventional table order."""
-        N = self.datum.N
-        words = self._display_words()
-        pairs = []
-        for i, a in enumerate(words):
-            for b in words[i:]:
-                if len(a) + len(b) > N:
-                    left, right = (b, a) if len(b) > len(a) else (a, b)
-                    pairs.append((left, right))
-        return sorted(pairs, key=_pair_order)
+        big = [(a, b) for a, b in self._pairs() if len(a) + len(b) > self.datum.N]
+        return sorted([(b, a) if len(b) > len(a) else (a, b) for a, b in big], key=_pair_order)
 
-    def every_pair(self):
-        words = self._display_words()
-        out = []
-        for i, a in enumerate(words):
-            for b in words[i:]:
-                left, right = (b, a) if (len(b), b) > (len(a), a) else (a, b)
-                out.append((left, right))
-        return sorted(out, key=_pair_order)
+    def products(self):
+        """Every product of the display basis as an entry, in table order.
+
+        A pair that is a text line reuses that line's coordinates, so each
+        product's coordinates are made once.
+        """
+        lines = {frozenset((e.left, e.right)): e.coords for e in self.lines}
+        pairs = [(b, a) if (len(b), b) > (len(a), a) else (a, b) for a, b in self._pairs()]
+        for left, right in sorted(pairs, key=_pair_order):
+            coords = lines.get(frozenset((left, right)))
+            yield self._entry(left, right) if coords is None else TableEntry(left, right, coords)
 
     # -- entries ----------------------------------------------------------------
 
@@ -192,14 +192,9 @@ class MultiplicationTable:
             return f"({s})*{name}"
         return f"{s}*{name}"
 
-    @staticmethod
-    def _sorted_names(coords):
-        def key(name):
-            if name == "1":
-                return (-(10 ** 6), "")
-            word = name[2:] if name.startswith("Z_") else ""
-            return (-len(word), word)
-        return sorted(coords, key=key)
+    def _sorted_names(self, coords):
+        """Coordinate names in table order: longest word first, then by word."""
+        return sorted(coords, key=lambda name: (-len(self.word_of[name]), self.word_of[name]))
 
     def entry_text(self, entry):
         if entry.right is None:
@@ -226,14 +221,10 @@ class MultiplicationTable:
     def render_json(self):
         kind = self.datum.label or "custom"
         N = self.datum.N
-        basis = []
-        for w in self.basis.elements:
-            word = w.canonical_word
-            if not self.raw and word == self.basis.w0.canonical_word:
-                continue
-            basis.append(
-                {"name": self._names[word], "word": list(word), "codim": N - len(word)}
-            )
+        basis = [
+            {"name": self._names[word], "word": list(word), "codim": N - len(word)}
+            for word in self._display_words()
+        ]
         if not self.raw:
             basis.append({"name": "1", "word": "unit", "codim": 0})
         obj = {
@@ -243,31 +234,24 @@ class MultiplicationTable:
             "torsion_index": self.basis.t,
             "raw_basis": self.raw,
             "basis": basis,
-            "products": [],
+            "products": [
+                {
+                    "left": self._names[e.left],
+                    "right": self._names[e.right],
+                    "result": self._result_json(e.coords),
+                }
+                for e in self.products()
+            ],
         }
         if self.longest is not None:
             obj["longest_class"] = {
                 "name": self._names[self.longest.left],
-                "result": self._result_json(self.longest),
+                "result": self._result_json(self.longest.coords),
             }
-        by_word = self.basis.by_word
-        for left, right in self.every_pair():
-            cls = self.basis.basis_product(by_word[left], by_word[right])
-            coords = self._class_coords(cls)
-            obj["products"].append(
-                {
-                    "left": self._names[left],
-                    "right": self._names[right],
-                    "result": self._result_json(TableEntry(left, right, coords)),
-                }
-            )
         return obj
 
-    def _result_json(self, entry):
-        return [
-            {"basis": n, "coeff": str(entry.coords[n])}
-            for n in self._sorted_names(entry.coords)
-        ]
+    def _result_json(self, coords):
+        return [{"basis": n, "coeff": str(coords[n])} for n in self._sorted_names(coords)]
 
     # -- comparison against reference data ------------------------------------------
 

@@ -189,6 +189,9 @@ def test_table_a3_universal_bytes():
          "1f0449a1aba37d6805929b17c3e3d5617dac1f2801a26e03c34c5eecbf67f2ee"),
         (["bs", "--type", "B3", "--word", "1,2,3,1,2,3,1", "--theory", "connective"],
          "250f85e2ea2fd48d0fe6f07c78bc95a37b0de3797a6797aa8e13e3cf8ad1b832"),
+        # the universal law's one JSON pin: every product, in the a-basis
+        (["table", "--type", "A3", "--theory", "universal", "--format", "json"],
+         "966b195dca0f0d8dcc9a9c75cbd14c0af67da3ee98f18182d8aeec76ed917746"),
     ],
 )
 def test_coefficient_law_bytes(args, digest):

@@ -12,10 +12,12 @@ from flagcohom import cli
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
-from flagcohom.flagring import FlagBasis, default_truncation
+from flagcohom.flagring import FlagBasis, FlagClass, default_truncation
 from flagcohom.reference import REFERENCE_TABLES
 from flagcohom.rootdata import RootDatum
+from flagcohom.lazard import LazardBasis
 from flagcohom.schema import validate
+from flagcohom.selfcheck import CheckContext, check_raw_positivity, negative_coefficients
 from flagcohom.tables import MultiplicationTable, build_table, make_theory
 
 
@@ -282,3 +284,40 @@ def test_custom_laws_with_fractional_coefficients(tmp_path, a2, b2):
     # a log law whose a_11 = -2/3 is not integral either
     path.write_text(json.dumps({"log": ["1/3"]}))
     assert build_table(a2, f"custom:{path}").lines
+
+
+def test_json_reuses_the_text_entries(b2, b2_universal, monkeypatch):
+    # Each product's display coordinates and Lazard conversion are made
+    # once: render_json converts only the pairs that the text lines lack.
+    table = MultiplicationTable(b2, "universal", basis=b2_universal)
+    calls = {"display": 0, "lazard": 0}
+    display, to_a = FlagClass.display_coords, LazardBasis.to_a_basis
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(FlagClass, "display_coords", counted("display", display))
+    monkeypatch.setattr(LazardBasis, "to_a_basis", counted("lazard", to_a))
+    obj = table.render_json()
+    in_lines = {frozenset((e.left, e.right)) for e in table.lines[1:]}
+    outside = [
+        p for p in obj["products"]
+        if frozenset((table.word_of[p["left"]], table.word_of[p["right"]])) not in in_lines
+    ]
+    assert 0 < len(outside) < len(obj["products"])
+    assert calls["display"] == len(outside)
+    assert calls["lazard"] == sum(len(p["result"]) for p in outside)
+
+
+def test_raw_chow_and_connective_tables_are_positive():
+    # Kleiman (1974) and Brion (2002): see check_raw_positivity, which
+    # covers A2, B2, G2, A3, B3 and C3.  The same scan finds the negative
+    # terms of ktheory, whose signs alternate with codimension.
+    ok, detail = check_raw_positivity(CheckContext())
+    assert ok, detail
+    for typ in ("A2", "B3"):
+        ktheory = MultiplicationTable(RootDatum.build(typ), "ktheory", raw=True)
+        assert negative_coefficients(ktheory)
