@@ -17,8 +17,8 @@ series g(L_i) has image sum_k g_k M^k e_{w0}, and x_{-alpha} = exp(-L).  s_i
 keeps the codimension and delta lowers it by at most one, so along a word
 of length m the functionals read a series through degree min(m, N) and r_k
 for k <= min(m - 1, N); the push-forward (cc_i along the word) reads r
-through min(m, N).  ``BSRing`` and its functionals take the root datum
-and the law and build no formal group ring (``fgring``), their oracle.
+through min(m, N), each on a model of that degree (``FlagBasis``).  ``BSRing``
+and its functionals build no formal group ring (``fgring``), their oracle.
 
 So the tower ring is the iterated extension
 
@@ -51,23 +51,19 @@ from .flagring import FlagBasis
 from .tseries import TruncatedSeries
 
 
-def _characteristic(model, word, image):
-    """c_word on an image: {K: eps Theta_K(image)}, Theta_K "Dneg" at K (1-based), "S" elsewhere."""
+def _characteristic(model, word):
+    """c_word as image -> {K: eps Theta_K(image)}, Theta_K "Dneg" at K (1-based), "S" elsewhere."""
+    model.require_degree(len(word) - 1)
     labels = list(product(("S", "Dneg"), repeat=len(word)))
     table = model._functionals([tuple(zip(ops, word)) for ops in labels])
     subsets = [tuple(j for j, op in enumerate(ops, 1) if op == "Dneg") for ops in labels]
-    return model._read(table, image, subsets)
-
-
-def _theta(model, word, u):
-    """{K: eps Theta_K(u)} on a model; Theta_K along the word reads r_k, k <= len(word) - 1."""
-    model.require_degree(len(word) - 1)
-    return _characteristic(model, word, model._image(u, len(word)))
+    return lambda image: model._read(table, image, subsets)
 
 
 def theta_coefficients(datum, law, word, u):
-    """{K: eps Theta_K(u)} over all subsets K of [1, len(word)]."""
-    return _theta(FlagBasis(datum, law, len(word) - 1), tuple(word), u)
+    """{K: eps Theta_K(u)} over all subsets K of [1, len(word)], on a model of the word's degree."""
+    model, word = FlagBasis(datum, law, len(word) - 1), tuple(word)
+    return _characteristic(model, word)(model._image(u, len(word)))
 
 
 def bs_pushforward(datum, law, word, u):
@@ -191,19 +187,17 @@ class BSRing:
         self.law = law
         self.word = tuple(word)
         self.coeff_ring = law.ring
-        # relation j and the tangent factor at j read Theta_K along word[:j-1]: r_k, k <= l - 2,
-        # and a series in L through degree j - 1, so every series is read through l - 1
-        self._model = FlagBasis(datum, law, len(self.word) - 2)
-        self._degree = max(len(self.word) - 1, 0)
+        # one model for every reader, as far as the law reaches: c_I reads r_k, k <= l - 1
+        self._model = FlagBasis(datum, law, min(len(self.word), law.trunc) - 1)
         self._minus_L = -TruncatedSeries.variable(law.ring, 1, law.trunc, 0)
-        x_neg = law.exp.restrict(self._degree).substitute([self._minus_L])
+        x_neg = self._model.exp.substitute([self._minus_L])
         self.relations = tuple(self._prefix_class(j, x_neg) for j in range(1, len(self.word) + 1))
         self._ys = [self.y_element(j).coords for j in range(1, len(self.word) + 1)]
 
     def _prefix_class(self, j, g):
         """c_{<j}(g(L)) for L = L_{i_j}: {K: eps Theta_K(g(L))}, Theta along word[:j-1]."""
-        image = self._model._line_image(g, self.word[j - 1], j - 1)
-        return _characteristic(self._model, self.word[:j - 1], image)
+        reader = _characteristic(self._model, self.word[:j - 1])
+        return reader(self._model._line_image(g, self.word[j - 1], j - 1))
 
     def relation(self, j):
         """The coefficients of xi_j^2 over the xi_K xi_j: {K: eps Theta_K(x_{-alpha})}."""
@@ -227,7 +221,8 @@ class BSRing:
 
     def characteristic_class(self, u):
         """c_I(u) as a ring element (coordinates eps Theta_K(u)), on the tower's model."""
-        return self.from_subset_coords(_theta(self._model, self.word, u))
+        reader = _characteristic(self._model, self.word)
+        return self.from_subset_coords(reader(self._model._image(u, len(self.word))))
 
     def tangent_chern_class(self):
         """Total Chern class of the tower tangent bundle in the xi basis.
@@ -238,7 +233,7 @@ class BSRing:
         The partial product lies in H_{j-1}, so both of its products do, and
         multiplying by xi_j only appends j to the subsets.
         """
-        r, exp = (g.restrict(self._degree) for g in (self.law.log_ratio(), self.law.exp))
+        r, exp = self._model.r, self._model.exp
         k = r.substitute([self._minus_L]) * r.invert_unit()
         total = self.one()
         for j in range(1, len(self.word) + 1):

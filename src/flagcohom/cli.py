@@ -162,18 +162,18 @@ MAX_BS_WORD = 11
 
 
 # The tower's Chow model enumerates W and its Bruhat graph whatever the
-# word.  From the CLI on 2 cores with --word 1,2, F4 (|W| = 1,152) took
-# 1.4-1.8 s, D5 (1,920) 1.0-1.5 s, B5 (3,840) 3.1-4.3 s and 411 MB and A6
-# (5,040) 2.0-2.1 s.  Measured before W was generated by row updates, A7
-# (40,320) took 45 s, D6 (23,040), B6 (46,080) and E6 (51,840) did not
-# finish in 40-45 s and E7 not in 25 s.
+# word.  From the CLI on 2 shared cores over 7 runs with --word 1,2, F4
+# (|W| = 1,152) took 0.27-0.42 s and 21 MB, D5 (1,920) 0.43-0.89 s, B5
+# (3,840) 0.94-1.46 s and 31 MB and A6 (5,040) 1.24-1.84 s and 33 MB.
+# Measured before W was generated by row updates, A7 (40,320) took 45 s,
+# D6, B6 and E6 did not finish in 40-45 s and E7 not in 25 s.
 MAX_BS_WEYL_ORDER = 5_040
 
 
 # A table has |W| classes and about |W|^2 / 2 products.  On 2 cores the
 # universal theory took 0.3-0.6 s and 20 MB at B3 and C3 (|W| = 48) and
-# 1.5-2.4 s and 37 MB at A4 (120); ktheory took 3.6-6.2 s and 41 MB at D4
-# (192), and chow 0.64-0.75 s at D4 and 2.5-3.1 s and 89 MB at B4 (384),
+# 1.3-2.2 s and 28 MB at A4 (120); ktheory took 3.6-6.2 s and 41 MB at D4
+# (192), and chow 0.64-0.75 s at D4 and 1.7-2.2 s and 67 MB at B4 (384),
 # where F4 (1152) has nine times B4's products.  ktheory at B4 (384) is
 # admitted and took 51-53 s and 206 MB.  A table past these caps, D4
 # universal first, would be an output of the Chow model alone, with no second

@@ -24,7 +24,7 @@ constructor (``universal``, ``from_log``, ``additive``, ``twist``,
 The formal group ring of every law works in log coordinates (``fgring``):
 there c_1 x_1 +F ... +F c_n x_n is exp(c_1 log x_1 + ... + c_n log x_n),
 and the characteristic map of ``flagring`` reads the law only through the
-coefficients of r(t) = t/exp(t) (``log_ratio``).
+coefficients of r(t) = t/exp(t), which each model builds to its own degree.
 """
 
 from __future__ import annotations

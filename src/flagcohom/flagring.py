@@ -22,8 +22,8 @@ multiplication M_lam by a weight is Chevalley's formula over the covers
 w -> w s_beta, the class table Phi(y^e) iterates M_{omega_j} from the unit
 e_{w0}, one degree at a time, the torsion index t is the gcd of its
 [pt]-coefficients at degree N, and each Chow product comes from Leibniz's
-rule for D_i, in integers.  The law enters only through the coefficients
-r_k, k <= N, of r(t) = t/exp(t): Cs_i(u) = d_i(u r(L_i)) (``fgring``), so
+rule for D_i, in integers.  The law enters only through r_k, k <= the model's
+degree (N for a table), of r = t/exp: Cs_i(u) = d_i(u r(L_i)) (``fgring``), so
 Phi(Cs_i(u)) = T_i(Phi(u)) with M = M_{alpha_i}, the class of L_i =
 alpha_i.z, and
 
@@ -47,6 +47,7 @@ e_{w0}-coordinates of operator chains on Phi(u) (``eps_vector``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -85,7 +86,7 @@ class _Chow:
     ``bezout`` folds the extended gcd over them.  The core keeps these
     values once a walk reaches its end, so each core walks its table once
     for any number of readers of ``top_layer``; only the characteristic map
-    (``FlagBasis._image``) keeps every layer.
+    (``FlagBasis._image``) keeps the layers it reads.
 
     A product e_a e_b is built by Leibniz's rule for the divided differences,
 
@@ -252,13 +253,17 @@ def torsion_bezout(datum):
 
 
 class FlagBasis:
-    """Basis data for one (root datum, formal group law) pair."""
+    """The model of a (root datum, law) pair; it reads r_k for k <= ``degree`` (N) and no more."""
 
     def __init__(self, datum, law, degree=None):
         self.datum = datum
         self.law = law
         self.N = datum.N
-        self.require_degree(self.N if degree is None else degree)  # a table reads r_k, k <= N
+        self.degree = self.N if degree is None else max(min(degree, self.N), 0)
+        if law.trunc < self.degree + 1:
+            raise InsufficientPrecisionError(f"truncation must be at least {self.degree + 1}")
+        self.exp = law.exp.restrict(self.degree + 1)  # r_k reads exp through degree k + 1
+        self.r = TruncatedSeries.variable(law.ring, 1, law.trunc, 0).exact_divide(self.exp)
         self.elements = datum.weyl_elements()
         self.by_word = {w.canonical_word: w for w in self.elements}
         self.w0 = datum.longest_element()
@@ -269,15 +274,15 @@ class FlagBasis:
         self._guard = self.ring.layout.guard
         self._fgr = self._torsion = self._chow = self._phi = self._beta_rows = None
         self._P = self._rows = self._unit = None
-        self._ops, self._products = {}, {}
+        self._ops = {}
         self._memo = {(): {len(self.elements) - 1: _ONE}}  # f_() reads the e_{w0} coordinate
         self._beta = {(): {0: _ONE}}  # the identity, of canonical word (), is element 0
 
     def require_degree(self, degree):
-        """Refuse a law too short for the r_k a caller reads, k <= min(degree, N)."""
-        degree = min(degree, self.N)
-        if self.law.trunc < degree + 1:
-            raise InsufficientPrecisionError(f"truncation must be at least {degree + 1}")
+        """Refuse a reader of r_k, k <= min(degree, N), past the model's degree."""
+        if min(degree, self.N) > self.degree:
+            raise InsufficientPrecisionError(f"a model of degree {self.degree} cannot read "
+                                             f"{degree}: truncation must be at least {degree + 1}")
 
     @property
     def fgr(self):
@@ -339,10 +344,13 @@ class FlagBasis:
         degree = self.N if degree is None else min(degree, self.N)
         if u.valid_degree < degree:
             raise InsufficientPrecisionError(f"characteristic map needs valid degree {degree}")
-        if self._phi is None:  # the class table, every layer kept, at y-key << m_bits
-            self._phi = {y << self._m_bits: list(image.items())
-                         for layer in self._core().layers() for y, image in layer.items()}
-        pairs = ((terms, self._phi[y]) for y, terms in u.grouped(degree).items() if y in self._phi)
+        if self._phi is None or self._phi[0] < degree:  # the class table through degree
+            # one layer more asked for at N runs the walk to its end, which keeps the top layer
+            layers = islice(self._core().layers(), degree + 1 + (degree == self.N))
+            self._phi = degree, {y << self._m_bits: list(image.items())  # at y-key << m_bits
+                                 for layer in layers for y, image in layer.items()}
+        phi = self._phi[1]
+        pairs = ((terms, phi[y]) for y, terms in u.grouped(degree).items() if y in phi)
         return self._split(convolve(pairs, self._guard))
 
     def _line_image(self, g, i, degree):
@@ -368,7 +376,7 @@ class FlagBasis:
     def _operator(self, variant, i):
         """{v: packed image of Op_i e_v}, cached, for M = M_{alpha_i} (Chevalley's formula).
 
-        With R_s = sum_k s^(k+1) r_k M^k, k <= N within r's valid degree:
+        With R_s = sum_k s^(k+1) r_k M^k, k <= the model's degree:
         Cs_i = D_i o R_1 (T_i), cc_i = D_i o R_-1 ("C"), delta_i = R_1 o D_i
         ("D"), delta_{-alpha_i} = R_-1 o D_i ("Dneg") and s_i = 1 - M o D_i ("S").
         """
@@ -379,9 +387,9 @@ class FlagBasis:
             if variant == "S":
                 series = [(), ((0, -1),)]
             else:
-                r, s = self.law.log_ratio(), -1 if variant in ("C", "Dneg") else 1
+                r, s = self.r, -1 if variant in ("C", "Dneg") else 1
                 series = [[(m, s ** (k + 1) * c) for m, c in r.coefficient((k,)).terms.items()]
-                          for k in range(min(self.N, r.valid_degree) + 1)]
+                          for k in range(self.degree + 1)]
             got = self._ops[variant, i] = {}
             for v in range(len(self.elements)):
                 if variant in ("Cs", "C"):  # D_i after the series: e_x -> e_{x s_i}
@@ -407,6 +415,7 @@ class FlagBasis:
         return convolve(pairs, self._guard)
 
     def _apply(self, variant, i, image):
+        self.require_degree(self.N)  # the table route runs on a model of degree N only
         op = self._operator(variant, i)
         return self._split(convolve(((t, op[v]) for v, t in image.items() if v in op), self._guard))
 
@@ -509,6 +518,7 @@ class FlagBasis:
 
     def _eps(self, image, variant):
         """{canonical word: eps Op_{I_w}} of an image."""
+        self.require_degree(self.N)
         table = self._functionals([tuple((variant, i) for i in w) for w in self._words])
         return self._read(table, image, self._words)
 
@@ -591,15 +601,10 @@ class FlagBasis:
         return self._flag_class(self._solve(image), 1)
 
     def basis_product(self, w1, w2):
-        """b_{I_w1} * b_{I_w2} as a FlagClass, memoized: beta_w1 * beta_w2, solved."""
-        k1, k2 = w1.canonical_word, w2.canonical_word
-        if (len(k1), k1) > (len(k2), k2):
-            k1, k2, w1, w2 = k2, k1, w2, w1
-        cached = self._products.get((k1, k2))
-        if cached is None:
-            image = self._star(self.c_of_u0(w1), self.c_of_u0(w2))
-            cached = self._products[k1, k2] = self._flag_class(self._solve(image), 1)
-        return cached
+        """b_{I_w1} * b_{I_w2} as a FlagClass: beta_w1 * beta_w2 (shorter first, faster), solved."""
+        if (w1.length, w1.canonical_word) > (w2.length, w2.canonical_word):
+            w1, w2 = w2, w1
+        return self._flag_class(self._solve(self._star(self.c_of_u0(w1), self.c_of_u0(w2))), 1)
 
     def pushforward_point(self, cls):
         """pr: linear extension of pr(b_{I_w}) = eps Cs_{I_w}(1); the image of 1 is e_{w0}."""

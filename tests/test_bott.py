@@ -137,6 +137,47 @@ def test_characteristic_class_needs_the_whole_word_in_the_truncation():
         ring.characteristic_class(fgr.one())
 
 
+@pytest.mark.parametrize(
+    "typ, word",
+    [("A2", (1, 2, 1)), ("A3", (1, 2, 3, 1, 2)), ("G2", (1, 2, 1, 2)), ("B3", (1, 2, 3, 2))],
+)
+def test_tower_characteristic_class_matches_a_model_of_the_words_degree(typ, word):
+    # The tower's one model serves its relations (r_k, k <= l - 2) and c_I
+    # (r_k, k <= l - 1); c_I must read r up to l - 1 as a model built for
+    # the word alone does.
+    datum = RootDatum.build(typ)
+    law, _ = make_theory("universal", max(len(word) + 2, datum.N + 1))
+    rng = random.Random(len(word))
+    for _ in range(2):
+        terms = {}
+        for _ in range(8):
+            e = [0] * datum.rank
+            for _ in range(rng.randint(0, len(word))):
+                e[rng.randrange(datum.rank)] += 1
+            terms[tuple(e)] = rng.randint(-3, 3)
+        u = TruncatedSeries.from_terms(law.ring, datum.rank, law.trunc, terms)
+        got = BSRing(datum, law, word).characteristic_class(u).coords
+        want = theta_coefficients(datum, law, word, u)
+        assert got == {K: c for K, c in want.items() if not c.is_zero()}
+
+
+def test_a_read_past_the_models_degree_raises():
+    # A model reads the law through its own degree, whatever the law's
+    # truncation: a reader that needs more raises instead of reading less.
+    from flagcohom import bott
+    from flagcohom.flagring import FlagBasis
+
+    datum, law = RootDatum.build("A2"), FormalGroupLaw.universal(9)
+    model, u = FlagBasis(datum, law, 1), TruncatedSeries.const(law.ring, 2, 9, 1)
+    c_12 = bott._characteristic(model, (1, 2))(model._image(u, 2))
+    assert c_12 == theta_coefficients(datum, law, (1, 2), u)
+    with pytest.raises(InsufficientPrecisionError, match="model of degree 1"):
+        bott._characteristic(model, (1, 2, 1))
+    for table_reader in (model.unit_class, lambda: model.eps_vector(u)):
+        with pytest.raises(InsufficientPrecisionError, match="model of degree 1"):
+            table_reader()
+
+
 def test_pushforward_empty_word(a2_univ):
     rng = random.Random(2)
     u = rand_elt(a2_univ, rng)

@@ -449,6 +449,50 @@ def test_bs_admits_f4():
     assert out.startswith("# tower presentation: type F4, word 1,2, theory universal")
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["bs", "--type", "F4", "--word", "1,2"],
+         "1d2cd870342bf2a4fa8a0e61cf7ae38d1a94dae4a2244c7e83f5e6621ef1b28e"),
+        (["bs", "--type", "D5", "--word", "1,2,3", "--theory", "ktheory"],
+         "3c02b4592676e8ae4fc104e2c6e662904e9f3f930d87f9730e6e038e3224a12b"),
+        (["bs", "--type", "F4", "--word", "1,2,3,4", "--theory", "connective"],
+         "12692bce051b5fcdcffd8b95442bc72f5b68e284a6f8ea30d901912e962e9238"),
+    ],
+)
+def test_large_group_bs_bytes(args, digest):
+    # A short word over a large Weyl group reads the law only through r_k,
+    # k <= l - 1, on a model built to that degree.
+    rc, out, _ = run_cli(args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["bs", "--type", "A3", "--word", "1,2,3,1,2,1"],
+         "f010e751075217f4834f08e6b8513a9f86e716b04559c68002142e6d5ae57d01"),
+        (["table", "--type", "B2", "--theory", "universal"],
+         "803d9c1298eb9cb7e65ac1adf323081fb7ca2670b364b93643a21133623b391c"),
+        (["ln", "--type", "B2", "--bound", "2"],
+         "689eb4447796d537d03132d4cc83e7e3949ef51d1d381c91347994fb1ee4cb4e"),
+    ],
+)
+def test_commands_read_r_from_their_model_not_the_law(args, digest, monkeypatch):
+    # Every model builds r = t/exp from exp through its own degree + 1, so
+    # no command reads the law's r at its full truncation.
+    from flagcohom.fgl import FormalGroupLaw
+
+    def refuse(law):
+        raise AssertionError("the law's log_ratio was read")
+
+    monkeypatch.setattr(FormalGroupLaw, "log_ratio", refuse)
+    rc, out, _ = run_cli(args)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bs_refuses_long_words_before_building_a_tower(monkeypatch):
     from flagcohom import cli
 
