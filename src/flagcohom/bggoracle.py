@@ -4,13 +4,14 @@ This is an independent implementation used to cross-check the additive
 (Chow) specialization of the main pipeline: plain divided differences on
 untruncated integer polynomials in the fundamental-weight variables, an
 extended-gcd torsion witness, and small exact linear algebra.  It shares no
-code with the truncated-series kernel on purpose.
+code with the pipeline on purpose: it imports only the standard library, and
+reads the Weyl group and the Cartan matrix off the root datum it is given.
+Products and the unit come in b-coordinates, as the model solves them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
 
 
 def _padd(a, b):
@@ -217,22 +218,6 @@ class ChowOracle:
         f = _pmul(self.reps[w1], self.reps[w2])
         return self.class_of(f, self.t * self.t)
 
-    def display(self, coords):
-        """Convert b-coordinates to the display basis {1} u {Z_w : w != w0}."""
-        top_word = self.w0.canonical_word
-        top = coords.get(top_word, 0)
-        out = {w: c for w, c in coords.items() if w != top_word}
-        if top:
-            for w, u in self.unit_coords().items():
-                if w == top_word:
-                    continue
-                s = out.get(w, 0) - top * u
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return out, top
-
 
 def _ext_gcd(a, b):
     old_r, r = a, b
@@ -246,27 +231,3 @@ def _ext_gcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def oracle_table(datum):
-    """All pairwise display-basis products, computed classically.
-
-    Returns ({(left word, right word): {display word or "unit": int}}, unit line)
-    with pairs keyed in sorted order.
-    """
-    oracle = ChowOracle(datum)
-    w0 = oracle.w0.canonical_word
-    words = [w.canonical_word for w in oracle.elements if w.canonical_word != w0]
-    out = {}
-    for i, a in enumerate(words):
-        for b in words[i:]:
-            disp, top = oracle.display(oracle.product(a, b))
-            entry = {w: c for w, c in disp.items()}
-            if top:
-                entry["unit"] = top
-            out[(a, b)] = entry
-    disp, top = oracle.display({w0: 1})
-    longest = {w: c for w, c in disp.items()}
-    if top:
-        longest["unit"] = top
-    return out, longest

@@ -269,9 +269,6 @@ class CoeffPoly:
             return False
         return weight is None or weights == {weight}
 
-    def max_weight(self):
-        return max((self.ring.term_weight(k) for k in self.terms), default=0)
-
     def homogeneous_part(self, weight):
         return CoeffPoly._wrap(
             self.ring,

@@ -750,28 +750,6 @@ class FlagClass:
                 return False
         return True
 
-    def display_coords(self):
-        """Coordinates over {1} u {b_w : w != w0}, the conventional table basis."""
-        top_word = self.basis.w0.canonical_word
-        top = self.coords.get(top_word)
-        if top is None or top.is_zero():
-            return dict(self.coords), self.basis.ring.zero()
-        unit = self.basis.unit_class()
-        out = {}
-        for w, c in self.coords.items():
-            if w == top_word:
-                continue
-            out[w] = c
-        for w, u in unit.coords.items():
-            if w == top_word:
-                continue
-            s = out.get(w, self.basis.ring.zero()) - top * u
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return out, top
-
     def __repr__(self):
         parts = [f"{c} * b[{''.join(map(str, w)) or 'pt'}]" for w, c in sorted(self.coords.items())]
         return "FlagClass(" + (" + ".join(parts) or "0") + ")"

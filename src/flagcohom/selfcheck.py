@@ -16,7 +16,7 @@ import random
 import time
 from fractions import Fraction
 
-from .bggoracle import oracle_table
+from .bggoracle import ChowOracle
 from .bott import BSRing, bs_pushforward
 from .coeffring import CoeffRing
 from .errors import DegreeValidityError
@@ -27,7 +27,7 @@ from .lazard import LazardBasis
 from .reference import REFERENCE_TABLES, REFERENCE_TORSION
 from .rootdata import RootDatum
 from .schema import validate
-from .tables import MultiplicationTable
+from .tables import MultiplicationTable, make_theory
 from .tseries import TruncatedSeries
 
 POINCARE_EXPONENTS = {
@@ -47,25 +47,19 @@ class CheckContext:
     def datum(self, typ):
         return self._cache(("datum", typ), lambda: RootDatum.build(typ))
 
-    def universal_basis(self, typ):
+    def basis(self, typ, theory):
+        """The model of a type under a ``make_theory`` spec, at the default truncation."""
         def build():
             datum = self.datum(typ)
-            law = FormalGroupLaw.universal(default_truncation(datum))
-            return FlagBasis(datum, law)
+            return FlagBasis(datum, make_theory(theory, default_truncation(datum))[0])
 
-        return self._cache(("ubasis", typ), build)
+        return self._cache(("basis", typ, theory), build)
 
-    def universal_table(self, typ):
+    def table(self, typ, theory):
+        """The display table over ``basis``: raw and display tables share its products."""
         return self._cache(
-            ("utable", typ),
-            lambda: MultiplicationTable(
-                self.datum(typ), "universal", basis=self.universal_basis(typ)
-            ),
-        )
-
-    def chow_table(self, typ):
-        return self._cache(
-            ("chow", typ), lambda: MultiplicationTable(self.datum(typ), "chow")
+            ("table", typ, theory),
+            lambda: MultiplicationTable(self.datum(typ), theory, basis=self.basis(typ, theory)),
         )
 
     def small_universal_ring(self, typ, trunc=6):
@@ -506,7 +500,7 @@ def check_dependence_witness(ctx):
 
 def check_eps_c_vs_delta(ctx):
     # eps C_I(u0) = (-1)^N eps delta_I(u0) for all words of length <= N.
-    fb = ctx.universal_basis("B2")
+    fb = ctx.basis("B2", "universal")
     fgr, N, t = fb.fgr, fb.N, fb.t
     u0 = fb.torsion.u0
     sign = (-1) ** N
@@ -532,12 +526,7 @@ def check_eps_functionals(ctx):
     # eps_vector reads eps Op_{I_w}(u) off functionals built once per basis;
     # the operator chain along each canonical word is the reference.  The
     # random probes have a linear part and terms above degree N.
-    g2 = ctx.datum("G2")
-    bases = [
-        ctx.universal_basis("A2"),
-        ctx.universal_basis("B2"),
-        FlagBasis(g2, FormalGroupLaw.multiplicative(default_truncation(g2))),
-    ]
+    bases = [ctx.basis("A2", "universal"), ctx.basis("B2", "universal"), ctx.basis("G2", "ktheory")]
     for fb in bases:
         fgr, label = fb.fgr, fb.datum.label
         probes = [fb.torsion.u0, fgr.one()]
@@ -577,13 +566,13 @@ def check_chow_model(ctx):
         x = TruncatedSeries.variable(t1, 1, trunc, 0)
         from_log = FormalGroupLaw.from_log(CoeffRing(()), trunc, [Fraction(1, 2), 3])
         twisted = from_log.twist(x + (x * x).scale(t1.gen("t1")))
-        for law in (FormalGroupLaw.universal(trunc), FormalGroupLaw.multiplicative(trunc), twisted):
-            fb = FlagBasis(datum, law)
+        bases = (ctx.basis(typ, "universal"), ctx.basis(typ, "ktheory"), FlagBasis(datum, twisted))
+        for fb in bases:
             for _ in range(ctx.samples // 25 + 1):
                 u = ctx.random_series_element(fb.fgr, max_deg=fb.N + 1, nterms=6)
                 for i in range(1, datum.rank + 1):
                     if fb.a_operator(i, fb.class_from(u, 0)) != fb.class_from(fb.cs(i, u), 0):
-                        return False, f"Phi Cs_{i} != T_{i} Phi at {typ} over the {law.tag} law"
+                        return False, f"Phi Cs_{i} != T_{i} Phi at {typ} over the {fb.law.tag} law"
     return True, ""
 
 
@@ -625,7 +614,7 @@ def check_golden_tables(ctx):
             continue
         if ctx.fast and typ == "G2":
             continue
-        table = ctx.universal_table(typ)
+        table = ctx.table(typ, "universal")
         problems = table.matches_reference(REFERENCE_TABLES[typ])
         if problems:
             return False, f"{typ}: {problems[0]}"
@@ -633,7 +622,7 @@ def check_golden_tables(ctx):
 
 
 def check_table_ring_axioms(ctx):
-    fb = ctx.universal_basis("A2")
+    fb = ctx.basis("A2", "universal")
     gens = [fb.basis_class(w) for w in fb.elements]
     unit = fb.unit_class()
     for a in gens:
@@ -651,7 +640,7 @@ def check_duality_pairing(ctx):
     for typ in ("A2", "B2"):
         if typ not in ctx.types:
             continue
-        fb = ctx.universal_basis(typ)
+        fb = ctx.basis(typ, "universal")
         for v in fb.elements:
             a = fb.dual_class(v)
             for w in fb.elements:
@@ -666,7 +655,7 @@ def check_homogeneity_and_a6(ctx):
     for typ in ctx.types:
         if ctx.fast and typ == "G2":
             continue
-        table = ctx.universal_table(typ)
+        table = ctx.table(typ, "universal")
         N = table.datum.N
         for entry in table.lines:
             lengths = len(entry.left) + (len(entry.right) if entry.right else N)
@@ -701,33 +690,28 @@ def check_raw_positivity(ctx):
     """
     for typ in ("A2", "B2", "G2", "A3", "B3", "C3"):
         for theory in ("chow", "connective"):
-            bad = negative_coefficients(MultiplicationTable(ctx.datum(typ), theory, raw=True))
+            table = MultiplicationTable(ctx.datum(typ), theory, raw=True,
+                                        basis=ctx.basis(typ, theory))
+            bad = negative_coefficients(table)
             if bad:
                 return False, f"{typ} {theory}: negative coefficient at {bad[0]}"
     return True, ""
 
 
 def check_chow_oracle(ctx):
+    """The unit and every product of two basis classes, in b-coordinates, against the oracle."""
     for typ in ctx.types:
-        datum = ctx.datum(typ)
-        products, longest = oracle_table(datum)
-        table = ctx.chow_table(typ)
-        by_word = table.basis.by_word
-        for (a, b), want in products.items():
-            cls = table.basis.basis_product(by_word[a], by_word[b])
-            disp, top = cls.display_coords()
-            got = {w: int(c.constant_term()) for w, c in disp.items() if not c.is_zero()}
-            if not top.is_zero():
-                got["unit"] = int(top.constant_term())
-            if got != want:
-                return False, f"{typ}: oracle mismatch at {a} * {b}"
-        cls = table.basis.basis_class(table.basis.w0)
-        disp, top = cls.display_coords()
-        got = {w: int(c.constant_term()) for w, c in disp.items() if not c.is_zero()}
-        if not top.is_zero():
-            got["unit"] = int(top.constant_term())
-        if got != longest:
-            return False, f"{typ}: oracle mismatch on the longest class"
+        fb, oracle = ctx.basis(typ, "chow"), ChowOracle(ctx.datum(typ))
+
+        def classical(coords):
+            return {w: fb.ring.const(c) for w, c in coords.items()}
+
+        if fb.unit_class().coords != classical(oracle.unit_coords()):
+            return False, f"{typ}: oracle mismatch on the unit"
+        for a, b in itertools.combinations_with_replacement(fb.elements, 2):
+            if fb.basis_product(a, b).coords != classical(oracle.product(a.canonical_word,
+                                                                          b.canonical_word)):
+                return False, f"{typ}: oracle mismatch at {a.canonical_word} * {b.canonical_word}"
     return True, ""
 
 
@@ -735,10 +719,10 @@ def check_specialization_coherence(ctx):
     for typ in ("A2", "B2"):
         if typ not in ctx.types:
             continue
-        utable = ctx.universal_table(typ)
+        utable = ctx.table(typ, "universal")
         laz = utable.lazard
         # a_i -> 0 recovers the chow table
-        chow = ctx.chow_table(typ)
+        chow = ctx.table(typ, "chow")
         zero_assign = {name: 0 for name in laz.a_ring.names}
         chow_ring = chow.out_ring
         chow_lines = {
@@ -754,7 +738,7 @@ def check_specialization_coherence(ctx):
             if got != want:
                 return False, f"{typ}: a->0 table differs from the additive run"
         # a1 -> -beta, higher -> 0 recovers the multiplicative table
-        ktable = MultiplicationTable(ctx.datum(typ), "ktheory")
+        ktable = ctx.table(typ, "ktheory")
         kring = ktable.out_ring
         beta = kring.gen("beta")
         assign = {name: kring.zero() for name in laz.a_ring.names}
@@ -773,13 +757,12 @@ def check_specialization_coherence(ctx):
 
 
 def check_unit_decomposition(ctx):
-    fb = ctx.universal_basis("B2")
+    fb = ctx.basis("B2", "universal")
     N = fb.N
     w0 = fb.w0
     top_word = w0.canonical_word
     for word in fb.datum.reduced_words(w0):
-        cls = fb.bclass(word)
-        disp, top = cls.display_coords()
+        top = fb.bclass(word).coords.get(top_word)
         if top != fb.ring.one():
             return False, f"reduced word {word} has unit coefficient {top}"
     words = [()]
@@ -796,7 +779,7 @@ def check_unit_decomposition(ctx):
 
 
 def check_torsion_symmetry(ctx):
-    fb = ctx.universal_basis("B2")
+    fb = ctx.basis("B2", "universal")
     fgr = fb.fgr
     u0 = fb.torsion.u0
     N = fb.N
@@ -819,7 +802,7 @@ def check_torsion_symmetry(ctx):
 
 
 def check_eps_c_reversal(ctx):
-    fb = ctx.universal_basis("B2")
+    fb = ctx.basis("B2", "universal")
     fgr = fb.fgr
     u0 = fb.torsion.u0
     words = [()]
@@ -834,7 +817,7 @@ def check_eps_c_reversal(ctx):
 
 
 def check_decomposition_system(ctx):
-    fb = ctx.universal_basis("A2")
+    fb = ctx.basis("A2", "universal")
     fgr = fb.fgr
     td = fb.torsion
     r = fgr.decompose_over_invariants(td.u0, td)
@@ -853,7 +836,7 @@ def check_decomposition_system(ctx):
 
 
 def check_ln_operations(ctx):
-    fb = ctx.universal_basis("A2")
+    fb = ctx.basis("A2", "universal")
     gens = [w for w in fb.elements]
 
     def tweight(texp):
@@ -901,7 +884,7 @@ def check_bs_properties(ctx):
     if tangent.coords.get((), None) != fgr.ring.one():
         return False, "tangent class unit coefficient is not 1"
     # push-forward values on u0
-    fb = ctx.universal_basis("A2")
+    fb = ctx.basis("A2", "universal")
     u0 = fb.torsion.u0
     for word in ((1, 2, 1), (2, 1, 2)):
         val = bs_pushforward(fb.datum, fb.law, word, u0)

@@ -6,6 +6,14 @@ coefficient ring), computes every pairwise product of the display basis
 and renders the result as text (one line per nontrivial product, in the
 conventional order) or as JSON (every product, including the ones given by
 the duality rule).
+
+Only the longest class changes basis.  The image of b_v b_w in the Chow
+model is beta_v * beta_w, of codimension >= codim v + codim w (the beta_x are
+e_x plus terms of higher codimension, and the Chow ring is graded), and the
+back substitution reads its e_{w0} coordinate as it stands: a product of two
+classes of codimension >= 1 has no b_{w0} coordinate, whatever the law, so it
+reads the same in both bases.  From the unit 1 = sum_w u_w b_w, with u_{w0} =
+1, the longest line is b_{w0} = 1 - sum_{w != w0} u_w b_w.
 """
 
 from __future__ import annotations
@@ -154,25 +162,18 @@ class MultiplicationTable:
     # -- entries ----------------------------------------------------------------
 
     def _entry(self, left, right):
-        by_word = self.basis.by_word
-        if right is None:
-            cls = self.basis.basis_class(by_word[left])
-        else:
-            cls = self.basis.basis_product(by_word[left], by_word[right])
-        return TableEntry(left, right, self._class_coords(cls))
+        """The line of left * right, or of the longest class when right is None."""
+        basis = self.basis
+        if right is None:  # b_w0 = 1 - sum_{w != w0} u_w b_w
+            unit = basis.unit_class().coords
+            coords = {w: -c for w, c in unit.items() if w != left}
+            return TableEntry(left, None, {"1": self._convert(unit[left]), **self._named(coords)})
+        coords = basis.basis_product(basis.by_word[left], basis.by_word[right]).coords
+        assert self.raw or basis.w0.canonical_word not in coords, f"{left}*{right} has b_w0"
+        return TableEntry(left, right, self._named(coords))
 
-    def _class_coords(self, cls):
-        coords = {}
-        if self.raw:
-            for w, c in cls.coords.items():
-                coords[self._names[w]] = self._convert(c)
-            return coords
-        disp, top = cls.display_coords()
-        if not top.is_zero():
-            coords["1"] = self._convert(top)
-        for w, c in disp.items():
-            coords[self._names[w]] = self._convert(c)
-        return coords
+    def _named(self, coords):
+        return {self._names[w]: self._convert(c) for w, c in coords.items()}
 
     def _convert(self, poly):
         return poly if self.lazard is None else self.lazard.to_a_basis(poly)

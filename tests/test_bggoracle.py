@@ -1,20 +1,23 @@
 """The classical polynomial oracle against textbook values and the pipeline."""
 
-from flagcohom.bggoracle import ChowOracle, oracle_table
-from flagcohom.fgl import FormalGroupLaw
-from flagcohom.flagring import FlagBasis
+import ast
+import sys
+from pathlib import Path
+
+from flagcohom import bggoracle
+from flagcohom.bggoracle import ChowOracle
 from flagcohom.rootdata import RootDatum
+from flagcohom.selfcheck import CheckContext, check_chow_oracle
 
 
 def test_a2_textbook_values():
-    datum = RootDatum.build("A2")
-    products, longest = oracle_table(datum)
-    # classical Chow ring of the full flag threefold
-    assert products[((1, 2), (2, 1))] == {(1,): 1, (2,): 1}
-    assert products[((1, 2), (1, 2))] == {(2,): 1}
-    assert products[((1,), (1, 2))] == {(): 1}
-    assert products[((1,), (2,))] == {}
-    assert longest == {"unit": 1}
+    oracle = ChowOracle(RootDatum.build("A2"))
+    # classical Chow ring of the full flag threefold, in b-coordinates
+    assert oracle.product((1, 2), (2, 1)) == {(1,): 1, (2,): 1}
+    assert oracle.product((1, 2), (1, 2)) == {(2,): 1}
+    assert oracle.product((1,), (1, 2)) == {(): 1}
+    assert oracle.product((1,), (2,)) == {}
+    assert oracle.unit_coords() == {(1, 2, 1): 1}
 
 
 def test_oracle_torsion():
@@ -23,14 +26,18 @@ def test_oracle_torsion():
 
 
 def test_oracle_matches_pipeline_b2():
-    datum = RootDatum.build("B2")
-    products, longest = oracle_table(datum)
-    fb = FlagBasis(datum, FormalGroupLaw.additive(9))
-    by_word = fb.by_word
-    for (a, b), want in products.items():
-        cls = fb.basis_product(by_word[a], by_word[b])
-        disp, top = cls.display_coords()
-        got = {w: int(c.constant_term()) for w, c in disp.items() if not c.is_zero()}
-        if not top.is_zero():
-            got["unit"] = int(top.constant_term())
-        assert got == want
+    ok, detail = check_chow_oracle(CheckContext(types=("B2",)))
+    assert ok, detail
+
+
+def test_oracle_imports_only_the_standard_library():
+    # An oracle that shared the pipeline's code would share its faults.
+    tree = ast.parse(Path(bggoracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in bggoracle"
+            imported.add(node.module.split(".")[0])
+    assert imported and imported <= sys.stdlib_module_names

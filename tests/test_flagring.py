@@ -18,7 +18,7 @@ from flagcohom.selfcheck import (
     check_eps_functionals,
     check_table_ring_axioms,
 )
-from flagcohom.tables import make_theory
+from flagcohom.tables import MultiplicationTable, make_theory
 
 
 def test_char_map_delta_variant_on_unit(a2_universal):
@@ -85,8 +85,7 @@ def test_bclass_non_reduced_additive_vanishes():
 def test_bclass_other_reduced_word_unit_coefficient(b2_universal):
     # 2121 is the non-canonical reduced word of the longest element
     cls = b2_universal.bclass((2, 1, 2, 1))
-    disp, top = cls.display_coords()
-    assert top == b2_universal.ring.one()
+    assert cls.coords[b2_universal.w0.canonical_word] == b2_universal.ring.one()
 
 
 def test_transition_diagonal_and_vanishing(b2_universal):
@@ -263,8 +262,7 @@ def test_a_chain_unit_coefficient(b2_universal):
     cls = b2_universal.point_class()
     for i in reversed(b2_universal.w0.canonical_word):
         cls = b2_universal.a_operator(i, cls)
-    disp, top = cls.display_coords()
-    assert top == b2_universal.ring.one()
+    assert cls.coords[b2_universal.w0.canonical_word] == b2_universal.ring.one()
 
 
 def test_b_operator_on_generators(a2_universal):
@@ -277,14 +275,15 @@ def test_b_operator_on_generators(a2_universal):
     assert out.scale(3) == out2
 
 
-def test_display_coords_roundtrip(a2_universal):
-    cls = a2_universal.basis_class(a2_universal.w0)
-    disp, top = cls.display_coords()
-    # reconstruct: top * unit + sum disp_w b_w must equal cls
-    back = a2_universal.unit_class().scale(top)
-    for w, c in disp.items():
-        back = back + a2_universal.basis_class(a2_universal.by_word[w]).scale(c)
-    assert (back - cls).is_zero()
+def test_display_coords_roundtrip(a2, a2_universal):
+    # The table's longest line reads b_w0 over {1} u {b_w : w != w0}:
+    # c_1 * unit + sum c_w b_w, back in the m-ring, must be b_w0.
+    table = MultiplicationTable(a2, "universal", basis=a2_universal)
+    coords = {n: table.lazard.from_a_basis(c) for n, c in table.longest.coords.items()}
+    back = a2_universal.unit_class().scale(coords.pop("1"))
+    for name, c in coords.items():
+        back = back + a2_universal.basis_class(a2_universal.by_word[table.word_of[name]]).scale(c)
+    assert (back - a2_universal.basis_class(a2_universal.w0)).is_zero()
 
 
 def test_homogeneity_of_products(b2_universal):

@@ -12,13 +12,13 @@ from flagcohom import cli
 from flagcohom.errors import InsufficientPrecisionError
 from flagcohom.fgl import FormalGroupLaw
 from flagcohom.fgring import FormalGroupRing
-from flagcohom.flagring import FlagBasis, FlagClass, default_truncation
+from flagcohom.flagring import FlagBasis, default_truncation
 from flagcohom.reference import REFERENCE_TABLES
 from flagcohom.rootdata import RootDatum
 from flagcohom.lazard import LazardBasis
 from flagcohom.schema import validate
 from flagcohom.selfcheck import CheckContext, check_raw_positivity, negative_coefficients
-from flagcohom.tables import MultiplicationTable, build_table, make_theory
+from flagcohom.tables import MultiplicationTable, build_table, custom_law, make_theory, word_name
 
 
 @pytest.fixture(scope="module")
@@ -287,11 +287,11 @@ def test_custom_laws_with_fractional_coefficients(tmp_path, a2, b2):
 
 
 def test_json_reuses_the_text_entries(b2, b2_universal, monkeypatch):
-    # Each product's display coordinates and Lazard conversion are made
-    # once: render_json converts only the pairs that the text lines lack.
+    # Each product and its Lazard conversion are made once: render_json
+    # computes and converts only the pairs that the text lines lack.
     table = MultiplicationTable(b2, "universal", basis=b2_universal)
-    calls = {"display": 0, "lazard": 0}
-    display, to_a = FlagClass.display_coords, LazardBasis.to_a_basis
+    calls = {"product": 0, "lazard": 0}
+    product, to_a = FlagBasis.basis_product, LazardBasis.to_a_basis
 
     def counted(key, fn):
         def wrapper(*args):
@@ -299,7 +299,7 @@ def test_json_reuses_the_text_entries(b2, b2_universal, monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(FlagClass, "display_coords", counted("display", display))
+    monkeypatch.setattr(FlagBasis, "basis_product", counted("product", product))
     monkeypatch.setattr(LazardBasis, "to_a_basis", counted("lazard", to_a))
     obj = table.render_json()
     in_lines = {frozenset((e.left, e.right)) for e in table.lines[1:]}
@@ -308,7 +308,7 @@ def test_json_reuses_the_text_entries(b2, b2_universal, monkeypatch):
         if frozenset((table.word_of[p["left"]], table.word_of[p["right"]])) not in in_lines
     ]
     assert 0 < len(outside) < len(obj["products"])
-    assert calls["display"] == len(outside)
+    assert calls["product"] == len(outside)
     assert calls["lazard"] == sum(len(p["result"]) for p in outside)
 
 
@@ -321,3 +321,21 @@ def test_raw_chow_and_connective_tables_are_positive():
     for typ in ("A2", "B3"):
         ktheory = MultiplicationTable(RootDatum.build(typ), "ktheory", raw=True)
         assert negative_coefficients(ktheory)
+
+
+@pytest.mark.parametrize("typ", ["A2", "B2", "G2", "A3"])
+def test_only_the_longest_square_has_a_longest_coordinate(typ):
+    # In the Chow model b_v b_w is beta_v * beta_w, of codimension >= codim v
+    # + codim w, and the solve reads its e_w0 coordinate as it stands: only
+    # b_w0^2 has a b_w0 coordinate, so display tables rewrite the longest line
+    # alone.  The custom laws over Q are not graded: the model makes this so.
+    datum = RootDatum.build(typ)
+    trunc = default_truncation(datum)
+    laws = [make_theory(spec, trunc) for spec in ("universal", "chow", "ktheory", "connective")]
+    laws += [(custom_law(data, trunc), "custom") for data in (
+        {"coefficients": {"1,1": -1}}, {"log": ["1/2", "-2/3", 3, "5/7"]})]
+    w0 = datum.longest_element().canonical_word
+    for law, theory in laws:
+        table = MultiplicationTable(datum, theory, raw=True, basis=FlagBasis(datum, law))
+        pairs = [(e.left, e.right) for e in table.products() if word_name(w0) in e.coords]
+        assert pairs == [(w0, w0)], theory
